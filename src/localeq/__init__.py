@@ -14,11 +14,8 @@ from .core import (
     LinearTransform,
     TransformFamily,
     WeightedSample,
-    apply_linear,
     inverse_cdf,
-    kernel_cdf,
     unweighted_moments,
-    weighted_ecdf,
     weighted_moments,
 )
 from .equating import (
@@ -55,9 +52,7 @@ from .evaluation import (
     ErrorAccumulator,
     EvaluationReport,
     apply_omission_rule,
-    bias_per_bin,
     bin_by_theta,
-    rmse_per_bin,
     run_study,
 )
 from .propensity import (
@@ -80,7 +75,6 @@ from .simulation import (
     conditional_score_moments,
     draw_design,
     draw_items,
-    gen_covariates,
     gen_population,
     mixture_score_distribution,
     normal_quadrature,

@@ -83,24 +83,16 @@ class DatasetSchema:
 
     @classmethod
     def from_string(cls, text: str) -> "DatasetSchema":
-        form = score = anchor = None
+        single = dict.fromkeys(("form", "score", "anchor"))
         covariates, ignore = [], []
         for part in filter(None, (p.strip() for p in text.split(","))):
             role, _, column = part.partition(":")
             if not column:
                 raise SchemaError(part, f"schema entry {part!r} is not role:column")
-            if role == "form":
-                if form is not None:
-                    raise SchemaError(column, "multiple form columns")
-                form = column
-            elif role == "score":
-                if score is not None:
-                    raise SchemaError(column, "multiple score columns")
-                score = column
-            elif role == "anchor":
-                if anchor is not None:
-                    raise SchemaError(column, "multiple anchor columns")
-                anchor = column
+            if role in single:
+                if single[role] is not None:
+                    raise SchemaError(column, f"multiple {role} columns")
+                single[role] = column
             elif role == "num":
                 covariates.append((column, "numeric"))
             elif role == "cat":
@@ -109,17 +101,10 @@ class DatasetSchema:
                 ignore.append(column)
             else:
                 raise SchemaError(column, f"unknown role {role!r}")
-        if form is None:
-            raise SchemaError("form", "schema must name a form column")
-        if score is None:
-            raise SchemaError("score", "schema must name a score column")
-        return cls(
-            form=form,
-            score=score,
-            anchor=anchor,
-            covariates=tuple(covariates),
-            ignore=tuple(ignore),
-        )
+        for role in ("form", "score"):
+            if single[role] is None:
+                raise SchemaError(role, f"schema must name a {role} column")
+        return cls(**single, covariates=tuple(covariates), ignore=tuple(ignore))
 
     @property
     def covariate_names(self) -> list:
@@ -283,16 +268,12 @@ def _fit_strata(dataset: ParsedDataset, strata: int):
     return assignment, propensities
 
 
-def _require_anchor(dataset: ParsedDataset):
-    if dataset.schema.anchor is None:
-        raise UsageError("method needs an anchor column in the schema")
-
-
 def _build_family(dataset, method, strata, trim_alpha, bandwidth) -> tuple:
     """Family plus the per-record conditioning values for percentile picks."""
     records = dataset.records
     if method in ("anchor", "equipercentile-anchor"):
-        _require_anchor(dataset)
+        if dataset.schema.anchor is None:
+            raise UsageError("method needs an anchor column in the schema")
         index_values = np.array([r.anchor for r in records])
         if method == "anchor":
             return anchor_family(records), index_values
@@ -324,9 +305,8 @@ def _family_rows(family: TransformFamily):
 def cmd_equate(args) -> int:
     schema = DatasetSchema.from_string(args.schema)
     dataset = parse_dataset(args.data, schema)
-    bandwidth = args.bandwidth
     family, index_values = _build_family(
-        dataset, args.method, args.strata, args.trim_alpha, bandwidth
+        dataset, args.method, args.strata, args.trim_alpha, args.bandwidth
     )
     out_dir = _resolve_out_dir(args.out_dir)
 
@@ -414,6 +394,17 @@ _TOP_LEVEL_PARSERS = {
 }
 
 
+def _parse_values(entries, parsers, bad_values) -> dict:
+    """Parse each ``name: (full key, text)`` entry; collect keys that fail."""
+    parsed = {}
+    for name, (full_key, value) in entries.items():
+        try:
+            parsed[name] = parsers[name](value)
+        except ValueError:
+            bad_values.append(full_key)
+    return parsed
+
+
 def _read_config(path):
     """Parse the flat key=value study config; collect every bad key at once."""
     top = {}
@@ -441,22 +432,12 @@ def _read_config(path):
     if bad_keys:
         raise ConfigError(bad_keys)
 
-    parsed_top = {}
     bad_values = []
-    for key, (full_key, value) in top.items():
-        try:
-            parsed_top[key] = _TOP_LEVEL_PARSERS[key](value)
-        except ValueError:
-            bad_values.append(full_key)
-    scenarios = {}
-    for name, mapping in scenario_fields.items():
-        parsed = {}
-        for field_name, (full_key, value) in mapping.items():
-            try:
-                parsed[field_name] = _SCENARIO_FIELD_PARSERS[field_name](value)
-            except ValueError:
-                bad_values.append(full_key)
-        scenarios[name] = parsed
+    parsed_top = _parse_values(top, _TOP_LEVEL_PARSERS, bad_values)
+    scenarios = {
+        name: _parse_values(mapping, _SCENARIO_FIELD_PARSERS, bad_values)
+        for name, mapping in scenario_fields.items()
+    }
     if bad_values:
         raise ConfigError(bad_values, f"unparseable config values: {bad_values}")
     return parsed_top, scenarios
@@ -563,33 +544,42 @@ def _resolve_out_dir(flag_value) -> str:
     return out_dir
 
 
-def _percentiles_arg(text):
-    try:
-        values = [float(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad percentile list {text!r}") from None
-    if not values or any(not 0 <= p <= 100 for p in values):
-        raise argparse.ArgumentTypeError("percentiles must lie in [0, 100]")
-    return values
+def _checked_arg(parse, valid, what, rule):
+    """An argparse type: ``parse`` the text, then require ``valid(value)``."""
+
+    def convert(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {what} {text!r}") from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"{what} {rule}")
+        return value
+
+    return convert
 
 
-def _bandwidth_arg(text):
-    if text.lower() in ("inf", "infinity"):
-        return math.inf
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad bandwidth {text!r}") from None
+def _number_list(kind):
+    return lambda text: [kind(v) for v in text.split(",") if v.strip()]
 
 
-def _strata_list_arg(text):
-    try:
-        values = [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad strata list {text!r}") from None
-    if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError("strata counts must be positive")
-    return values
+_percentiles_arg = _checked_arg(
+    _number_list(float),
+    lambda ps: ps and all(0 <= p <= 100 for p in ps),
+    "percentile list",
+    "must be non-empty and lie in [0, 100]",
+)
+_bandwidth_arg = _checked_arg(float, lambda h: h > 0, "bandwidth", "must be positive")
+_strata_arg = _checked_arg(int, lambda k: k >= 1, "strata count", "must be positive")
+_strata_list_arg = _checked_arg(
+    _number_list(int),
+    lambda ks: ks and all(k >= 1 for k in ks),
+    "strata list",
+    "must be non-empty and positive",
+)
+_trim_alpha_arg = _checked_arg(
+    float, lambda a: 0.0 <= a < 0.5, "trim fraction", "must lie in [0, 0.5)"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -604,8 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
     equate.add_argument("--data", required=True, help="dataset file (CSV with header)")
     equate.add_argument("--schema", required=True, help="role:column list")
     equate.add_argument("--method", required=True, choices=EQUATE_METHODS)
-    equate.add_argument("--strata", type=int, default=20)
-    equate.add_argument("--trim-alpha", type=float, default=0.01)
+    equate.add_argument("--strata", type=_strata_arg, default=20)
+    equate.add_argument("--trim-alpha", type=_trim_alpha_arg, default=0.01)
     equate.add_argument("--bandwidth", type=_bandwidth_arg, default=None)
     equate.add_argument(
         "--percentiles", type=_percentiles_arg, default=list(DEFAULT_PERCENTILES)

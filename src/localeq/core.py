@@ -2,8 +2,10 @@
 
 Two moment conventions coexist on purpose: ``unweighted_moments`` uses the
 n-1 denominator (anchor and stratification estimators), ``weighted_moments``
-divides by the weight sum (inverse-probability-weighted estimators). Each
-estimator calls the primitive that matches its displayed formula.
+divides by the weight sum (inverse-probability-weighted estimators). The
+equating cell engine picks the denominator from the conditioning: n-1 for
+unit-weight cells (anchor scores, strata), the weight sum for cells that
+carry IPW weights. No caller chooses it by flag.
 """
 
 from __future__ import annotations
@@ -30,11 +32,8 @@ __all__ = [
     "WeightedSample",
     "weighted_moments",
     "unweighted_moments",
-    "apply_linear",
     "ECDF",
-    "weighted_ecdf",
     "KernelCDF",
-    "kernel_cdf",
     "inverse_cdf",
 ]
 
@@ -87,11 +86,6 @@ class LinearTransform:
     def inverse(self) -> "LinearTransform":
         """The reverse-direction map built from the same cell moments."""
         return LinearTransform(1.0 / self.slope, self.mu_x, self.mu_y)
-
-
-def apply_linear(transform: LinearTransform, y):
-    """Apply a linear equating transform; continuous output, no rounding."""
-    return transform(y)
 
 
 @dataclass
@@ -240,11 +234,6 @@ class ECDF:
         return float(self.points[min(idx, self.points.size - 1)])
 
 
-def weighted_ecdf(sample: WeightedSample) -> ECDF:
-    """Weighted empirical distribution function as a step-CDF object."""
-    return ECDF(sample)
-
-
 class KernelCDF:
     """Gaussian-kernel continuization of a weighted sample.
 
@@ -290,11 +279,6 @@ class KernelCDF:
             z = (x[..., None] - self.centers) / self.scale
             out = ndtr(z) @ self.fractions
         return out if out.ndim else float(out)
-
-
-def kernel_cdf(sample: WeightedSample, bandwidth: float) -> KernelCDF:
-    """Kernel-smoothed weighted CDF with the given bandwidth (may be inf)."""
-    return KernelCDF(sample, bandwidth)
 
 
 def inverse_cdf(cdf, p: float, domain: tuple[float, float] | None = None) -> float:

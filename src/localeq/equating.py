@@ -1,9 +1,11 @@
 """Local equating transform families: anchor-based, stratified, and IPW.
 
 Every family maps form-Y scores onto the form-X scale, one transform per
-conditioning cell (anchor score, propensity stratum). Cells need at least
-two records per form and a positive score sd to qualify; anything else is
-listed under the family's omitted indices rather than silently dropped.
+conditioning cell (anchor score, propensity stratum). One cell engine
+serves every family: a cell qualifies with at least two records per form
+(and, for a linear transform, a positive score sd in both forms); anything
+else is listed under the family's omitted indices rather than silently
+dropped.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .core import (
     WeightedSample,
     inverse_cdf,
     unweighted_moments,
-    weighted_ecdf,
     weighted_moments,
 )
 from .errors import DimensionError, EmptyFamilyError, InvalidWeightError
@@ -71,31 +72,69 @@ def _forms_scores(records: Sequence[ExamineeRecord]):
     return forms, scores
 
 
-def _cell_transform(x_scores: np.ndarray, y_scores: np.ndarray) -> LinearTransform | None:
-    """Moment transform with n-1 sds, or None if the cell is degenerate."""
-    if x_scores.size < MIN_CELL_SIZE or y_scores.size < MIN_CELL_SIZE:
-        return None
-    mu_x, sd_x = unweighted_moments(x_scores)
-    mu_y, sd_y = unweighted_moments(y_scores)
+def _linear_map(x: WeightedSample, y: WeightedSample, moments) -> LinearTransform | None:
+    """Conditional-moment linear transform, or None if either sd is zero."""
+    mu_x, sd_x = moments(x)
+    mu_y, sd_y = moments(y)
     if sd_x <= 0.0 or sd_y <= 0.0:
         return None
     return LinearTransform(slope=sd_x / sd_y, mu_y=mu_y, mu_x=mu_x)
 
 
-def _build_family(index_kind, cell_indices, forms, scores) -> TransformFamily:
+def _cdf_map(cdf):
+    """Per-cell fit: the equipercentile map between ``cdf`` of each form."""
+    return lambda x, y, moments: EquipercentileMap(cdf(y), cdf(x))
+
+
+def _fit_cells(records, by, fit) -> TransformFamily:
+    """One transform per conditioning cell: the loop every family runs.
+
+    ``by`` is the conditioning: ``"anchor"``, a :class:`StratumAssignment`,
+    or an :class:`IPWWeights` (trimmed weights; overlap-violating strata are
+    skipped). A cell qualifies with at least ``MIN_CELL_SIZE`` records of
+    each form; then ``fit(x, y, moments)`` maps its form-Y sample onto its
+    form-X sample, or returns None to omit it. The moments follow from the
+    conditioning: unit-weight cells (anchor scores, strata) use the n-1 sd,
+    IPW-weighted cells the weight-sum sd.
+    """
+    weights, skip = None, ()
+    if isinstance(by, IPWWeights):
+        kind, cells, weights = "stratum", by.strata, by.trimmed
+        skip = by.overlap_violations
+    elif isinstance(by, StratumAssignment):
+        kind, cells = "stratum", by.labels
+    elif by == "anchor":
+        anchors = [r.anchor for r in records]
+        if any(a is None for a in anchors):
+            raise InvalidWeightError("every record needs an anchor score")
+        kind, cells = "anchor_score", np.array(anchors, dtype=int)
+    else:
+        raise ValueError(f"cannot condition on {by!r}")
+    forms, scores = _forms_scores(records)
+    if cells.size != forms.size:
+        raise DimensionError("conditioning does not cover the records")
+    moments = (
+        weighted_moments if weights is not None
+        else lambda sample: unweighted_moments(sample.values)
+    )
     entries, omitted = {}, []
-    for index in sorted({int(v) for v in cell_indices}):
-        in_cell = cell_indices == index
-        t = _cell_transform(
-            scores[in_cell & (forms == 0)], scores[in_cell & (forms == 1)]
-        )
-        if t is None:
+    for index in sorted(set(cells.tolist())):
+        in_cell = cells == index
+        selections = [in_cell & (forms == 0), in_cell & (forms == 1)]
+        transform = None
+        if index not in skip and min(s.sum() for s in selections) >= MIN_CELL_SIZE:
+            x, y = (
+                WeightedSample(scores[s], None if weights is None else weights[s])
+                for s in selections
+            )
+            transform = fit(x, y, moments)
+        if transform is None:
             omitted.append(index)
         else:
-            entries[index] = t
+            entries[index] = transform
     if not entries:
-        raise EmptyFamilyError(f"no {index_kind} cell qualified for a transform")
-    return TransformFamily(index_kind=index_kind, entries=entries, omitted=omitted)
+        raise EmptyFamilyError(f"no {kind} cell qualified for a transform")
+    return TransformFamily(index_kind=kind, entries=entries, omitted=omitted)
 
 
 def anchor_family(records: Sequence[ExamineeRecord]) -> TransformFamily:
@@ -104,21 +143,14 @@ def anchor_family(records: Sequence[ExamineeRecord]) -> TransformFamily:
     Per anchor value observed in both forms with at least two records per
     form and positive sds, builds the conditional-moment linear transform.
     """
-    forms, scores = _forms_scores(records)
-    anchors = [r.anchor for r in records]
-    if any(a is None for a in anchors):
-        raise InvalidWeightError("every record needs an anchor score")
-    return _build_family("anchor_score", np.array(anchors, dtype=int), forms, scores)
+    return _fit_cells(records, "anchor", _linear_map)
 
 
 def strat_family(
     records: Sequence[ExamineeRecord], assignment: StratumAssignment
 ) -> TransformFamily:
     """Local equating family with one transform per propensity stratum."""
-    forms, scores = _forms_scores(records)
-    if assignment.labels.size != len(records):
-        raise DimensionError("assignment does not cover the records")
-    return _build_family("stratum", assignment.labels, forms, scores)
+    return _fit_cells(records, assignment, _linear_map)
 
 
 def ipw_weights(
@@ -180,34 +212,7 @@ def ipw_family(
     cells with fewer than two records per form or zero weighted sd are
     omitted.
     """
-    forms, scores = _forms_scores(records)
-    if weights.strata.size != len(records):
-        raise DimensionError("weights were computed on different records")
-    entries, omitted = {}, []
-    for k in sorted(set(weights.strata.tolist())):
-        if k in weights.overlap_violations:
-            omitted.append(k)
-            continue
-        in_cell = weights.strata == k
-        t = None
-        x_sel = in_cell & (forms == 0)
-        y_sel = in_cell & (forms == 1)
-        if x_sel.sum() >= MIN_CELL_SIZE and y_sel.sum() >= MIN_CELL_SIZE:
-            mu_x, sd_x = weighted_moments(
-                WeightedSample(scores[x_sel], weights.trimmed[x_sel])
-            )
-            mu_y, sd_y = weighted_moments(
-                WeightedSample(scores[y_sel], weights.trimmed[y_sel])
-            )
-            if sd_x > 0.0 and sd_y > 0.0:
-                t = LinearTransform(slope=sd_x / sd_y, mu_y=mu_y, mu_x=mu_x)
-        if t is None:
-            omitted.append(k)
-        else:
-            entries[k] = t
-    if not entries:
-        raise EmptyFamilyError("no stratum qualified for an IPW transform")
-    return TransformFamily(index_kind="stratum", entries=entries, omitted=omitted)
+    return _fit_cells(records, weights, _linear_map)
 
 
 class EquipercentileMap:
@@ -224,20 +229,6 @@ class EquipercentileMap:
         return out.reshape(y.shape) if y.ndim else float(out[0])
 
 
-def _cells_and_weights(records, by):
-    """Resolve the conditioning cells and per-record weights for `by`."""
-    if isinstance(by, StratumAssignment):
-        return "stratum", by.labels, np.ones(len(records)), []
-    if isinstance(by, IPWWeights):
-        return "stratum", by.strata, by.trimmed, list(by.overlap_violations)
-    if by == "anchor":
-        anchors = [r.anchor for r in records]
-        if any(a is None for a in anchors):
-            raise InvalidWeightError("every record needs an anchor score")
-        return "anchor_score", np.array(anchors, dtype=int), np.ones(len(records)), []
-    raise ValueError(f"cannot condition on {by!r}")
-
-
 def equipercentile_family(
     records: Sequence[ExamineeRecord],
     by,
@@ -248,42 +239,18 @@ def equipercentile_family(
     ``by`` selects the conditioning: a :class:`StratumAssignment`, an
     :class:`IPWWeights` (its trimmed weights enter the ECDFs), or the string
     ``"anchor"``. With ``bandwidth=None`` the raw step ECDFs are used; a
-    finite bandwidth kernel-smooths them; ``bandwidth=math.inf`` dispatches
-    to the linear transform, the limiting case of the smoothed map.
+    finite bandwidth kernel-smooths them; ``bandwidth=math.inf`` returns the
+    linear family of the same conditioning (:func:`anchor_family`,
+    :func:`strat_family` or :func:`ipw_family`), the limiting case of the
+    smoothed map.
     """
-    forms, scores = _forms_scores(records)
-    index_kind, cells, w, violations = _cells_and_weights(records, by)
-    entries, omitted = {}, []
-    for index in sorted(set(cells.tolist())):
-        if index in violations:
-            omitted.append(index)
-            continue
-        in_cell = cells == index
-        x_sel = in_cell & (forms == 0)
-        y_sel = in_cell & (forms == 1)
-        if x_sel.sum() == 0 or y_sel.sum() == 0:
-            omitted.append(index)
-            continue
-        sample_x = WeightedSample(scores[x_sel], w[x_sel])
-        sample_y = WeightedSample(scores[y_sel], w[y_sel])
-        if bandwidth is not None and math.isinf(bandwidth):
-            mu_x, sd_x = weighted_moments(sample_x)
-            mu_y, sd_y = weighted_moments(sample_y)
-            if sd_x <= 0.0 or sd_y <= 0.0:
-                omitted.append(index)
-                continue
-            entries[index] = LinearTransform(slope=sd_x / sd_y, mu_y=mu_y, mu_x=mu_x)
-        elif bandwidth is not None:
-            entries[index] = EquipercentileMap(
-                KernelCDF(sample_y, bandwidth), KernelCDF(sample_x, bandwidth)
-            )
-        else:
-            entries[index] = EquipercentileMap(
-                weighted_ecdf(sample_y), weighted_ecdf(sample_x)
-            )
-    if not entries:
-        raise EmptyFamilyError("no cell qualified for an equipercentile map")
-    return TransformFamily(index_kind=index_kind, entries=entries, omitted=omitted)
+    if bandwidth is None:
+        fit = _cdf_map(ECDF)
+    elif math.isinf(bandwidth):
+        fit = _linear_map
+    else:
+        fit = _cdf_map(lambda sample: KernelCDF(sample, bandwidth))
+    return _fit_cells(records, by, fit)
 
 
 PercentileSelection = namedtuple(
@@ -324,9 +291,11 @@ def family_at_percentiles(
 
 
 def pooled_transform(records: Sequence[ExamineeRecord]) -> LinearTransform:
-    """Single population-level linear transform (equivalent-groups baseline)."""
-    forms, scores = _forms_scores(records)
-    t = _cell_transform(scores[forms == 0], scores[forms == 1])
-    if t is None:
-        raise EmptyFamilyError("pooled sample is degenerate")
-    return t
+    """Single population-level linear transform (equivalent-groups baseline).
+
+    The one-cell case of the family engine: every record in one stratum.
+    """
+    everyone = StratumAssignment(
+        K=1, labels=np.ones(len(records), dtype=int), boundaries=np.empty(0)
+    )
+    return _fit_cells(records, everyone, _linear_map).entries[1]

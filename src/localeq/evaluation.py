@@ -47,8 +47,6 @@ __all__ = [
     "METHODS",
     "bin_by_theta",
     "ErrorAccumulator",
-    "bias_per_bin",
-    "rmse_per_bin",
     "apply_omission_rule",
     "MethodResult",
     "EvaluationReport",
@@ -80,7 +78,7 @@ def bin_by_theta(theta, nbins: int):
 
 
 class ErrorAccumulator:
-    """Running error sums per (replication, bin, score) cell.
+    """Error sums per (replication, bin, score) cell, one slot per replication.
 
     ``n_scores=None`` collapses the score axis for per-bin-only use. The
     finalized statistics average within each replication first, then across
@@ -89,7 +87,6 @@ class ErrorAccumulator:
 
     def __init__(self, replications: int, nbins: int, n_scores: int | None = None):
         shape = (replications, nbins, 1 if n_scores is None else n_scores)
-        self.nbins = nbins
         self.per_score = n_scores is not None
         self.abs_sum = np.zeros(shape)
         self.sq_sum = np.zeros(shape)
@@ -101,8 +98,6 @@ class ErrorAccumulator:
         errors = np.asarray(errors, dtype=float)
         if bins.shape != errors.shape:
             raise ValueError("bin labels and errors must align")
-        if replication >= self.abs_sum.shape[0]:
-            self._grow(replication + 1)
         if self.per_score:
             if scores is None:
                 raise ValueError("score values required for a per-score accumulator")
@@ -114,13 +109,6 @@ class ErrorAccumulator:
         np.add.at(self.sq_sum, idx, errors**2)
         np.add.at(self.signed_sum, idx, errors)
         np.add.at(self.count, idx, 1)
-
-    def _grow(self, replications: int):
-        pad = ((0, replications - self.abs_sum.shape[0]), (0, 0), (0, 0))
-        self.abs_sum = np.pad(self.abs_sum, pad)
-        self.sq_sum = np.pad(self.sq_sum, pad)
-        self.signed_sum = np.pad(self.signed_sum, pad)
-        self.count = np.pad(self.count, pad)
 
     def insert(self, replication: int, other: "ErrorAccumulator"):
         """Copy a single-replication accumulator into the given slot."""
@@ -162,32 +150,6 @@ class ErrorAccumulator:
         sq_dev = np.sum((per_rep - centre) ** 2, axis=0, where=used)
         var = sq_dev / np.maximum(n_used - 1, 1)
         return np.where(n_used >= 2, np.sqrt(var / np.maximum(n_used, 1)), np.nan)
-
-
-def bias_per_bin(
-    true_scores, estimated_scores, bins, replication: int, accumulator=None, nbins=None
-) -> ErrorAccumulator:
-    """Accumulate absolute equating errors per bin; finalize with .bias()."""
-    return _accumulate(true_scores, estimated_scores, bins, replication, accumulator, nbins)
-
-
-def rmse_per_bin(
-    true_scores, estimated_scores, bins, replication: int, accumulator=None, nbins=None
-) -> ErrorAccumulator:
-    """Accumulate squared equating errors per bin; finalize with .rmse()."""
-    return _accumulate(true_scores, estimated_scores, bins, replication, accumulator, nbins)
-
-
-def _accumulate(true_scores, estimated_scores, bins, replication, accumulator, nbins):
-    true_scores = np.asarray(true_scores, dtype=float)
-    estimated_scores = np.asarray(estimated_scores, dtype=float)
-    bins = np.asarray(bins, dtype=int)
-    if accumulator is None:
-        if nbins is None:
-            nbins = int(bins.max())
-        accumulator = ErrorAccumulator(replication + 1, nbins)
-    accumulator.add(replication, bins, estimated_scores - true_scores)
-    return accumulator
 
 
 def apply_omission_rule(score_probabilities, threshold: float = OMISSION_THRESHOLD):
@@ -266,20 +228,24 @@ def _apply_family(family: TransformFamily, indices, scores) -> np.ndarray:
     return out
 
 
-def _propensity_design(pop):
-    """Standardized design matrix: anchor score first, then covariates.
+def _propensity_stage(pop, strata: int):
+    """Propensity strata and scores, fitted once and shared by strat and ipw.
 
-    The anchor is the strongest ability proxy available to the assignment
+    The design matrix is standardized, anchor score first, then covariates:
+    the anchor is the strongest ability proxy available to the assignment
     model, so the stratification and weighting methods condition on it
     alongside the background covariates. Constant columns are dropped.
     """
     raw = np.column_stack([pop.anchor_score, pop.covariates]).astype(float)
     sds = raw.std(axis=0, ddof=1)
     keep = sds > 0.0
-    return (raw[:, keep] - raw[:, keep].mean(axis=0)) / sds[keep]
+    encoded = (raw[:, keep] - raw[:, keep].mean(axis=0)) / sds[keep]
+    model = fit_logistic(encoded, pop.form)
+    propensities = estimate_propensity(model, encoded)
+    return stratify_quantile(propensities, strata), propensities
 
 
-def _equate_target_scores(method, records, pop, config, target):
+def _equate_target_scores(method, records, pop, config, target, stage):
     """Equated form-Y scores for the target examinees under one method."""
     y = pop.score[target].astype(float)
     if method == "eg":
@@ -287,10 +253,7 @@ def _equate_target_scores(method, records, pop, config, target):
     if method == "anchor":
         return _apply_family(anchor_family(records), pop.anchor_score[target], y)
     if method in ("strat", "ipw"):
-        encoded = _propensity_design(pop)
-        model = fit_logistic(encoded, pop.form)
-        propensities = estimate_propensity(model, encoded)
-        assignment = stratify_quantile(propensities, config.strata)
+        assignment, propensities = stage
         if method == "strat":
             family = strat_family(records, assignment)
         else:
@@ -319,9 +282,17 @@ def _run_replication(config, design, seed_seq, methods):
         true_eq[sel] = truth(y[sel])
 
     out = {}
-    for method in methods:
+    stage = None
+    if "strat" in methods or "ipw" in methods:
         try:
-            estimated = _equate_target_scores(method, records, pop, config, target)
+            stage = _propensity_stage(pop, config.strata)
+        except LocalEqError:  # fails strat and ipw alike
+            out = {m: None for m in methods if m in ("strat", "ipw")}
+    for method in methods:
+        if method in out:
+            continue
+        try:
+            estimated = _equate_target_scores(method, records, pop, config, target, stage)
         except LocalEqError:
             out[method] = None
             continue

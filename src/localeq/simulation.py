@@ -29,7 +29,6 @@ __all__ = [
     "draw_items",
     "draw_covariate_design",
     "covariates_from_design",
-    "gen_covariates",
     "draw_design",
     "gen_population",
     "conditional_score_moments",
@@ -115,20 +114,13 @@ def draw_covariate_design(
 def covariates_from_design(
     theta, design: CovariateDesign, rng: np.random.Generator
 ) -> np.ndarray:
+    """Ordinal covariates (one column each) positively associated with theta."""
     theta = np.asarray(theta, dtype=float)
     columns = []
     for a_c, b_c in zip(design.discriminations, design.difficulties):
         p = prob_2pl(theta[:, None], a_c, b_c)
         columns.append((rng.random(p.shape) < p).sum(axis=1))
     return np.column_stack(columns).astype(int)
-
-
-def gen_covariates(
-    theta, categories: Sequence[int], discrimination_range, rng: np.random.Generator
-) -> np.ndarray:
-    """Ordinal covariates (one column each) positively associated with theta."""
-    design = draw_covariate_design(categories, discrimination_range, rng)
-    return covariates_from_design(theta, design, rng)
 
 
 @dataclass(frozen=True)

@@ -297,6 +297,36 @@ class TestEquateCommand:
         fitted = [r for r in rows if r["omitted"] == "0"]
         assert fitted and all(float(r["slope"]) > 0 for r in fitted)
 
+    @pytest.mark.parametrize(
+        "method, flag, value",
+        [
+            ("ipw", "--trim-alpha", "0.7"),
+            ("ipw", "--trim-alpha", "-0.1"),
+            ("ipw", "--trim-alpha", "half"),
+            ("strat", "--strata", "0"),
+            ("strat", "--strata", "two"),
+            ("equipercentile-anchor", "--bandwidth", "0"),
+        ],
+    )
+    def test_out_of_range_flag_is_a_usage_error(self, tmp_path, method, flag, value):
+        data = tmp_path / "sim.csv"
+        write_sim_dataset(data)
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "localeq.cli", "equate",
+                "--data", str(data),
+                "--schema", SIM_SCHEMA,
+                "--method", method,
+                flag, value,
+                "--out-dir", str(tmp_path),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"argument {flag}" in proc.stderr
+
     def test_strat_needs_covariates(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         write_identity_dataset(data)

@@ -14,11 +14,8 @@ from localeq.core import (
     LinearTransform,
     TransformFamily,
     WeightedSample,
-    apply_linear,
     inverse_cdf,
-    kernel_cdf,
     unweighted_moments,
-    weighted_ecdf,
     weighted_moments,
 )
 from localeq.errors import (
@@ -57,7 +54,7 @@ class TestLinearTransform:
     def test_known_value(self):
         # slope 1.5 around mu_y=10, mu_x=12: 12 + 1.5*(14-10) = 18
         t = LinearTransform(slope=1.5, mu_y=10.0, mu_x=12.0)
-        assert apply_linear(t, 14.0) == pytest.approx(18.0)
+        assert t(14.0) == pytest.approx(18.0)
 
     def test_maps_mean_to_mean(self):
         t = LinearTransform(slope=0.7, mu_y=23.0, mu_x=19.5)
@@ -160,7 +157,7 @@ class TestWeightedSample:
 
 class TestECDF:
     def test_weighted_step_values(self):
-        f = weighted_ecdf(WeightedSample(np.array([0.0, 1.0]), np.array([1.0, 3.0])))
+        f = ECDF(WeightedSample(np.array([0.0, 1.0]), np.array([1.0, 3.0])))
         assert f(-0.5) == 0.0
         assert f(0.0) == pytest.approx(0.25)
         assert f(0.5) == pytest.approx(0.25)
@@ -213,7 +210,7 @@ class TestKernelCDF:
     def test_rejects_non_positive_bandwidth(self):
         s = WeightedSample(np.array([1.0, 2.0]))
         with pytest.raises(InvalidBandwidthError):
-            kernel_cdf(s, 0.0)
+            KernelCDF(s, 0.0)
 
     def test_preserves_mean_and_variance(self):
         rng = np.random.default_rng(5)
@@ -232,7 +229,7 @@ class TestKernelCDF:
 
     def test_small_bandwidth_approaches_step_ecdf(self):
         s = WeightedSample(np.array([0.0, 1.0, 3.0]), np.array([1.0, 2.0, 1.0]))
-        step = weighted_ecdf(s)
+        step = ECDF(s)
         smooth = KernelCDF(s, 1e-4)
         for x in (-0.5, 0.4, 1.6, 3.4):
             assert smooth(x) == pytest.approx(step(x), abs=1e-6)

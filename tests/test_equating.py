@@ -21,11 +21,20 @@ from localeq.errors import (
     EmptyFamilyError,
     InvalidWeightError,
 )
-from localeq.propensity import stratify_quantile
+from localeq.propensity import StratumAssignment, stratify_quantile
 
 
 def rec(form, score, anchor=None, cov=()):
     return ExamineeRecord(form=form, score=score, anchor=anchor, covariates=cov)
+
+
+# every family that conditions on the anchor score, linear and equipercentile
+ANCHOR_FAMILIES = {
+    "anchor_family": anchor_family,
+    "step": lambda records: equipercentile_family(records, "anchor"),
+    "kernel": lambda records: equipercentile_family(records, "anchor", 1.0),
+    "inf": lambda records: equipercentile_family(records, "anchor", math.inf),
+}
 
 
 @pytest.fixture
@@ -66,9 +75,13 @@ class TestAnchorFamily:
         assert 9 not in fam.entries
 
     def test_single_record_cell_omitted(self, shifted_records):
+        # anchor 2: one record per form; anchor 3: one X, three Y
         records = shifted_records + [rec(0, 5, anchor=2), rec(1, 6, anchor=2)]
-        fam = anchor_family(records)
-        assert 2 in fam.omitted
+        records += [rec(0, 7, anchor=3)] + [rec(1, s, anchor=3) for s in (5, 6, 8)]
+        for name, build in ANCHOR_FAMILIES.items():
+            fam = build(records)
+            assert fam.omitted == [2, 3], name
+            assert list(fam.entries) == [1], name
 
     def test_zero_sd_cell_omitted(self):
         records = [
@@ -291,6 +304,32 @@ class TestEquipercentileFamily:
         fam = equipercentile_family(records, assignment, bandwidth=math.inf)
         assert isinstance(fam.entries[1], LinearTransform)
 
+    @pytest.mark.parametrize("conditioning", ["anchor", "strata", "ipw"])
+    def test_infinite_bandwidth_is_the_linear_family(self, conditioning):
+        # cell 1 has unequal per-form sizes, so n-1 and weight-sum sds
+        # differ; cell 2 holds a single form-X record
+        records = [rec(0, s, anchor=1) for s in (2, 4, 6)]
+        records += [rec(1, s, anchor=1) for s in (1, 3)]
+        records += [rec(0, 5, anchor=2), rec(1, 6, anchor=2), rec(1, 9, anchor=2)]
+        strata = StratumAssignment(
+            K=2, labels=np.array([r.anchor for r in records]), boundaries=np.array([0.5])
+        )
+        if conditioning == "anchor":
+            by, linear = "anchor", anchor_family(records)
+        elif conditioning == "strata":
+            by, linear = strata, strat_family(records, strata)
+        else:
+            pi = np.array([0.3, 0.5, 0.6, 0.4, 0.7, 0.5, 0.45, 0.55])
+            by = ipw_weights(records, strata, pi, trim_alpha=0.0)
+            linear = ipw_family(records, by)
+        fam = equipercentile_family(records, by, bandwidth=math.inf)
+        assert fam.index_kind == linear.index_kind
+        assert fam.omitted == linear.omitted == [2]
+        assert list(fam.entries) == list(linear.entries) == [1]
+        got, want = fam.entries[1], linear.entries[1]
+        for attr in ("slope", "mu_y", "mu_x"):
+            assert getattr(got, attr) == pytest.approx(getattr(want, attr), abs=1e-12)
+
     def test_monotone_in_y(self):
         rng = np.random.default_rng(23)
         records = [rec(0, int(s)) for s in rng.integers(0, 40, 25)] + [
@@ -329,8 +368,8 @@ class TestEquipercentileFamily:
             rec(1, 3, anchor=1),
             rec(0, 9, anchor=5),
         ]
-        fam = equipercentile_family(records, "anchor")
-        assert 5 in fam.omitted
+        for name, build in ANCHOR_FAMILIES.items():
+            assert 5 in build(records).omitted, name
 
     def test_unknown_conditioning(self):
         with pytest.raises(ValueError):

@@ -10,9 +10,7 @@ from localeq.evaluation import (
     ErrorAccumulator,
     EvaluationReport,
     apply_omission_rule,
-    bias_per_bin,
     bin_by_theta,
-    rmse_per_bin,
     run_study,
 )
 from localeq.simulation import SimulationConfig
@@ -175,13 +173,15 @@ class TestErrorAccumulator:
 
 class TestPerBinWrappers:
     def test_bias_accumulates_across_replications(self):
-        acc = bias_per_bin([1.0, 2.0], [1.5, 2.5], [1, 2], 0, nbins=2)
-        acc = bias_per_bin([1.0], [2.5], [1], 1, accumulator=acc)
+        acc = ErrorAccumulator(2, 2)
+        acc.add(0, [1, 2], np.subtract([1.5, 2.5], [1.0, 2.0]))
+        acc.add(1, [1], np.subtract([2.5], [1.0]))
         assert acc.bias().shape == (2, 1)
         assert acc.bias()[0, 0] == pytest.approx((0.5 + 1.5) / 2)
 
     def test_rmse_wrapper(self):
-        acc = rmse_per_bin([0.0, 0.0], [3.0, -4.0], [1, 1], 0, nbins=1)
+        acc = ErrorAccumulator(1, 1)
+        acc.add(0, [1, 1], np.subtract([3.0, -4.0], [0.0, 0.0]))
         assert acc.rmse()[0, 0] == pytest.approx(math.sqrt(12.5))
 
     def test_doubling_replications_halves_se_variance(self):
@@ -193,16 +193,13 @@ class TestPerBinWrappers:
         est_2r = np.empty((macro, nbins))
         for s in range(macro):
             children = np.random.SeedSequence((4, s)).spawn(2 * reps)
-            acc = None
+            acc = ErrorAccumulator(2 * reps, nbins)
             for r, child in enumerate(children):
                 rng = np.random.default_rng(child)
                 labels = rng.integers(1, nbins + 1, 400)
                 truth = np.zeros(400)
                 estimated = truth + rng.normal(0.4 * labels, 1.0)
-                acc = bias_per_bin(
-                    truth, estimated, labels, replication=r,
-                    accumulator=acc, nbins=nbins,
-                )
+                acc.add(r, labels, estimated - truth)
                 if r == reps - 1:
                     est_r[s] = acc.bias().ravel()
             est_2r[s] = acc.bias().ravel()
@@ -262,6 +259,22 @@ class TestRunStudy:
         r1 = run_study(tiny_config(), methods=("strat",))
         r2 = run_study(tiny_config(), methods=("strat",))
         assert r1.to_rows() == r2.to_rows()
+
+    def test_strat_and_ipw_share_one_propensity_fit(self, monkeypatch):
+        import localeq.evaluation as evaluation
+
+        calls = []
+        fit = evaluation.fit_logistic
+
+        def counting_fit(*args, **kwargs):
+            calls.append(1)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "fit_logistic", counting_fit)
+        config = tiny_config()
+        report = run_study(config, methods=("strat", "ipw"))
+        assert report.methods["strat"].failures == 0
+        assert len(calls) == config.replications
 
     def test_worker_count_does_not_change_rows(self):
         serial = run_study(tiny_config(), methods=("anchor", "ipw"))

@@ -17,7 +17,6 @@ from localeq.simulation import (
     draw_covariate_design,
     draw_design,
     draw_items,
-    gen_covariates,
     gen_population,
     mixture_score_distribution,
     normal_quadrature,
@@ -78,7 +77,9 @@ class TestItemParams:
 class TestCovariates:
     def test_values_within_category_range(self):
         rng = np.random.default_rng(1)
-        cov = gen_covariates(rng.standard_normal(500), (3, 4, 5), (0.5, 1.5), rng)
+        theta = rng.standard_normal(500)
+        design = draw_covariate_design((3, 4, 5), (0.5, 1.5), rng)
+        cov = covariates_from_design(theta, design, rng)
         assert cov.shape == (500, 3)
         for j, m in enumerate((3, 4, 5)):
             assert cov[:, j].min() >= 0
@@ -109,7 +110,8 @@ class TestCovariates:
     def test_medium_strength_rank_correlation(self):
         rng = np.random.default_rng(7)
         theta = rng.standard_normal(20_000)
-        cov = gen_covariates(theta, (3, 4, 5), (0.5, 1.5), rng)
+        design = draw_covariate_design((3, 4, 5), (0.5, 1.5), rng)
+        cov = covariates_from_design(theta, design, rng)
         for j in range(3):
             rho = spearmanr(theta, cov[:, j]).statistic
             assert 0.2 < rho < 0.9
