@@ -8,38 +8,27 @@ examinees are compared against peers of similar standing.
 
 import numpy as np
 
-from localeq import (
-    ExamineeRecord,
-    anchor_family,
-    family_at_percentiles,
-    pooled_transform,
-)
+from localeq import ScoreTable, anchor_family, family_at_percentiles, pooled_transform
 
 
-def build_records(rng, n=400):
+def build_table(rng, n=400):
     """Synthetic two-form data where form Y runs 2 points hard at the top."""
-    records = []
-    for _ in range(n):
-        ability = rng.normal()
-        anchor = int(np.clip(round(5 + 2 * ability + rng.normal(0, 0.8)), 0, 10))
-        form = int(rng.random() < 0.5)
-        base = 20 + 6 * ability + rng.normal(0, 2)
-        if form == 1:
-            # harder near the top: grows with ability
-            base -= 2.0 * (ability > 0)
-        score = int(np.clip(round(base), 0, 40))
-        records.append(
-            ExamineeRecord(form=form, score=score, anchor=anchor, covariates=())
-        )
-    return records
+    ability = rng.normal(size=n)
+    anchor = np.clip(np.round(5 + 2 * ability + rng.normal(0, 0.8, n)), 0, 10)
+    form = (rng.random(n) < 0.5).astype(int)
+    base = 20 + 6 * ability + rng.normal(0, 2, n)
+    # form Y is harder near the top: grows with ability
+    base -= 2.0 * (form == 1) * (ability > 0)
+    score = np.clip(np.round(base), 0, 40)
+    return ScoreTable(form=form, score=score, anchor=anchor)
 
 
 def main():
     rng = np.random.default_rng(7)
-    records = build_records(rng)
+    table = build_table(rng)
 
-    family = anchor_family(records)
-    pooled = pooled_transform(records)
+    family = anchor_family(table)
+    pooled = pooled_transform(table)
 
     print("local transforms by anchor score (slope, intercept at y=20):")
     for anchor_value in sorted(family.entries):
@@ -51,8 +40,7 @@ def main():
     print(f"\npooled transform for comparison: slope {pooled.slope:.2f}, "
           f"maps 20 -> {pooled(20.0):.1f}")
 
-    anchors = np.array([r.anchor for r in records])
-    picks = family_at_percentiles(family, (10, 50, 90), anchors)
+    picks = family_at_percentiles(family, (10, 50, 90), table.anchor)
     print("\nrepresentative transforms at anchor percentiles:")
     for pick in picks:
         print(f"  P{pick.percentile:<3g} -> anchor {pick.index}: "

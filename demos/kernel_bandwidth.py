@@ -10,25 +10,20 @@ import math
 
 import numpy as np
 
-from localeq import ExamineeRecord, equipercentile_family, stratify_quantile
+from localeq import ScoreTable, equipercentile_family, stratify_quantile
 
 
 def main():
     rng = np.random.default_rng(11)
-    records = [
-        ExamineeRecord(form=0, score=int(s), anchor=None, covariates=())
-        for s in rng.binomial(30, 0.55, 250)
-    ] + [
-        ExamineeRecord(form=1, score=int(s), anchor=None, covariates=())
-        for s in rng.binomial(30, 0.45, 250)
-    ]
-    everyone = stratify_quantile(np.full(len(records), 0.5), 1)
-    y_sd = np.std([r.score for r in records if r.form == 1])
+    scores = np.concatenate([rng.binomial(30, 0.55, 250), rng.binomial(30, 0.45, 250)])
+    table = ScoreTable(form=np.repeat([0, 1], 250), score=scores)
+    everyone = stratify_quantile(np.full(len(table), 0.5), 1)
+    y_sd = np.std(table.score[table.form == 1])
 
     bandwidths = [None, 0.8, 3 * y_sd, 1e4 * y_sd, math.inf]
     labels = ["raw steps", "h=0.8", "h=3sd", "h=10000sd", "linear"]
     maps = [
-        equipercentile_family(records, everyone, bandwidth=bw).entries[1]
+        equipercentile_family(table, everyone, bandwidth=bw).entries[1]
         for bw in bandwidths
     ]
 

@@ -26,10 +26,10 @@ from localeq import (
 def main():
     config = SimulationConfig(n=3000, seed=21)
     pop = gen_population(config, np.random.default_rng(config.seed))
-    records = pop.to_records()
+    table = pop.to_records()
 
     kinds = ["numeric"] * pop.covariates.shape[1]
-    design = encode_covariates(records, kinds)
+    design = encode_covariates(table, kinds)
     model = fit_logistic(design, pop.form)
     print(f"propensity model converged in {model.iterations} IRLS steps, "
           f"coefficients {np.round(model.coefficients, 3)}")
@@ -37,7 +37,7 @@ def main():
     propensities = estimate_propensity(model, design)
     assignment = stratify_quantile(propensities, 8)
 
-    report = balance_report(records, assignment, [f"c{j+1}" for j in range(3)])
+    report = balance_report(table, assignment, [f"c{j+1}" for j in range(3)])
     print("\nper-stratum ASMD (balance is < 0.1):")
     header = "  stratum " + "".join(f"{name:>8s}" for name in report.covariate_names)
     print(header)
@@ -47,9 +47,9 @@ def main():
     print("satisfactory fraction per covariate:",
           np.round(report.satisfactory_fraction, 2))
 
-    strat = strat_family(records, assignment)
-    weights = ipw_weights(records, assignment, propensities, trim_alpha=0.01)
-    ipw = ipw_family(records, weights)
+    strat = strat_family(table, assignment)
+    weights = ipw_weights(table, assignment, propensities, trim_alpha=0.01)
+    ipw = ipw_family(table, weights)
 
     clipped = int(np.sum(weights.raw != weights.trimmed))
     print(f"\nstabilized weights: mean {weights.trimmed.mean():.3f}, "

@@ -9,9 +9,9 @@ simulation harness compares the methods against the analytic truth.
 
 from .core import (
     ECDF,
-    ExamineeRecord,
     KernelCDF,
     LinearTransform,
+    ScoreTable,
     TransformFamily,
     WeightedSample,
     inverse_cdf,

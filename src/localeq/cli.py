@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import ExamineeRecord, LinearTransform, TransformFamily
+from .core import LinearTransform, ScoreTable, TransformFamily
 from .equating import (
     anchor_family,
     equipercentile_family,
@@ -117,44 +117,39 @@ class DatasetSchema:
 
 @dataclass
 class ParsedDataset:
-    """Validated records plus what is needed to re-serialize them losslessly.
+    """A validated :class:`ScoreTable` plus what re-serializes it losslessly.
 
     ``categorical_levels`` maps each categorical column to its sorted level
-    strings; records store the level's position so downstream numeric code
-    paths work unchanged. Behaves as a sequence of records.
+    strings, whose positions the table stores. ``len()`` counts the rows.
     """
 
-    records: list
+    table: ScoreTable
     schema: DatasetSchema
     categorical_levels: dict
 
-    def __iter__(self):
-        return iter(self.records)
-
     def __len__(self):
-        return len(self.records)
-
-    def __getitem__(self, i):
-        return self.records[i]
+        return len(self.table)
 
 
 def _read_rows(path, schema):
+    """The header and every record after it; record i sits on file line i + 2."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise SchemaError(schema.form, "file has no header row") from None
-        rows = [(line, row) for line, row in enumerate(reader, start=2) if row]
+        rows = list(reader)
     return header, rows
 
 
 def parse_dataset(path, schema: DatasetSchema) -> ParsedDataset:
-    """Read and validate a delimited dataset against a schema.
+    """Read and validate a delimited dataset against a schema, column by column.
 
-    Row numbers in errors are 1-based file lines (the header is line 1).
-    Categorical covariate values may be arbitrary strings; they are coded
-    as positions in the column's sorted level list.
+    Only when a value is invalid are the rows read again, one by one, to name
+    the first bad 1-based file line (the header is line 1). Numeric covariates
+    must be finite; categorical ones, arbitrary strings, are coded as
+    positions in the column's sorted level list.
     """
     header, rows = _read_rows(path, schema)
     positions = {}
@@ -173,96 +168,119 @@ def parse_dataset(path, schema: DatasetSchema) -> ParsedDataset:
             f"columns not covered by the schema or its ignore list: {untagged}",
         )
 
-    levels = {}
-    for name, kind in schema.covariates:
-        if kind == "categorical":
-            seen = {row[positions[name]] for _, row in rows if len(row) > positions[name]}
-            levels[name] = sorted(seen)
+    rows = [row for row in rows if row]  # blank lines hold no record
+    if not rows:
+        raise RowError(2, "file contains no data rows")
+    if set(map(len, rows)) == {len(header)}:
+        columns = list(zip(*rows))
+        del rows  # the columns hold every value; the error path rereads the file
+        try:
+            table, levels = _table_from_columns(columns, positions, schema)
+            return ParsedDataset(table=table, schema=schema, categorical_levels=levels)
+        except (KeyError, ValueError, OverflowError):
+            pass
+    _raise_first_bad_row(path, schema, len(header), positions)
+    raise AssertionError("the row scan accepted what the column parse rejected")
 
-    records = []
-    for line, row in rows:
-        if len(row) != len(header):
-            raise RowError(line, f"expected {len(header)} fields, got {len(row)}")
+
+def _table_from_columns(columns, positions, schema):
+    """The table and categorical levels; KeyError or ValueError on a bad value."""
+    n = len(columns[0])
+    column = {name: columns[i] for name, i in positions.items()}
+
+    def integers(name):
+        return np.fromiter(map(int, column[name]), np.int64, n)
+
+    form = np.fromiter(map(_FORM_LABELS.__getitem__, column[schema.form]), np.int64, n)
+    anchor = None if schema.anchor is None else integers(schema.anchor)
+    levels, covariates = {}, np.empty((n, len(schema.covariates)))
+    for j, (name, kind) in enumerate(schema.covariates):
+        if kind == "numeric":
+            covariates[:, j] = np.fromiter(map(float, column[name]), float, n)
+        else:
+            levels[name] = sorted(set(column[name]))
+            code = {level: i for i, level in enumerate(levels[name])}
+            covariates[:, j] = np.fromiter(map(code.get, column[name]), float, n)
+    return ScoreTable(form, integers(schema.score), anchor, covariates), levels
+
+
+def _raise_first_bad_row(path, schema, width, positions):
+    """Read the rows again and raise the RowError of the first invalid one."""
+    _, rows = _read_rows(path, schema)
+    for line, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise RowError(line, f"expected {width} fields, got {len(row)}")
         form_text = row[positions[schema.form]]
         if form_text not in _FORM_LABELS:
             raise RowError(line, f"unknown form label {form_text!r}")
-        form = _FORM_LABELS[form_text]
-        score = _parse_int(row[positions[schema.score]], schema.score, line)
+        score = _parse_number(row[positions[schema.score]], schema.score, line)
         anchor = None
         if schema.anchor is not None:
-            anchor = _parse_int(row[positions[schema.anchor]], schema.anchor, line)
-        values = []
+            anchor = [_parse_number(row[positions[schema.anchor]], schema.anchor, line)]
         for name, kind in schema.covariates:
-            text = row[positions[name]]
             if kind == "numeric":
-                try:
-                    values.append(float(text))
-                except ValueError:
-                    raise RowError(
-                        line, f"column {name!r}: {text!r} is not numeric"
-                    ) from None
-            else:
-                values.append(levels[name].index(text))
+                _parse_number(row[positions[name]], name, line, float)
         try:
-            records.append(
-                ExamineeRecord(
-                    form=form, score=score, anchor=anchor, covariates=tuple(values)
-                )
-            )
+            ScoreTable([_FORM_LABELS[form_text]], [score], anchor)
         except ValueError as exc:
             raise RowError(line, str(exc)) from None
-    if not records:
-        raise RowError(2, "file contains no data rows")
-    return ParsedDataset(records=records, schema=schema, categorical_levels=levels)
 
 
-def _parse_int(text, column, line) -> int:
+def _parse_number(text, column, line, convert=int):
+    """``text`` read by ``convert`` (int or float); RowError unless an int64 or finite."""
     try:
-        return int(text)
+        value = convert(text)
     except ValueError:
-        raise RowError(line, f"column {column!r}: {text!r} is not an integer") from None
+        kind = "an integer" if convert is int else "numeric"
+        raise RowError(line, f"column {column!r}: {text!r} is not {kind}") from None
+    if convert is int and value.bit_length() > 63:
+        raise RowError(line, f"column {column!r}: {text!r} is out of range")
+    if convert is float and not math.isfinite(value):
+        raise RowError(line, f"column {column!r}: {text!r} is not finite")
+    return value
 
 
 def write_dataset(dataset: ParsedDataset, path):
     """Serialize a parsed dataset back to delimited text (role columns only)."""
-    schema = dataset.schema
+    schema, table = dataset.schema, dataset.table
     header = [schema.form, schema.score]
+    columns = [map(str, table.form.tolist()), map(str, table.score.tolist())]
     if schema.anchor is not None:
         header.append(schema.anchor)
+        columns.append(map(str, table.anchor.tolist()))
     header.extend(schema.covariate_names)
+    for (name, kind), values in zip(schema.covariates, table.covariates.T.tolist()):
+        if kind == "categorical":
+            columns.append(map(dataset.categorical_levels[name].__getitem__, map(int, values)))
+        else:
+            columns.append(map(repr, values))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for record in dataset.records:
-            row = [str(record.form), str(record.score)]
-            if schema.anchor is not None:
-                row.append(str(record.anchor))
-            for (name, kind), value in zip(schema.covariates, record.covariates):
-                if kind == "categorical":
-                    row.append(dataset.categorical_levels[name][int(value)])
-                else:
-                    row.append(repr(float(value)))
-            fh.write(",".join(row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_table(path, header, rows):
+def _write_table(out_dir, name, header, rows):
+    path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(str(v) for v in row) + "\n")
+    print(f"wrote {path}")
 
 
 def _fit_strata(dataset: ParsedDataset, strata: int):
     if not dataset.schema.covariates:
         raise UsageError("this method needs covariate columns in the schema")
-    encoded = encode_covariates(dataset.records, dataset.schema.covariate_kinds)
+    encoded = encode_covariates(dataset.table, dataset.schema.covariate_kinds)
     if encoded.shape[1] == 0:
         raise UsageError("no usable covariate columns after encoding")
-    labels = np.array([r.form for r in dataset.records])
-    model = fit_logistic(encoded, labels)
+    model = fit_logistic(encoded, dataset.table.form)
     propensities = estimate_propensity(model, encoded)
     assignment = stratify_quantile(propensities, strata)
     return assignment, propensities
@@ -270,24 +288,23 @@ def _fit_strata(dataset: ParsedDataset, strata: int):
 
 def _build_family(dataset, method, strata, trim_alpha, bandwidth) -> tuple:
     """Family plus the per-record conditioning values for percentile picks."""
-    records = dataset.records
+    table = dataset.table
     if method in ("anchor", "equipercentile-anchor"):
         if dataset.schema.anchor is None:
             raise UsageError("method needs an anchor column in the schema")
-        index_values = np.array([r.anchor for r in records])
         if method == "anchor":
-            return anchor_family(records), index_values
-        return equipercentile_family(records, "anchor", bandwidth), index_values
+            return anchor_family(table), table.anchor
+        return equipercentile_family(table, "anchor", bandwidth), table.anchor
     assignment, propensities = _fit_strata(dataset, strata)
     index_values = assignment.labels
     if method == "strat":
-        return strat_family(records, assignment), index_values
+        return strat_family(table, assignment), index_values
     if method == "equipercentile-strat":
-        return equipercentile_family(records, assignment, bandwidth), index_values
-    weights = ipw_weights(records, assignment, propensities, trim_alpha)
+        return equipercentile_family(table, assignment, bandwidth), index_values
+    weights = ipw_weights(table, assignment, propensities, trim_alpha)
     if method == "ipw":
-        return ipw_family(records, weights), index_values
-    return equipercentile_family(records, weights, bandwidth), index_values
+        return ipw_family(table, weights), index_values
+    return equipercentile_family(table, weights, bandwidth), index_values
 
 
 def _family_rows(family: TransformFamily):
@@ -310,30 +327,18 @@ def cmd_equate(args) -> int:
     )
     out_dir = _resolve_out_dir(args.out_dir)
 
-    family_path = os.path.join(out_dir, f"{args.method}_family.csv")
-    _write_table(
-        family_path,
-        ("index", "slope", "mu_y", "mu_x", "omitted"),
-        _family_rows(family),
-    )
-    print(f"wrote {family_path}")
+    header = ("index", "slope", "mu_y", "mu_x", "omitted")
+    _write_table(out_dir, f"{args.method}_family.csv", header, _family_rows(family))
 
-    max_score = max(r.score for r in dataset.records)
-    grid = np.arange(max_score + 1, dtype=float)
+    grid = np.arange(dataset.table.score.max() + 1, dtype=float)
     for pick in family_at_percentiles(family, args.percentiles, index_values):
         equated = np.asarray(pick.transform(grid), dtype=float)
-        curve_path = os.path.join(
-            out_dir, f"{args.method}_p{pick.percentile:g}_index{pick.index}.csv"
-        )
         _write_table(
-            curve_path,
+            out_dir,
+            f"{args.method}_p{pick.percentile:g}_index{pick.index}.csv",
             ("raw_score", "equated", "equated_minus_raw"),
-            [
-                (int(raw), _fmt(eq), _fmt(eq - raw))
-                for raw, eq in zip(grid, equated)
-            ],
+            [(int(raw), _fmt(eq), _fmt(eq - raw)) for raw, eq in zip(grid, equated)],
         )
-        print(f"wrote {curve_path}")
     return 0
 
 
@@ -347,7 +352,7 @@ def cmd_diagnose(args) -> int:
     summary_rows = []
     for strata in args.strata_list:
         assignment, _ = _fit_strata(dataset, strata)
-        report = balance_report(dataset.records, assignment, names)
+        report = balance_report(dataset.table, assignment, names)
         rows = []
         for k in range(1, report.K + 1):
             cells = [
@@ -355,19 +360,14 @@ def cmd_diagnose(args) -> int:
                 for j in range(len(names))
             ]
             rows.append([k] + cells)
-        path = os.path.join(out_dir, f"balance_K{strata}.csv")
-        _write_table(path, ["stratum"] + names, rows)
-        print(f"wrote {path}")
+        _write_table(out_dir, f"balance_K{strata}.csv", ["stratum"] + names, rows)
         for j, name in enumerate(names):
             frac = report.satisfactory_fraction[j]
             summary_rows.append(
                 (strata, name, "" if math.isnan(frac) else _fmt(frac))
             )
-    summary_path = os.path.join(out_dir, "balance_summary.csv")
-    _write_table(
-        summary_path, ("strata", "covariate", "satisfactory_fraction"), summary_rows
-    )
-    print(f"wrote {summary_path}")
+    header = ("strata", "covariate", "satisfactory_fraction")
+    _write_table(out_dir, "balance_summary.csv", header, summary_rows)
     return 0
 
 
@@ -519,22 +519,8 @@ def cmd_simulate(args) -> int:
                 + stats
                 + (result.failures, report.replications)
             )
-    summary_path = os.path.join(out_dir, "summary.csv")
-    _write_table(
-        summary_path,
-        (
-            "scenario",
-            "method",
-            "retained_cells",
-            "mean_bias",
-            "max_bias",
-            "mean_rmse",
-            "failures",
-            "replications",
-        ),
-        summary_rows,
-    )
-    print(f"wrote {summary_path}")
+    header = "scenario,method,retained_cells,mean_bias,max_bias,mean_rmse,failures,replications"
+    _write_table(out_dir, "summary.csv", header.split(","), summary_rows)
     return 0
 
 

@@ -11,7 +11,7 @@ carry IPW weights. No caller chooses it by flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import ndtr
@@ -26,7 +26,7 @@ from .errors import (
 )
 
 __all__ = [
-    "ExamineeRecord",
+    "ScoreTable",
     "LinearTransform",
     "TransformFamily",
     "WeightedSample",
@@ -38,29 +38,66 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExamineeRecord:
-    """One test-taker: form indicator, total score, optional anchor, covariates.
+def _read_only(column: np.ndarray) -> np.ndarray:
+    view = column.view()
+    view.flags.writeable = False
+    return view
 
-    ``form`` is 0 for takers of form X (the reference scale) and 1 for takers
-    of form Y (the scale being equated). Covariates are numeric codes;
-    categorical covariates are stored as integer levels.
+
+def _int_column(values, what: str, size: int) -> np.ndarray:
+    """A read-only int64 view of a 1-D column of ``size`` whole numbers."""
+    col = np.asarray(values)
+    if col.ndim != 1 or col.size != size:
+        raise DimensionError(f"{what} column must be 1-D with one entry per examinee")
+    if col.dtype.kind not in "iub" and not np.all(np.isfinite(col) & (col == np.round(col))):
+        raise ValueError(f"{what} must hold integers")
+    return _read_only(col.astype(np.int64, copy=False))
+
+
+@dataclass(frozen=True, eq=False)
+class ScoreTable:
+    """Examinees as columns: form indicator, total score, anchor, covariates.
+
+    ``form`` is 0 for form X (the reference scale), 1 for form Y (the scale
+    being equated). ``score`` and ``anchor`` are non-negative integers;
+    ``anchor`` is None without an anchor test. ``covariates`` holds one finite
+    row per examinee, categorical covariates as integer levels. The columns
+    are validated once, at construction, and kept read-only.
     """
 
-    form: int
-    score: int
-    anchor: int | None = None
-    covariates: tuple[float, ...] = ()
+    form: np.ndarray
+    score: np.ndarray
+    anchor: np.ndarray | None = None
+    covariates: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.form not in (0, 1):
-            raise ValueError(f"form indicator must be 0 or 1, got {self.form!r}")
-        if self.score < 0:
-            raise ValueError(f"total score must be non-negative, got {self.score}")
-        if self.anchor is not None and self.anchor < 0:
-            raise ValueError(f"anchor score must be non-negative, got {self.anchor}")
-        if not isinstance(self.covariates, tuple):
-            object.__setattr__(self, "covariates", tuple(self.covariates))
+        n = np.size(self.form)
+        form = _int_column(self.form, "form indicator", n)
+        score = _int_column(self.score, "total score", n)
+        anchor = None if self.anchor is None else _int_column(self.anchor, "anchor", n)
+        for col, what, valid in (
+            (form, "form indicator must be 0 or 1", (form == 0) | (form == 1)),
+            (score, "total score must be non-negative", score >= 0),
+            (anchor, "anchor score must be non-negative", anchor is None or anchor >= 0),
+        ):
+            if not np.all(valid):
+                raise ValueError(f"{what}, got {col[np.argmin(valid)]}")
+        cov = np.empty((n, 0)) if self.covariates is None else self.covariates
+        cov = _read_only(np.asarray(cov, dtype=float))
+        if cov.ndim != 2 or cov.shape[0] != n:
+            raise DimensionError("covariates need one row per examinee")
+        if not np.all(np.isfinite(cov)):
+            raise ValueError("covariates must be finite")
+        for f, col in zip(fields(self), (form, score, anchor, cov)):
+            object.__setattr__(self, f.name, col)
+
+    def __len__(self):
+        return self.form.size
+
+    def __eq__(self, other):
+        return isinstance(other, ScoreTable) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
 
 
 @dataclass(frozen=True)
@@ -126,13 +163,6 @@ class TransformFamily:
         return len(self.entries)
 
 
-def _as_float_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
-    return arr
-
-
 @dataclass(frozen=True)
 class WeightedSample:
     """A vector of values with strictly positive weights of equal length."""
@@ -141,21 +171,17 @@ class WeightedSample:
     weights: np.ndarray = None
 
     def __post_init__(self):
-        values = _as_float_array(self.values)
+        values = _read_only(np.asarray(self.values, dtype=float).reshape(-1))
         if values.size == 0:
             raise EmptyInputError("weighted sample must be non-empty")
-        if self.weights is None:
-            weights = np.ones_like(values)
-        else:
-            weights = _as_float_array(self.weights)
+        weights = np.ones_like(values) if self.weights is None else self.weights
+        weights = _read_only(np.asarray(weights, dtype=float).reshape(-1))
         if weights.shape != values.shape:
             raise DimensionError(
                 f"values ({values.size}) and weights ({weights.size}) differ in length"
             )
         if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
             raise InvalidWeightError("all weights must be finite and > 0")
-        values.setflags(write=False)
-        weights.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
 
@@ -187,7 +213,7 @@ def unweighted_moments(values) -> tuple[float, float]:
     InsufficientDataError
         when fewer than two observations are available for the sd.
     """
-    v = _as_float_array(values)
+    v = np.asarray(values, dtype=float).reshape(-1)
     if v.size == 0:
         raise EmptyInputError("cannot compute moments of an empty sample")
     if v.size < 2:
@@ -278,6 +304,8 @@ class KernelCDF:
         else:
             z = (x[..., None] - self.centers) / self.scale
             out = ndtr(z) @ self.fractions
+        # the weighted sum can overshoot 1 by a few ulp; a CDF cannot
+        out = np.clip(out, 0.0, 1.0)
         return out if out.ndim else float(out)
 
 

@@ -20,9 +20,9 @@ import numpy as np
 
 from .core import (
     ECDF,
-    ExamineeRecord,
     KernelCDF,
     LinearTransform,
+    ScoreTable,
     TransformFamily,
     WeightedSample,
     inverse_cdf,
@@ -66,12 +66,6 @@ class IPWWeights:
     overlap_violations: list[int] = field(default_factory=list)
 
 
-def _forms_scores(records: Sequence[ExamineeRecord]):
-    forms = np.array([r.form for r in records], dtype=int)
-    scores = np.array([r.score for r in records], dtype=float)
-    return forms, scores
-
-
 def _linear_map(x: WeightedSample, y: WeightedSample, moments) -> LinearTransform | None:
     """Conditional-moment linear transform, or None if either sd is zero."""
     mu_x, sd_x = moments(x)
@@ -86,7 +80,7 @@ def _cdf_map(cdf):
     return lambda x, y, moments: EquipercentileMap(cdf(y), cdf(x))
 
 
-def _fit_cells(records, by, fit) -> TransformFamily:
+def _fit_cells(table: ScoreTable, by, fit) -> TransformFamily:
     """One transform per conditioning cell: the loop every family runs.
 
     ``by`` is the conditioning: ``"anchor"``, a :class:`StratumAssignment`,
@@ -104,13 +98,12 @@ def _fit_cells(records, by, fit) -> TransformFamily:
     elif isinstance(by, StratumAssignment):
         kind, cells = "stratum", by.labels
     elif by == "anchor":
-        anchors = [r.anchor for r in records]
-        if any(a is None for a in anchors):
+        if table.anchor is None:
             raise InvalidWeightError("every record needs an anchor score")
-        kind, cells = "anchor_score", np.array(anchors, dtype=int)
+        kind, cells = "anchor_score", table.anchor
     else:
         raise ValueError(f"cannot condition on {by!r}")
-    forms, scores = _forms_scores(records)
+    forms, scores = table.form, table.score.astype(float)
     if cells.size != forms.size:
         raise DimensionError("conditioning does not cover the records")
     moments = (
@@ -137,24 +130,22 @@ def _fit_cells(records, by, fit) -> TransformFamily:
     return TransformFamily(index_kind=kind, entries=entries, omitted=omitted)
 
 
-def anchor_family(records: Sequence[ExamineeRecord]) -> TransformFamily:
+def anchor_family(table: ScoreTable) -> TransformFamily:
     """Local equating family conditioned on the anchor score.
 
     Per anchor value observed in both forms with at least two records per
     form and positive sds, builds the conditional-moment linear transform.
     """
-    return _fit_cells(records, "anchor", _linear_map)
+    return _fit_cells(table, "anchor", _linear_map)
 
 
-def strat_family(
-    records: Sequence[ExamineeRecord], assignment: StratumAssignment
-) -> TransformFamily:
+def strat_family(table: ScoreTable, assignment: StratumAssignment) -> TransformFamily:
     """Local equating family with one transform per propensity stratum."""
-    return _fit_cells(records, assignment, _linear_map)
+    return _fit_cells(table, assignment, _linear_map)
 
 
 def ipw_weights(
-    records: Sequence[ExamineeRecord],
+    table: ScoreTable,
     assignment: StratumAssignment,
     propensities,
     trim_alpha: float = 0.01,
@@ -170,9 +161,8 @@ def ipw_weights(
     """
     if not 0.0 <= trim_alpha < 0.5:
         raise ValueError(f"trim fraction must lie in [0, 0.5), got {trim_alpha}")
-    forms, _ = _forms_scores(records)
     pi = np.asarray(propensities, dtype=float).reshape(-1)
-    if pi.size != len(records) or assignment.labels.size != len(records):
+    if pi.size != len(table) or assignment.labels.size != len(table):
         raise DimensionError("propensities/assignment do not cover the records")
     if np.any(pi <= 0.0) or np.any(pi >= 1.0):
         raise InvalidWeightError("propensities must lie strictly inside (0, 1)")
@@ -183,7 +173,7 @@ def ipw_weights(
         members = assignment.members(k)
         if members.size == 0:
             continue
-        t = forms[members]
+        t = table.form[members]
         n_y = int(t.sum())
         if n_y == 0 or n_y == members.size:
             violations.append(k)
@@ -202,9 +192,7 @@ def ipw_weights(
     )
 
 
-def ipw_family(
-    records: Sequence[ExamineeRecord], weights: IPWWeights
-) -> TransformFamily:
+def ipw_family(table: ScoreTable, weights: IPWWeights) -> TransformFamily:
     """Stratum-indexed family from trimmed-weighted moments.
 
     Weighted means and sds divide by the weight sum (no n-1 correction),
@@ -212,7 +200,7 @@ def ipw_family(
     cells with fewer than two records per form or zero weighted sd are
     omitted.
     """
-    return _fit_cells(records, weights, _linear_map)
+    return _fit_cells(table, weights, _linear_map)
 
 
 class EquipercentileMap:
@@ -224,13 +212,18 @@ class EquipercentileMap:
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
-        flat = np.atleast_1d(y)
-        out = np.array([inverse_cdf(self.cdf_x, p) for p in self.cdf_y(flat)])
+        flat = y.reshape(-1)
+        p = self.cdf_y(flat)
+        # a batched kernel CDF sums each point in its own order and can put a
+        # higher y one ulp lower; near p = 1 that ulp moves the inverse visibly
+        order = np.argsort(flat, kind="stable")
+        p[order] = np.maximum.accumulate(p[order])
+        out = np.array([inverse_cdf(self.cdf_x, q) for q in p])
         return out.reshape(y.shape) if y.ndim else float(out[0])
 
 
 def equipercentile_family(
-    records: Sequence[ExamineeRecord],
+    table: ScoreTable,
     by,
     bandwidth: float | None = None,
 ) -> TransformFamily:
@@ -250,7 +243,7 @@ def equipercentile_family(
         fit = _linear_map
     else:
         fit = _cdf_map(lambda sample: KernelCDF(sample, bandwidth))
-    return _fit_cells(records, by, fit)
+    return _fit_cells(table, by, fit)
 
 
 PercentileSelection = namedtuple(
@@ -290,12 +283,12 @@ def family_at_percentiles(
     return selections
 
 
-def pooled_transform(records: Sequence[ExamineeRecord]) -> LinearTransform:
+def pooled_transform(table: ScoreTable) -> LinearTransform:
     """Single population-level linear transform (equivalent-groups baseline).
 
     The one-cell case of the family engine: every record in one stratum.
     """
     everyone = StratumAssignment(
-        K=1, labels=np.ones(len(records), dtype=int), boundaries=np.empty(0)
+        K=1, labels=np.ones(len(table), dtype=int), boundaries=np.empty(0)
     )
-    return _fit_cells(records, everyone, _linear_map).entries[1]
+    return _fit_cells(table, everyone, _linear_map).entries[1]

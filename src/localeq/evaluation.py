@@ -245,20 +245,20 @@ def _propensity_stage(pop, strata: int):
     return stratify_quantile(propensities, strata), propensities
 
 
-def _equate_target_scores(method, records, pop, config, target, stage):
+def _equate_target_scores(method, table, pop, config, target, stage):
     """Equated form-Y scores for the target examinees under one method."""
     y = pop.score[target].astype(float)
     if method == "eg":
-        return pooled_transform(records)(y)
+        return pooled_transform(table)(y)
     if method == "anchor":
-        return _apply_family(anchor_family(records), pop.anchor_score[target], y)
+        return _apply_family(anchor_family(table), pop.anchor_score[target], y)
     if method in ("strat", "ipw"):
         assignment, propensities = stage
         if method == "strat":
-            family = strat_family(records, assignment)
+            family = strat_family(table, assignment)
         else:
-            weights = ipw_weights(records, assignment, propensities, config.trim_alpha)
-            family = ipw_family(records, weights)
+            weights = ipw_weights(table, assignment, propensities, config.trim_alpha)
+            family = ipw_family(table, weights)
         return _apply_family(family, assignment.labels[target], y)
     raise ValueError(f"unknown method {method!r}")
 
@@ -267,7 +267,7 @@ def _run_replication(config, design, seed_seq, methods):
     """One replication: generate, equate with each method, return cell sums."""
     rng = np.random.default_rng(seed_seq)
     pop = gen_population(config, rng, design)
-    records = pop.to_records()
+    table = pop.to_records()
     target = pop.form == 1
     if not target.any() or target.all():
         return {method: None for method in methods}
@@ -292,7 +292,7 @@ def _run_replication(config, design, seed_seq, methods):
         if method in out:
             continue
         try:
-            estimated = _equate_target_scores(method, records, pop, config, target, stage)
+            estimated = _equate_target_scores(method, table, pop, config, target, stage)
         except LocalEqError:
             out[method] = None
             continue

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ExamineeRecord
+from .core import ScoreTable
 from .errors import (
     DegenerateColumnWarning,
     DimensionError,
@@ -96,16 +96,7 @@ class BalanceReport:
     threshold: float = BALANCE_THRESHOLD
 
 
-def _covariate_matrix(records: Sequence[ExamineeRecord]) -> np.ndarray:
-    arity = {len(r.covariates) for r in records}
-    if len(arity) > 1:
-        raise DimensionError(f"records carry unequal covariate arity: {sorted(arity)}")
-    return np.array([r.covariates for r in records], dtype=float)
-
-
-def encode_covariates(
-    records: Sequence[ExamineeRecord], kinds: Sequence[str]
-) -> np.ndarray:
+def encode_covariates(table: ScoreTable, kinds: Sequence[str]) -> np.ndarray:
     """Build the logistic design matrix (without intercept column).
 
     Numeric covariates are standardized to mean 0, sd 1 (n-1 sd) over the
@@ -113,7 +104,7 @@ def encode_covariates(
     indicator columns against the lowest observed level. Columns with a
     single observed level are dropped with a :class:`DegenerateColumnWarning`.
     """
-    raw = _covariate_matrix(records)
+    raw = table.covariates
     if raw.shape[1] != len(kinds):
         raise DimensionError(
             f"{raw.shape[1]} covariates but {len(kinds)} kind tags"
@@ -274,7 +265,7 @@ def asmd(group_x, group_y) -> float:
 
 
 def balance_report(
-    records: Sequence[ExamineeRecord],
+    table: ScoreTable,
     assignment: StratumAssignment,
     covariate_names: Sequence[str] | None = None,
 ) -> BalanceReport:
@@ -283,9 +274,8 @@ def balance_report(
     Strata missing either form are flagged as overlap violations and carry
     NaN entries; they are excluded from the satisfactory-balance fractions.
     """
-    raw = _covariate_matrix(records)
-    forms = np.array([r.form for r in records])
-    if assignment.labels.size != len(records):
+    raw, forms = table.covariates, table.form
+    if assignment.labels.size != len(table):
         raise DimensionError("assignment does not cover the records")
     n_cov = raw.shape[1]
     names = (

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ExamineeRecord, LinearTransform
+from .core import LinearTransform, ScoreTable
 from .errors import OmittedBinError
 from .propensity import sigmoid
 
@@ -92,10 +92,6 @@ class CovariateDesign:
     def __post_init__(self):
         if len(self.discriminations) != len(self.difficulties):
             raise ValueError("one discrimination per covariate required")
-
-    @property
-    def n_covariates(self) -> int:
-        return len(self.discriminations)
 
 
 def draw_covariate_design(
@@ -199,17 +195,19 @@ class SimulatedPopulation:
     propensity: np.ndarray
     form: np.ndarray
     score: np.ndarray
+    _table: ScoreTable = field(init=False, repr=False, compare=False)
 
-    def to_records(self) -> list:
-        return [
-            ExamineeRecord(
-                form=int(self.form[i]),
-                score=int(self.score[i]),
-                anchor=int(self.anchor_score[i]),
-                covariates=tuple(int(v) for v in self.covariates[i]),
-            )
-            for i in range(self.theta.size)
-        ]
+    def __post_init__(self):
+        table = ScoreTable(self.form, self.score, self.anchor_score, self.covariates)
+        object.__setattr__(self, "_table", table)
+
+    def to_records(self) -> ScoreTable:
+        """The observed columns as a :class:`ScoreTable` that views these arrays.
+
+        Built once, never copied. The name stays because the benchmark's
+        tracer (``bench/tracing.py``) wraps this method by name.
+        """
+        return self._table
 
 
 def _standardize(column: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from scipy import stats
 from scipy.optimize import minimize
 
 from localeq import cli
-from localeq.core import ExamineeRecord
+from localeq.core import ScoreTable
 from localeq.equating import equipercentile_family, ipw_weights
 from localeq.evaluation import apply_omission_rule, run_study
 from localeq.propensity import StratumAssignment, fit_logistic, stratify_quantile
@@ -32,10 +32,6 @@ from localeq.simulation import (
     mixture_score_distribution,
     score_distribution,
 )
-
-
-def rec(form, score, anchor=None, cov=()):
-    return ExamineeRecord(form=form, score=score, anchor=anchor, covariates=cov)
 
 
 def _neg_loglik(params, design, labels):
@@ -92,11 +88,12 @@ def test_huge_bandwidth_equipercentile_matches_linear():
         n = int(rng.integers(80, 200))
         j = int(rng.integers(20, 50))
         px, py = rng.uniform(0.3, 0.7, 2)
-        records = [rec(0, int(s)) for s in rng.binomial(j, px, n)] + [
-            rec(1, int(s)) for s in rng.binomial(j, py, n)
-        ]
+        records = ScoreTable(
+            form=np.repeat([0, 1], n),
+            score=np.concatenate([rng.binomial(j, px, n), rng.binomial(j, py, n)]),
+        )
         assignment = stratify_quantile(np.full(2 * n, 0.5), 1)
-        y_vals = np.array([r.score for r in records if r.form == 1], dtype=float)
+        y_vals = records.score[records.form == 1].astype(float)
         smooth = equipercentile_family(
             records, assignment, bandwidth=1e4 * y_vals.std()
         ).entries[1]
@@ -112,7 +109,7 @@ def test_stabilized_weights_are_unit_when_propensities_match_strata():
     forms = [0, 0, 0, 1] + [0, 0, 0, 1, 1] + [0, 0, 1, 1, 1]
     labels = np.array([1] * 4 + [2] * 5 + [3] * 5)
     shares = {1: 0.25, 2: 0.4, 3: 0.6}
-    records = [rec(f, 10 + i) for i, f in enumerate(forms)]
+    records = ScoreTable(form=forms, score=10 + np.arange(len(forms)))
     assignment = StratumAssignment(
         K=3, labels=labels, boundaries=np.array([0.0, 0.3, 0.5, 1.0])
     )

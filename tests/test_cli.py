@@ -7,9 +7,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localeq.cli import (
     DatasetSchema,
+    _raise_first_bad_row,
     _resolve_study,
     main,
     parse_dataset,
@@ -74,14 +77,15 @@ def small_file(tmp_path):
 class TestParseDataset:
     def test_happy_path(self, small_file):
         ds = parse_dataset(small_file, DatasetSchema.from_string(SCHEMA))
+        table = ds.table
         assert len(ds) == 3
-        assert ds[0].form == 0 and ds[1].form == 1
-        assert ds[0].score == 12
-        assert ds[0].anchor == 3
+        assert table.form[0] == 0 and table.form[1] == 1
+        assert table.score[0] == 12
+        assert table.anchor[0] == 3
         # categorical coded as position in the sorted level list
         assert ds.categorical_levels["gender"] == ["f", "m"]
-        assert ds[0].covariates == (0,)
-        assert ds[1].covariates == (1,)
+        assert tuple(table.covariates[0]) == (0,)
+        assert tuple(table.covariates[1]) == (1,)
 
     def test_bad_score_reports_file_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -152,8 +156,113 @@ class TestParseDataset:
         out = tmp_path / "copy.csv"
         write_dataset(ds, out)
         again = parse_dataset(out, schema)
-        assert again.records == ds.records
+        assert again.table == ds.table
         assert again.categorical_levels == ds.categorical_levels
+
+    def test_first_bad_line_wins_across_error_kinds(self, tmp_path):
+        # bad form label on line 7, negative score on line 4, short row on 9
+        path = tmp_path / "bad.csv"
+        lines = ["group,total,anch,gender"] + ["X,12,3,f"] * 8
+        lines[4 - 1] = "Y,-3,3,m"
+        lines[7 - 1] = "Q,12,3,f"
+        lines[9 - 1] = "X,12"
+        write_lines(path, lines)
+        with pytest.raises(RowError) as exc:
+            parse_dataset(path, DatasetSchema.from_string(SCHEMA))
+        assert exc.value.row == 4
+        assert str(exc.value) == "row 4: total score must be non-negative, got -3"
+
+    def test_blank_lines_count_toward_the_file_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        write_lines(path, ["group,total,anch,gender", "X,12,3,f", "", "Y,10,-1,m"])
+        with pytest.raises(RowError) as exc:
+            parse_dataset(path, DatasetSchema.from_string(SCHEMA))
+        assert str(exc.value) == "row 4: anchor score must be non-negative, got -1"
+
+    def test_blank_lines_hold_no_record(self, tmp_path):
+        path = tmp_path / "ok.csv"
+        write_lines(path, ["group,total,anch,gender", "X,12,3,f", "", "Y,10,1,m"])
+        ds = parse_dataset(path, DatasetSchema.from_string(SCHEMA))
+        assert ds.table.score.tolist() == [12, 10]
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_numeric_covariate(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        write_lines(path, ["group,total,c1", "X,12,0.5", f"Y,10,{text}"])
+        with pytest.raises(RowError) as exc:
+            parse_dataset(path, DatasetSchema.from_string("form:group,score:total,num:c1"))
+        assert str(exc.value) == f"row 3: column 'c1': '{text}' is not finite"
+
+    def test_integer_beyond_int64(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        write_lines(path, ["group,total", "X,12", f"Y,{2**64}"])
+        with pytest.raises(RowError) as exc:
+            parse_dataset(path, DatasetSchema.from_string("form:group,score:total"))
+        assert exc.value.row == 3
+        assert "out of range" in str(exc.value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.sampled_from(["X", "y", "1", "Q", "", "3", "-2", "abc", "1.5",
+                                 "nan", "-inf", "1e3", str(2**64)]),
+                min_size=3,
+                max_size=5,
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_column_parse_agrees_with_the_row_scan(self, tmp_path_factory, rows):
+        # whole-column conversion and the row-by-row scan accept the same
+        # files, and on a bad file the scan raises the error parse_dataset does
+        schema = DatasetSchema.from_string("form:group,score:total,anchor:anch,num:c1")
+        path = tmp_path_factory.mktemp("scan") / "data.csv"
+        write_lines(path, ["group,total,anch,c1"] + [",".join(row) for row in rows])
+        try:
+            parse_dataset(path, schema)
+            error = None
+        except RowError as exc:
+            error = str(exc)
+        positions = {"group": 0, "total": 1, "anch": 2, "c1": 3}
+        try:
+            _raise_first_bad_row(path, schema, 4, positions)
+            assert error is None
+        except RowError as exc:
+            assert str(exc) == error
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["X", "x", "0", "Y", "y", "1"]),
+                st.integers(0, 10**6),
+                st.integers(0, 60),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.text("abcXYZ_", min_size=1, max_size=4),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_write_then_parse_round_trip(self, tmp_path_factory, rows):
+        schema = DatasetSchema.from_string(
+            "form:group,score:total,anchor:anch,num:age,cat:tag"
+        )
+        path = tmp_path_factory.mktemp("trip") / "data.csv"
+        write_lines(
+            path,
+            ["group,total,anch,age,tag"]
+            + [f"{f},{s},{a},{age!r},{tag}" for f, s, a, age, tag in rows],
+        )
+        ds = parse_dataset(path, schema)
+        copy = path.with_name("copy.csv")
+        write_dataset(ds, copy)
+        again = parse_dataset(copy, schema)
+        assert again.table == ds.table
+        assert again.categorical_levels == ds.categorical_levels
+        assert ds.categorical_levels["tag"] == sorted({row[4] for row in rows})
 
 
 def write_identity_dataset(path):
@@ -341,6 +450,62 @@ class TestEquateCommand:
         )
         assert rc == 2
         assert "covariate" in capsys.readouterr().err
+
+
+    def test_seeded_kernel_command_completes(self, tmp_path):
+        # the seeded 20k-row file on which the kernel CDF once overshot 1
+        config = SimulationConfig(n=20000, seed=1)
+        pop = gen_population(config, np.random.default_rng(1))
+        data = tmp_path / "scores.csv"
+        np.savetxt(
+            data,
+            np.column_stack([pop.form, pop.score, pop.anchor_score, pop.covariates]),
+            fmt="%d", delimiter=",", header="form,score,anchor,c1,c2,c3", comments="",
+        )
+        rc = main(
+            [
+                "equate",
+                "--data", str(data),
+                "--schema", "form:form,score:score,anchor:anchor,num:c1,num:c2,num:c3",
+                "--method", "equipercentile-anchor",
+                "--bandwidth", "0.6",
+                "--out-dir", str(tmp_path),
+            ]
+        )
+        assert rc == 0
+        curves = sorted(tmp_path.glob("equipercentile-anchor_p*_index*.csv"))
+        assert len(curves) == 5
+        for curve in curves:
+            with open(curve) as fh:
+                equated = [float(row["equated"]) for row in csv.DictReader(fh)]
+            assert np.all(np.isfinite(equated))
+            assert np.all(np.diff(equated) >= 0.0)
+
+
+def write_non_finite_dataset(path):
+    write_sim_dataset(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    fields = lines[4].split(",")
+    fields[3] = "nan"  # c1 on file line 5
+    lines[4] = ",".join(fields)
+    write_lines(path, lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["equate", "--method", "strat"], ["diagnose"]],
+    ids=["equate", "diagnose"],
+)
+def test_non_finite_covariate_is_a_row_error(tmp_path, capsys, argv):
+    data = tmp_path / "sim.csv"
+    write_non_finite_dataset(data)
+    rc = main(
+        argv + ["--data", str(data), "--schema", SIM_SCHEMA, "--out-dir", str(tmp_path)]
+    )
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "error: row 5: column 'c1': 'nan' is not finite\n"
+    assert "Traceback" not in err
 
 
 class TestDiagnoseCommand:

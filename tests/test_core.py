@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from localeq.core import (
     ECDF,
-    ExamineeRecord,
     KernelCDF,
     LinearTransform,
+    ScoreTable,
     TransformFamily,
     WeightedSample,
     inverse_cdf,
@@ -28,26 +28,70 @@ from localeq.errors import (
 )
 
 
-class TestExamineeRecord:
-    def test_valid_record(self):
-        r = ExamineeRecord(form=1, score=17, anchor=9, covariates=(2, 0.5))
-        assert r.form == 1
-        assert r.covariates == (2, 0.5)
+class TestScoreTable:
+    def test_valid_table(self):
+        t = ScoreTable(form=[1, 0], score=[17, 4], anchor=[9, 2],
+                       covariates=[[2, 0.5], [1, 0.25]])
+        assert t.form.tolist() == [1, 0]
+        assert t.covariates[0].tolist() == [2, 0.5]
+        assert len(t) == 2
 
     def test_anchor_optional(self):
-        assert ExamineeRecord(form=0, score=3).anchor is None
+        t = ScoreTable(form=[0], score=[3])
+        assert t.anchor is None
+        assert t.covariates.shape == (1, 0)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"form": 2, "score": 1},
-            {"form": 0, "score": -1},
-            {"form": 0, "score": 1, "anchor": -2},
+            {"form": [2], "score": [1]},
+            {"form": [0], "score": [-1]},
+            {"form": [0], "score": [1], "anchor": [-2]},
         ],
     )
-    def test_invalid_record(self, kwargs):
+    def test_invalid_table(self, kwargs):
         with pytest.raises(ValueError):
-            ExamineeRecord(**kwargs)
+            ScoreTable(**kwargs)
+
+    def test_first_invalid_value_named(self):
+        with pytest.raises(ValueError, match="non-negative, got -4"):
+            ScoreTable(form=[0, 1, 0], score=[3, -4, -7])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_covariate_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            ScoreTable(form=[0, 1], score=[1, 2], covariates=[[0.5], [value]])
+
+    def test_fractional_score_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            ScoreTable(form=[0, 1], score=[1, 2.5])
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"form": [0, 1], "score": [1]},
+            {"form": [0, 1], "score": [1, 2], "anchor": [3]},
+            {"form": [0, 1], "score": [1, 2], "covariates": [[1.0]]},
+            {"form": [[0, 1]], "score": [1, 2]},
+        ],
+    )
+    def test_ragged_columns_rejected(self, kwargs):
+        with pytest.raises(DimensionError):
+            ScoreTable(**kwargs)
+
+    def test_columns_are_read_only_views(self):
+        form = np.array([0, 1, 1])
+        t = ScoreTable(form=form, score=np.array([4, 5, 6]))
+        assert np.shares_memory(t.form, form)
+        assert form.flags.writeable and not t.form.flags.writeable
+        with pytest.raises(ValueError):
+            t.score[0] = 9
+
+    def test_equality_compares_every_column(self):
+        t = ScoreTable(form=[0, 1], score=[3, 4], anchor=[1, 2])
+        assert t == ScoreTable(form=[0, 1], score=[3, 4], anchor=[1, 2])
+        assert t != ScoreTable(form=[0, 1], score=[3, 4])
+        assert t != ScoreTable(form=[0, 1], score=[3, 5], anchor=[1, 2])
 
 
 class TestLinearTransform:
@@ -252,6 +296,13 @@ class TestKernelCDF:
         f = KernelCDF(WeightedSample(np.array([3.0, 3.0])), 1.0)
         assert f(2.999) == 0.0
         assert f(3.0) == 1.0
+
+    def test_never_exceeds_one(self):
+        # nine unit weights: the fractions 1/9 sum to one ulp above 1
+        f = KernelCDF(WeightedSample(np.arange(9.0)), 0.6)
+        assert f(1e3) == 1.0
+        assert np.all(f(np.linspace(-10.0, 1e3, 50)) <= 1.0)
+        assert inverse_cdf(f, f(1e3)) <= f.support[1]
 
 
 class TestInverseCDF:

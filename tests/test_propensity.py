@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from localeq.core import ExamineeRecord
+from localeq.core import ScoreTable
 from localeq.errors import (
     DegenerateColumnWarning,
     DimensionError,
@@ -29,11 +29,8 @@ from localeq.propensity import (
 )
 
 
-def records_from_matrix(matrix, forms):
-    return [
-        ExamineeRecord(form=int(t), score=0, covariates=tuple(row))
-        for row, t in zip(matrix, forms)
-    ]
+def table_from_matrix(matrix, forms):
+    return ScoreTable(form=forms, score=np.zeros(len(forms), dtype=int), covariates=matrix)
 
 
 class TestSigmoid:
@@ -194,30 +191,30 @@ class TestASMD:
 
 class TestEncodeCovariates:
     def test_numeric_standardized(self):
-        recs = records_from_matrix([[1.0], [2.0], [3.0], [6.0]], [0, 1, 0, 1])
+        recs = table_from_matrix([[1.0], [2.0], [3.0], [6.0]], [0, 1, 0, 1])
         enc = encode_covariates(recs, ["numeric"])
         assert enc.shape == (4, 1)
         assert enc[:, 0].mean() == pytest.approx(0.0, abs=1e-12)
         assert enc[:, 0].std(ddof=1) == pytest.approx(1.0)
 
     def test_categorical_indicators_against_lowest(self):
-        recs = records_from_matrix([[0], [1], [2], [1]], [0, 1, 0, 1])
+        recs = table_from_matrix([[0], [1], [2], [1]], [0, 1, 0, 1])
         enc = encode_covariates(recs, ["categorical"])
         np.testing.assert_array_equal(enc, [[0, 0], [1, 0], [0, 1], [1, 0]])
 
     def test_degenerate_column_dropped_with_warning(self):
-        recs = records_from_matrix([[5.0, 1.0], [5.0, 2.0]], [0, 1])
+        recs = table_from_matrix([[5.0, 1.0], [5.0, 2.0]], [0, 1])
         with pytest.warns(DegenerateColumnWarning):
             enc = encode_covariates(recs, ["numeric", "numeric"])
         assert enc.shape == (2, 1)
 
     def test_unknown_kind(self):
-        recs = records_from_matrix([[1.0], [2.0]], [0, 1])
+        recs = table_from_matrix([[1.0], [2.0]], [0, 1])
         with pytest.raises(ValueError):
             encode_covariates(recs, ["ordinal"])
 
     def test_arity_mismatch(self):
-        recs = records_from_matrix([[1.0], [2.0]], [0, 1])
+        recs = table_from_matrix([[1.0], [2.0]], [0, 1])
         with pytest.raises(DimensionError):
             encode_covariates(recs, ["numeric", "numeric"])
 
@@ -226,7 +223,7 @@ class TestBalanceReport:
     def test_single_stratum_oracle(self):
         x_vals = [1.0, 2.0, 3.0]
         y_vals = [1.0 - math.sqrt(3), 1.0, 1.0 + math.sqrt(3)]
-        recs = records_from_matrix(
+        recs = table_from_matrix(
             [[v] for v in x_vals + y_vals], [0, 0, 0, 1, 1, 1]
         )
         a = stratify_quantile(np.full(6, 0.5), 1)
@@ -238,7 +235,7 @@ class TestBalanceReport:
 
     def test_overlap_violation_flagged(self):
         # stratum 1 holds only form-X records
-        recs = records_from_matrix([[1.0], [2.0], [3.0], [4.0]], [0, 0, 0, 1])
+        recs = table_from_matrix([[1.0], [2.0], [3.0], [4.0]], [0, 0, 0, 1])
         a = stratify_quantile(np.array([0.1, 0.2, 0.8, 0.9]), 2)
         report = balance_report(recs, a)
         assert report.overlap_violations == [1]
@@ -249,7 +246,7 @@ class TestBalanceReport:
         n = 4000
         cov = rng.normal(size=(n, 2))
         forms = (rng.random(n) < 0.5).astype(int)
-        recs = records_from_matrix(cov, forms)
+        recs = table_from_matrix(cov, forms)
         a = stratify_quantile(np.full(n, 0.5), 4)
         report = balance_report(recs, a)
         assert np.all(report.satisfactory_fraction == 1.0)

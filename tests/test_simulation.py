@@ -189,8 +189,17 @@ class TestGenPopulation:
         pop = gen_population(config, np.random.default_rng(12))
         records = pop.to_records()
         assert len(records) == 20
-        assert all(r.anchor is not None for r in records)
-        assert all(len(r.covariates) == 3 for r in records)
+        assert records.anchor is not None and records.anchor.shape == (20,)
+        assert records.covariates.shape == (20, 3)
+
+    def test_records_share_the_population_arrays(self):
+        pop = gen_population(SimulationConfig(n=20), np.random.default_rng(12))
+        table = pop.to_records()
+        assert table is pop.to_records()
+        for column, array in ((table.form, pop.form), (table.score, pop.score),
+                              (table.anchor, pop.anchor_score)):
+            assert np.shares_memory(column, array)
+        np.testing.assert_array_equal(table.covariates, pop.covariates)
 
 
 class TestConditionalScoreMoments:
