@@ -223,6 +223,16 @@ def unweighted_moments(values) -> tuple[float, float]:
     return mean, sd
 
 
+def _probabilities(values, what: str = "p") -> np.ndarray:
+    """``values`` as a float array; InvalidProbabilityError names the first
+    entry outside [0, 1], NaN included."""
+    arr = np.asarray(values, dtype=float)
+    bad = ~((arr >= 0.0) & (arr <= 1.0))
+    if bad.any():
+        raise InvalidProbabilityError(f"{what} must lie in [0, 1], got {arr[bad][0]}")
+    return arr
+
+
 class ECDF:
     """Right-continuous weighted empirical CDF of a sample.
 
@@ -250,14 +260,14 @@ class ECDF:
         out = np.where(idx > 0, self.cum_fractions[np.maximum(idx - 1, 0)], 0.0)
         return out if out.ndim else float(out)
 
-    def quantile(self, p: float) -> float:
-        """Smallest sample value v with F(v) >= p (generalized inverse)."""
-        if not 0.0 <= p <= 1.0:
-            raise InvalidProbabilityError(f"p must lie in [0, 1], got {p}")
-        if p == 0.0:
-            return float(self.points[0])
-        idx = np.searchsorted(self.cum_fractions, p, side="left")
-        return float(self.points[min(idx, self.points.size - 1)])
+    def quantile(self, p):
+        """Smallest sample value v with F(v) >= p (generalized inverse).
+
+        ``p`` is a probability or an array of them; a scalar returns a float.
+        """
+        idx = np.searchsorted(self.cum_fractions, _probabilities(p), side="left")
+        out = self.points[np.minimum(idx, self.points.size - 1)]
+        return out if out.ndim else float(out)
 
 
 class KernelCDF:
@@ -266,12 +276,16 @@ class KernelCDF:
     Uses the mean- and variance-preserving form: with weighted moments
     (mu, sigma) and shrink factor a = sigma / sqrt(sigma^2 + h^2),
 
-        F_h(x) = sum_i r_i * Phi((x - a v_i - (1 - a) mu) / (a h)),
+        F_h(x) = sum_j r_j * Phi((x - c_j) / s),  c_j = a v_j + (1 - a) mu,  s = a h,
 
     so the continuized distribution keeps mean mu and variance sigma^2 for
     every bandwidth h. As h -> 0 the step ECDF is recovered; as h -> inf the
     CDF tends to the Gaussian with the sample's moments, which makes the
-    induced equipercentile map collapse to the linear transform.
+    induced equipercentile map collapse to the linear transform. Tied sample
+    values are pooled at construction (``centers`` holds one entry per
+    distinct value v_j, ``fractions`` its weight share r_j), so an evaluation
+    costs one ``ndtr`` per distinct value, not per record. With s = 0 (a
+    sample without spread) F_h is the step function at the centers.
     """
 
     def __init__(self, sample: WeightedSample, bandwidth: float):
@@ -281,14 +295,15 @@ class KernelCDF:
         self.mu = mu
         self.sigma = sigma
         self.bandwidth = float(bandwidth)
-        self.fractions = sample.weights / sample.weights.sum()
+        distinct, tie = np.unique(sample.values, return_inverse=True)
+        self.fractions = np.bincount(tie, weights=sample.weights / sample.weights.sum())
         if math.isinf(bandwidth) or sigma == 0.0:
             a = 0.0
             scale = sigma  # limiting value of a*h
         else:
             a = sigma / math.sqrt(sigma**2 + bandwidth**2)
             scale = a * bandwidth
-        self.centers = a * sample.values + (1.0 - a) * mu
+        self.centers = a * distinct + (1.0 - a) * mu
         self.scale = scale
 
     @property
@@ -297,39 +312,81 @@ class KernelCDF:
         return float(self.centers.min() - pad), float(self.centers.max() + pad)
 
     def __call__(self, x):
+        """F_h(x), elementwise over ``x``."""
         x = np.asarray(x, dtype=float)
         if self.scale == 0.0:
-            # degenerate: all mass at the centers (step function)
-            out = (x[..., None] >= self.centers).astype(float) @ self.fractions
-        else:
-            z = (x[..., None] - self.centers) / self.scale
-            out = ndtr(z) @ self.fractions
-        # the weighted sum can overshoot 1 by a few ulp; a CDF cannot
-        out = np.clip(out, 0.0, 1.0)
+            return self._mix(x[..., None] >= self.centers)
+        return self._mix(ndtr((x[..., None] - self.centers) / self.scale))
+
+    def sf(self, x):
+        """Survival function 1 - F_h(x) = sum_j r_j * Phi((c_j - x) / s).
+
+        Summed directly rather than as 1 - F_h, so it keeps its relative
+        precision in the upper tail, where F_h rounds to 1.
+        """
+        x = np.asarray(x, dtype=float)
+        if self.scale == 0.0:
+            return self._mix(x[..., None] < self.centers)
+        return self._mix(ndtr((self.centers - x[..., None]) / self.scale))
+
+    def _mix(self, mass):
+        # the weighted sum can overshoot 1 by a few ulp; a probability cannot
+        out = np.minimum(mass @ self.fractions, 1.0)
         return out if out.ndim else float(out)
 
 
-def inverse_cdf(cdf, p: float, domain: tuple[float, float] | None = None) -> float:
+def inverse_cdf(cdf, p, domain: tuple[float, float] | None = None, survival=None):
     """Generalized inverse: smallest x in the domain with ``cdf(x) >= p``.
 
-    Step CDFs exposing an exact ``quantile`` method are inverted exactly;
-    smooth CDFs by bisection to absolute tolerance 1e-8.
+    ``p`` is a probability or an array of them, inverted all at once; a
+    scalar returns a float. Step CDFs exposing an exact ``quantile`` method
+    are inverted exactly. Smooth CDFs are bisected over ``domain`` (default
+    ``cdf.support``) to absolute tolerance 1e-8: one evaluation at the
+    domain's midpoint sends each entry to the lower or the upper half, and
+    each half then bisects all its entries in step, so answers from the two
+    halves cannot cross.
+
+    ``survival`` optionally holds 1 - p computed directly (same shape as
+    ``p``), for a ``cdf`` with an ``sf`` method. The upper half then bisects
+    on ``cdf.sf(x) <= survival`` instead of ``cdf(x) >= p``: near p = 1 that
+    keeps the digits p lost by rounding toward 1, and the inverse stays
+    accurate to the tolerance in both tails.
     """
-    if not 0.0 <= p <= 1.0:
-        raise InvalidProbabilityError(f"p must lie in [0, 1], got {p}")
+    probs = _probabilities(p)
+    q = None if survival is None else _probabilities(survival, "survival")
+    if q is not None and q.shape != probs.shape:
+        raise DimensionError(f"survival {q.shape} and p {probs.shape} differ in shape")
     if hasattr(cdf, "quantile"):
-        return cdf.quantile(p)
-    if domain is None:
-        domain = cdf.support
-    lo, hi = float(domain[0]), float(domain[1])
-    if p == 0.0 or cdf(lo) >= p:
-        return lo
-    if cdf(hi) < p:
-        return hi
-    while hi - lo > 1e-8:
-        mid = 0.5 * (lo + hi)
-        if cdf(mid) >= p:
-            hi = mid
+        return cdf.quantile(probs)
+    lo, hi = (float(v) for v in (cdf.support if domain is None else domain))
+    half = 0.5 * (lo + hi)
+    out = np.empty(probs.shape)
+    upper = probs > cdf(half)
+    if not upper.all():
+        p_low = probs[~upper]
+        out[~upper] = _bisect(lambda x: cdf(x) >= p_low, lo, half, p_low.size)
+    if upper.any():
+        if q is None:
+            p_up = probs[upper]
+            out[upper] = _bisect(lambda x: cdf(x) >= p_up, half, hi, p_up.size)
         else:
-            lo = mid
-    return hi
+            q_up = q[upper]
+            out[upper] = _bisect(lambda x: cdf.sf(x) <= q_up, half, hi, q_up.size)
+    return out if out.ndim else float(out)
+
+
+def _bisect(qualifies, lo: float, hi: float, size: int) -> np.ndarray:
+    """For each of ``size`` entries, the smallest x in [lo, hi] where
+    ``qualifies`` holds, to absolute tolerance 1e-8.
+
+    ``qualifies`` maps one point per entry to one boolean per entry and is
+    non-decreasing in x. An entry qualifying at ``lo`` gets ``lo``; one that
+    never qualifies gets ``hi``.
+    """
+    a, b = np.full(size, lo), np.full(size, hi)
+    at_lo = qualifies(a)
+    while (b - a > 1e-8).any():
+        mid = 0.5 * (a + b)
+        ok = qualifies(mid)
+        a, b = np.where(ok, a, mid), np.where(ok, mid, b)
+    return np.where(at_lo, lo, b)

@@ -204,7 +204,12 @@ def ipw_family(table: ScoreTable, weights: IPWWeights) -> TransformFamily:
 
 
 class EquipercentileMap:
-    """Monotone map y -> F_X^{-1}(F_Y(y)) between two CDFs."""
+    """Monotone map y -> F_X^{-1}(F_Y(y)) between two CDFs.
+
+    When both CDFs have a survival function (kernel CDFs), S_Y(y) is computed
+    directly and the upper half is inverted in survival form, so the top of
+    the map keeps the precision that F_Y(y) loses near 1.
+    """
 
     def __init__(self, cdf_y, cdf_x):
         self.cdf_y = cdf_y
@@ -214,11 +219,17 @@ class EquipercentileMap:
         y = np.asarray(y, dtype=float)
         flat = y.reshape(-1)
         p = self.cdf_y(flat)
+        q = None
+        if hasattr(self.cdf_y, "sf") and hasattr(self.cdf_x, "sf"):
+            q = self.cdf_y.sf(flat)
         # a batched kernel CDF sums each point in its own order and can put a
-        # higher y one ulp lower; near p = 1 that ulp moves the inverse visibly
+        # higher y one ulp lower (or S_Y one ulp higher); the inverse keeps
+        # the map monotone only for p non-decreasing and q non-increasing in y
         order = np.argsort(flat, kind="stable")
         p[order] = np.maximum.accumulate(p[order])
-        out = np.array([inverse_cdf(self.cdf_x, q) for q in p])
+        if q is not None:
+            q[order] = np.minimum.accumulate(q[order])
+        out = inverse_cdf(self.cdf_x, p, survival=q)
         return out.reshape(y.shape) if y.ndim else float(out[0])
 
 

@@ -8,8 +8,12 @@ fail with a KeyError. These tests catch that here instead.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import localeq
 import localeq.cli
+from localeq.core import KernelCDF, WeightedSample
+from localeq.equating import EquipercentileMap
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -49,3 +53,24 @@ def test_tracer_installs_observes_and_restores(tmp_path, capsys):
     assert calls["cli.parse_dataset"] == 1
     assert calls["equating.anchor_family"] == 1
     assert [vars(owner)[attr] for owner, attr, _, _ in targets] == before
+
+
+def test_kernel_map_inverts_in_one_traced_call():
+    """The traced names stay on the kernel path, and one map stays one batched
+    inversion: a handful of kernel-CDF evaluations, not one bisection per score."""
+    tracing = load_tracing()
+    rng = np.random.default_rng(3)
+
+    def cdf(p):
+        scores = rng.binomial(40, p, 1000).astype(float)
+        return KernelCDF(WeightedSample(scores, rng.uniform(0.2, 5.0, scores.size)), 0.6)
+
+    equate = EquipercentileMap(cdf(0.55), cdf(0.45))
+    tracer = tracing.Tracer()
+    with tracer.installed(tracing.targets(localeq)):
+        equated = equate(np.arange(41.0))
+    assert np.all(np.diff(equated) >= 0.0)
+    calls, _ = tracer.summary()
+    assert calls["equating.EquipercentileMap.call"] == 1
+    assert calls["core.inverse_cdf"] == 1
+    assert 1 <= calls["core.KernelCDF"] <= 100

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from localeq.core import (
     ECDF,
@@ -304,6 +305,42 @@ class TestKernelCDF:
         assert np.all(f(np.linspace(-10.0, 1e3, 50)) <= 1.0)
         assert inverse_cdf(f, f(1e3)) <= f.support[1]
 
+    def test_cdf_and_survival_sum_to_one(self):
+        rng = np.random.default_rng(11)
+        s = WeightedSample(rng.integers(0, 20, 50).astype(float), rng.uniform(0.1, 5, 50))
+        for h in (0.3, 2.0, math.inf):
+            f = KernelCDF(s, h)
+            x = np.linspace(*f.support, 400)
+            np.testing.assert_allclose(f(x) + f.sf(x), 1.0, rtol=0, atol=1e-14)
+
+    def test_survival_keeps_the_upper_tail(self):
+        f = KernelCDF(WeightedSample(np.array([0.0, 1.0, 4.0])), 0.6)
+        x = f.support[1]
+        assert 1.0 - f(x) == 0.0
+        assert f.sf(x) > 0.0
+        # the far tail in closed form: the top center's share times Phi(-9)
+        assert f.sf(x) == pytest.approx(ndtr(-9.0) / 3.0, rel=1e-9)
+
+    def test_degenerate_sample_survival_is_step(self):
+        f = KernelCDF(WeightedSample(np.array([3.0, 3.0])), 1.0)
+        assert f.scale == 0.0
+        assert f.sf(2.999) == 1.0
+        assert f.sf(3.0) == 0.0
+        assert f.sf(np.array([2.0, 4.0])).tolist() == [1.0, 0.0]
+
+    def test_ties_pooled_like_premerged_sample(self):
+        rng = np.random.default_rng(4)
+        values = rng.integers(0, 12, 300).astype(float)
+        weights = rng.uniform(0.1, 3.0, 300)
+        distinct, tie = np.unique(values, return_inverse=True)
+        merged = WeightedSample(distinct, np.bincount(tie, weights=weights))
+        for h in (0.2, 0.6, 3.0):
+            tied, pooled = KernelCDF(WeightedSample(values, weights), h), KernelCDF(merged, h)
+            assert tied.centers.size == distinct.size
+            x = np.linspace(-3.0, 15.0, 250)
+            np.testing.assert_allclose(tied(x), pooled(x), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(tied.sf(x), pooled.sf(x), rtol=0, atol=1e-15)
+
 
 class TestInverseCDF:
     def test_exact_for_step_cdfs(self):
@@ -321,6 +358,51 @@ class TestInverseCDF:
         f = ECDF(WeightedSample(np.array([1.0])))
         with pytest.raises(InvalidProbabilityError):
             inverse_cdf(f, -0.1)
+
+    @pytest.mark.parametrize(
+        "make, p, named",
+        [
+            (lambda: KernelCDF(WeightedSample(np.array([0.0, 3.0])), 1.0), math.nan, "nan"),
+            (lambda: KernelCDF(WeightedSample(np.array([0.0, 3.0])), 1.0), [0.2, 1.1], "1.1"),
+            (lambda: ECDF(WeightedSample(np.array([1.0, 2.0]))), [-0.1], "-0.1"),
+            (lambda: ECDF(WeightedSample(np.array([1.0, 2.0]))), [0.5, -0.3, 2.0], "-0.3"),
+        ],
+    )
+    def test_invalid_probability_named(self, make, p, named):
+        with pytest.raises(InvalidProbabilityError, match=f"got {named}$"):
+            inverse_cdf(make(), p)
+
+    def test_survival_checked_too(self):
+        f = KernelCDF(WeightedSample(np.array([0.0, 3.0])), 1.0)
+        with pytest.raises(InvalidProbabilityError, match="survival .* got 1.5$"):
+            inverse_cdf(f, [0.5], survival=[1.5])
+        with pytest.raises(DimensionError):
+            inverse_cdf(f, [0.5, 0.6], survival=[0.5])
+
+    def test_scalar_returns_float_array_keeps_shape(self):
+        kernel = KernelCDF(WeightedSample(np.array([0.0, 2.0, 5.0])), 0.8)
+        step = ECDF(WeightedSample(np.array([0.0, 2.0, 5.0])))
+        for f in (kernel, step):
+            assert type(inverse_cdf(f, 0.3)) is float
+            assert inverse_cdf(f, np.array([[0.1, 0.9]])).shape == (1, 2)
+
+    def test_array_matches_one_at_a_time(self):
+        s = WeightedSample(np.array([0.0, 2.0, 5.0, 9.0]), np.array([1.0, 3.0, 0.5, 2.0]))
+        f = KernelCDF(s, 1.5)
+        p = np.array([0.0, 1e-12, 0.05, 0.3, 0.5, 0.92])
+        batched = inverse_cdf(f, p)
+        single = [inverse_cdf(f, v) for v in p]
+        np.testing.assert_allclose(batched, single, rtol=0, atol=1e-8)
+        assert np.all(np.diff(batched) >= 0.0)
+        step = ECDF(s)
+        assert inverse_cdf(step, p).tolist() == [step.quantile(v) for v in p]
+
+    def test_survival_form_recovers_the_upper_tail(self):
+        f = KernelCDF(WeightedSample(np.array([0.0, 1.0, 4.0])), 0.6)
+        x = np.array([f.support[1] - 0.3, f.support[1] - 0.1])
+        # f(x) has rounded to 1 here, so only the survival form can invert it
+        assert np.all(f(x) == 1.0)
+        np.testing.assert_allclose(inverse_cdf(f, f(x), survival=f.sf(x)), x, atol=1e-8)
 
     def test_boundary_probabilities_on_smooth_cdf(self):
         s = WeightedSample(np.array([0.0, 1.0]))

@@ -418,6 +418,62 @@ class TestKernelMapProperty:
         assert np.all(np.diff(equated) >= 0.0)
         assert np.all((equated >= lo) & (equated <= hi))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 3000),
+        items=st.integers(1, 40),
+        unit_weights=st.booleans(),
+        bandwidth=st.floats(0.05, 50.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shifted_sample_maps_back(self, n, items, unit_weights, bandwidth, seed):
+        rng = np.random.default_rng(seed)
+        scores = rng.binomial(items, rng.uniform(0.2, 0.8), n).astype(float)
+        weights = None if unit_weights else rng.uniform(0.01, 10.0, n)
+        assert_shift_maps_back(scores, weights, bandwidth, items)
+
+
+def assert_shift_maps_back(scores, weights, bandwidth, items, shift=3.0):
+    """Equating Y = X + shift (same weights) onto X returns y - shift, to 1e-6,
+    at every grid point whose answer x = y - shift lies inside the support and
+    is well conditioned. Returns the masks of the points checked and of the
+    points inside the support.
+
+    Well conditioned: f_X(x) > 1e-6 min(F_X(x), S_X(x)), so moving x by 1e-6
+    changes min(F_X, S_X) by more than 1e-12 of itself and a few ulps of
+    rounding in F_Y(y) or S_Y(y) cannot move the answer by 1e-6. Tail points qualify (there S_X / f_X and
+    F_X / f_X shrink with the distance); points in a gap between distant
+    scores, where F_X is flat to the last digit, do not.
+    """
+    cdf_x = KernelCDF(WeightedSample(scores, weights), bandwidth)
+    cdf_y = KernelCDF(WeightedSample(scores + shift, weights), bandwidth)
+    y = np.arange(-10.0, items + shift + 11.0)
+    equated = EquipercentileMap(cdf_y, cdf_x)(y)
+    lo, hi = cdf_x.support
+    x = y - shift
+    inside = (x >= lo) & (x <= hi)
+    checked = inside.copy()
+    if cdf_x.scale > 0:
+        z = (x[:, None] - cdf_x.centers) / cdf_x.scale
+        density = np.exp(-0.5 * z**2) @ cdf_x.fractions / (math.sqrt(2 * math.pi) * cdf_x.scale)
+        checked &= density > 1e-6 * np.minimum(cdf_x(x), cdf_x.sf(x))
+    np.testing.assert_allclose(equated[checked], x[checked], rtol=0, atol=1e-6)
+    return checked, inside
+
+
+class TestKernelMapTails:
+    @pytest.mark.parametrize("bandwidth", [0.3, 0.6, 2.0])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_shifted_sample_maps_back(self, seed, bandwidth):
+        rng = np.random.default_rng(seed)
+        scores = rng.binomial(40, rng.uniform(0.3, 0.7), 1000).astype(float)
+        checked, inside = assert_shift_maps_back(
+            scores, rng.uniform(0.1, 5.0, scores.size), bandwidth, 40
+        )
+        # both tails are judged: the outermost points inside the support
+        assert checked[np.flatnonzero(inside)[[0, -1]]].all()
+        assert checked.sum() >= 0.9 * inside.sum()
+
 
 class TestFamilyAtPercentiles:
     def make_family(self, indices):

@@ -2,8 +2,9 @@
 
 ``tests/golden/SHA256SUMS`` pins the SHA-256 of every file that
 ``simulate`` (two small scenarios, all four methods, one worker), the six
-linear and step-equipercentile ``equate`` methods and ``diagnose`` write for
-the inputs beside it. A change that is meant to alter these bytes must say
+linear and step-equipercentile ``equate`` methods, the anchor and IPW
+kernel-equipercentile ``equate`` methods (bandwidth 0.6) and ``diagnose``
+write for the inputs beside it. A change that is meant to alter these bytes must say
 so and regenerate the digests explicitly:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -35,6 +36,12 @@ COMMANDS = {
         method: ["equate", "--method", method, "--strata", "6",
                  "--data", str(GOLDEN / "scores.csv"), "--schema", SCHEMA]
         for method in EQUATE_METHODS
+    },
+    **{
+        f"{method}-kernel": ["equate", "--method", method, "--bandwidth", "0.6",
+                             "--strata", "6", "--data", str(GOLDEN / "scores.csv"),
+                             "--schema", SCHEMA]
+        for method in ("equipercentile-anchor", "equipercentile-ipw")
     },
     "diagnose": ["diagnose", "--strata", "3,6",
                  "--data", str(GOLDEN / "scores.csv"), "--schema", SCHEMA],
