@@ -1,7 +1,8 @@
 """Golden bytes: the CLI's reports for a fixed seed stay byte-identical.
 
 ``tests/golden/SHA256SUMS`` pins the SHA-256 of every file that
-``simulate`` (two small scenarios, all four methods, one worker), the six
+``simulate`` (two small scenarios, all four methods, one worker; and one
+32-replication, 10-bin scenario on two worker processes), the six
 linear and step-equipercentile ``equate`` methods, the anchor and IPW
 kernel-equipercentile ``equate`` methods (bandwidth 0.6) and ``diagnose``
 write for the inputs beside it. A change that is meant to alter these bytes must say
@@ -32,6 +33,7 @@ EQUATE_METHODS = (
 # output subdirectory -> CLI arguments (without --out-dir)
 COMMANDS = {
     "simulate": ["simulate", "--config", str(GOLDEN / "study.cfg")],
+    "simulate-parallel": ["simulate", "--config", str(GOLDEN / "study_parallel.cfg")],
     **{
         method: ["equate", "--method", method, "--strata", "6",
                  "--data", str(GOLDEN / "scores.csv"), "--schema", SCHEMA]
