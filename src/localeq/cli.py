@@ -27,7 +27,7 @@ from .equating import (
     strat_family,
 )
 from .errors import ConfigError, LocalEqError, RowError, SchemaError, UsageError
-from .evaluation import METHODS, run_study
+from .evaluation import METHODS, run_study, write_rows
 from .propensity import (
     balance_report,
     encode_covariates,
@@ -267,10 +267,7 @@ def _fmt(value) -> str:
 
 def _write_table(out_dir, name, header, rows):
     path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+    write_rows(path, header, rows)
     print(f"wrote {path}")
 
 
@@ -371,20 +368,16 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
+def _field_parser(default):
+    """Parse a config value as the type of ``default``; tuples split on commas."""
+    if isinstance(default, tuple):
+        kind = type(default[0])
+        return lambda text: tuple(kind(v) for v in text.split(","))
+    return type(default)
+
+
 _SCENARIO_FIELD_PARSERS = {
-    "n": int,
-    "items": int,
-    "anchor_items": int,
-    "strata": int,
-    "replications": int,
-    "nbins": int,
-    "seed": int,
-    "theta_sd": float,
-    "trim_alpha": float,
-    "covariate_strength": str,
-    "group_theta_means": lambda text: tuple(float(v) for v in text.split(",")),
-    "beta": lambda text: tuple(float(v) for v in text.split(",")),
-    "covariate_categories": lambda text: tuple(int(v) for v in text.split(",")),
+    f.name: _field_parser(f.default) for f in fields(SimulationConfig)
 }
 
 _TOP_LEVEL_PARSERS = {
@@ -476,13 +469,8 @@ def _echo_config(path, configs, methods, workers, seed):
     for name in sorted(configs):
         config = configs[name]
         for f in sorted(fields(SimulationConfig), key=lambda f: f.name):
-            value = getattr(config, f.name)
-            if isinstance(value, tuple):
-                text = ",".join(
-                    repr(v) if isinstance(v, float) else str(v) for v in value
-                )
-            else:
-                text = str(value)
+            value = getattr(config, f.name)  # str(float) is its repr
+            text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
             lines.append(f"scenario.{name}.{f.name} = {text}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -499,9 +487,7 @@ def cmd_simulate(args) -> int:
     summary_rows = []
     for name in sorted(configs):
         report = run_study(configs[name], methods, scenario=name, workers=workers)
-        report_path = os.path.join(out_dir, f"report_{name}.csv")
-        report.write_csv(report_path)
-        print(f"wrote {report_path}")
+        _write_table(out_dir, f"report_{name}.csv", report.columns, report.to_rows())
         retained = ~report.omitted
         for method in sorted(report.methods):
             result = report.methods[method]

@@ -6,8 +6,10 @@ replication, then over replications that populated the cell. Bias is the
 mean absolute error as displayed in the study; the signed mean (the Monte
 Carlo bias, mean of estimate - truth) rides along as a diagnostic column,
 and its Monte Carlo standard error is available as ``signed_mcse``.
-Accumulator slots are indexed by replication, so merging results from
-parallel workers is order-independent.
+The accumulator keeps running sums of the per-replication cell means, so
+its size does not depend on the replication count. Statistics are folded
+in replication order, which keeps the report bytes the same for any
+worker count.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import get_context
 from typing import Sequence
 
@@ -78,63 +81,78 @@ def bin_by_theta(theta, nbins: int):
 
 
 class ErrorAccumulator:
-    """Error sums per (replication, bin, score) cell, one slot per replication.
+    """Running per-(bin, score) sums of the per-replication cell means.
 
-    ``n_scores=None`` collapses the score axis for per-bin-only use. The
-    finalized statistics average within each replication first, then across
-    the replications that touched the cell.
+    Each replication adds the means of its absolute, squared and signed
+    errors in every cell it touched, and ``count`` tallies the replications
+    that touched each cell, so a finalized statistic is one division and
+    every replication weighs the same. ``signed_m2`` is the sum of squared
+    deviations of the per-replication signed means from their mean, merged
+    pairwise (Chan, Golub & LeVeque 1979). The last bits of every sum
+    depend on the order replications are folded in; ``run_study`` folds
+    them in replication order.
     """
 
-    def __init__(self, replications: int, nbins: int, n_scores: int | None = None):
-        shape = (replications, nbins, 1 if n_scores is None else n_scores)
-        self.per_score = n_scores is not None
+    def __init__(self, nbins: int, n_scores: int):
+        shape = (nbins, n_scores)
         self.abs_sum = np.zeros(shape)
         self.sq_sum = np.zeros(shape)
         self.signed_sum = np.zeros(shape)
+        self.signed_m2 = np.zeros(shape)
         self.count = np.zeros(shape, dtype=int)
 
-    def add(self, replication: int, bins, errors, scores=None):
-        bins = np.asarray(bins, dtype=int)
+    def add(self, bins, scores, errors):
+        """Fold one replication: bin labels run 1..nbins, scores 0..n_scores - 1."""
+        bins, scores = np.asarray(bins, dtype=int), np.asarray(scores, dtype=int)
         errors = np.asarray(errors, dtype=float)
-        if bins.shape != errors.shape:
-            raise ValueError("bin labels and errors must align")
-        if self.per_score:
-            if scores is None:
-                raise ValueError("score values required for a per-score accumulator")
-            cols = np.asarray(scores, dtype=int)
-        else:
-            cols = np.zeros(bins.shape, dtype=int)
-        idx = (np.full(bins.shape, replication), bins - 1, cols)
-        np.add.at(self.abs_sum, idx, np.abs(errors))
-        np.add.at(self.sq_sum, idx, errors**2)
-        np.add.at(self.signed_sum, idx, errors)
-        np.add.at(self.count, idx, 1)
+        if not bins.shape == scores.shape == errors.shape:
+            raise ValueError("bin labels, scores and errors must align")
+        shape, size = self.count.shape, self.count.size
+        for what, values, low, high in (
+            ("bin label", bins, 1, shape[0]), ("score", scores, 0, shape[1] - 1)
+        ):
+            bad = values[(values < low) | (values > high)]
+            if bad.size:
+                raise ValueError(f"{what} {bad[0]} is outside {low}..{high}")
+        cells = np.ravel_multi_index((bins.ravel() - 1, scores.ravel()), shape)
+        n = np.bincount(cells, minlength=size).reshape(shape)
 
-    def insert(self, replication: int, other: "ErrorAccumulator"):
-        """Copy a single-replication accumulator into the given slot."""
-        self.abs_sum[replication] = other.abs_sum[0]
-        self.sq_sum[replication] = other.sq_sum[0]
-        self.signed_sum[replication] = other.signed_sum[0]
-        self.count[replication] = other.count[0]
+        def cell_means(values):  # 0.0 in the cells this replication left empty
+            sums = np.bincount(cells, values.ravel(), size).reshape(shape)
+            return sums / np.maximum(n, 1)
 
-    def _double_average(self, sums):
-        used = self.count > 0
-        per_rep = np.where(used, sums / np.maximum(self.count, 1), 0.0)
-        n_used = used.sum(axis=0)
-        totals = per_rep.sum(axis=0) / np.maximum(n_used, 1)
-        return np.where(n_used > 0, totals, np.nan)
+        means = [cell_means(v) for v in (np.abs(errors), errors**2, errors)]
+        self._fold(*means, (n > 0).astype(int), 0.0)
+
+    def insert(self, other: "ErrorAccumulator"):
+        """Fold in another accumulator's replications, after this one's."""
+        self._fold(
+            other.abs_sum, other.sq_sum, other.signed_sum, other.count, other.signed_m2
+        )
+
+    def _fold(self, abs_sum, sq_sum, signed_sum, count, signed_m2):
+        n_a, n_b = self.count, count
+        delta = signed_sum / np.maximum(n_b, 1) - self.signed_sum / np.maximum(n_a, 1)
+        self.signed_m2 += signed_m2 + delta**2 * (n_a * n_b / np.maximum(n_a + n_b, 1))
+        self.abs_sum += abs_sum
+        self.sq_sum += sq_sum
+        self.signed_sum += signed_sum
+        self.count += count
+
+    def _mean(self, sums):
+        return np.where(self.count > 0, sums / np.maximum(self.count, 1), np.nan)
 
     def bias(self) -> np.ndarray:
-        return self._double_average(self.abs_sum)
+        return self._mean(self.abs_sum)
 
     def rmse(self) -> np.ndarray:
-        return np.sqrt(self._double_average(self.sq_sum))
+        return np.sqrt(self._mean(self.sq_sum))
 
     def signed_mean(self) -> np.ndarray:
-        return self._double_average(self.signed_sum)
+        return self._mean(self.signed_sum)
 
     def reps_used(self) -> np.ndarray:
-        return (self.count > 0).sum(axis=0)
+        return self.count.copy()
 
     def signed_mcse(self) -> np.ndarray:
         """Monte Carlo standard error of ``signed_mean`` per cell.
@@ -143,13 +161,9 @@ class ErrorAccumulator:
         signed error, over the replications that populated the cell, divided
         by sqrt(reps_used). NaN where fewer than two replications did.
         """
-        used = self.count > 0
-        n_used = used.sum(axis=0)
-        per_rep = self.signed_sum / np.maximum(self.count, 1)
-        centre = per_rep.sum(axis=0, where=used) / np.maximum(n_used, 1)
-        sq_dev = np.sum((per_rep - centre) ** 2, axis=0, where=used)
-        var = sq_dev / np.maximum(n_used - 1, 1)
-        return np.where(n_used >= 2, np.sqrt(var / np.maximum(n_used, 1)), np.nan)
+        n = self.count
+        var = self.signed_m2 / np.maximum(n - 1, 1)
+        return np.where(n >= 2, np.sqrt(var / np.maximum(n, 1)), np.nan)
 
 
 def apply_omission_rule(score_probabilities, threshold: float = OMISSION_THRESHOLD):
@@ -210,10 +224,14 @@ class EvaluationReport:
         return rows
 
     def write_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(self.columns) + "\n")
-            for row in self.to_rows():
-                fh.write(",".join(row) + "\n")
+        write_rows(path, self.columns, self.to_rows())
+
+
+def write_rows(path, header, rows):
+    """A header line, then one line per row; each value is written with str."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _apply_family(family: TransformFamily, indices, scores) -> np.ndarray:
@@ -263,7 +281,7 @@ def _equate_target_scores(method, table, pop, config, target, stage):
     raise ValueError(f"unknown method {method!r}")
 
 
-def _run_replication(config, design, seed_seq, methods):
+def _run_replication(config, design, methods, seed_seq):
     """One replication: generate, equate with each method, return cell sums."""
     rng = np.random.default_rng(seed_seq)
     pop = gen_population(config, rng, design)
@@ -296,8 +314,8 @@ def _run_replication(config, design, seed_seq, methods):
         except LocalEqError:
             out[method] = None
             continue
-        cell = ErrorAccumulator(1, config.nbins, config.items + 1)
-        cell.add(0, labels, estimated - true_eq, scores=pop.score[target])
+        cell = ErrorAccumulator(config.nbins, config.items + 1)
+        cell.add(labels, pop.score[target], estimated - true_eq)
         out[method] = cell
     return out
 
@@ -322,32 +340,25 @@ def run_study(
     seeds = np.random.SeedSequence(config.seed).spawn(config.replications + 1)
     design = draw_design(config, np.random.default_rng(seeds[0]))
 
-    accumulators = {
-        m: ErrorAccumulator(config.replications, config.nbins, config.items + 1)
-        for m in methods
-    }
+    accumulators = {m: ErrorAccumulator(config.nbins, config.items + 1) for m in methods}
     failures = {m: 0 for m in methods}
 
-    def collect(rep, rep_out):
-        for method in methods:
-            if rep_out[method] is None:
-                failures[method] += 1
-            else:
-                accumulators[method].insert(rep, rep_out[method])
+    def collect(outcomes):
+        for rep_out in outcomes:  # in replication order, whatever the worker count
+            for method in methods:
+                if rep_out[method] is None:
+                    failures[method] += 1
+                else:
+                    accumulators[method].insert(rep_out[method])
 
+    replicate = partial(_run_replication, config, design, methods)
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=get_context("fork")
         ) as pool:
-            futures = [
-                pool.submit(_run_replication, config, design, seeds[r + 1], methods)
-                for r in range(config.replications)
-            ]
-            for rep, future in enumerate(futures):
-                collect(rep, future.result())
+            collect(pool.map(replicate, seeds[1:]))
     else:
-        for rep in range(config.replications):
-            collect(rep, _run_replication(config, design, seeds[rep + 1], methods))
+        collect(map(replicate, seeds[1:]))
 
     for method, n_failed in failures.items():
         if n_failed > 0.05 * config.replications:

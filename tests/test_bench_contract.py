@@ -14,6 +14,8 @@ import localeq
 import localeq.cli
 from localeq.core import KernelCDF, WeightedSample
 from localeq.equating import EquipercentileMap
+from localeq.evaluation import run_study
+from localeq.simulation import SimulationConfig
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -74,3 +76,25 @@ def test_kernel_map_inverts_in_one_traced_call():
     assert calls["equating.EquipercentileMap.call"] == 1
     assert calls["core.inverse_cdf"] == 1
     assert 1 <= calls["core.KernelCDF"] <= 100
+
+
+def test_traced_study_folds_each_replication_into_fixed_size_accumulators():
+    """The insert observer reads the accumulator's arrays; their size must not
+    grow with the replication count."""
+    tracing = load_tracing()
+    methods = ("anchor", "strat", "ipw", "eg")
+    sizes = {}
+    for replications in (3, 12):
+        config = SimulationConfig(
+            n=200, items=12, anchor_items=8, strata=3, nbins=4,
+            replications=replications, seed=2,
+        )
+        tracer = tracing.Tracer()
+        with tracer.installed(tracing.targets(localeq)):
+            report = run_study(config, methods)
+        assert all(r.failures == 0 for r in report.methods.values())
+        calls, _ = tracer.summary()
+        assert calls["evaluation.ErrorAccumulator.insert"] == replications * len(methods)
+        sizes[replications] = tracer.accumulator_bytes
+    assert sizes[3] > 0
+    assert sizes[3] == sizes[12]

@@ -4,6 +4,7 @@ import csv
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from localeq.cli import (
     DatasetSchema,
+    _echo_config,
     _raise_first_bad_row,
     _resolve_study,
     main,
@@ -592,6 +594,21 @@ class TestSimulateCommand:
         assert configs["tiny"].seed == 5
         assert methods == ("anchor", "eg")
         assert workers == 1 and seed == 5
+
+    def test_every_config_field_round_trips_through_echo(self, tmp_path):
+        config = SimulationConfig(
+            n=123, items=17, anchor_items=7, group_theta_means=(-0.25, 0.1),
+            theta_sd=1.5, covariate_categories=(2, 6), covariate_strength="weak",
+            beta=(0.5, -0.2, 0.3, 1e-3), strata=5, replications=9, seed=4,
+            nbins=3, trim_alpha=0.05,
+        )
+        default = SimulationConfig()
+        for f in fields(SimulationConfig):
+            assert getattr(config, f.name) != getattr(default, f.name), f.name
+        path = tmp_path / "echo.txt"
+        _echo_config(path, {"s": config}, ("anchor",), 1, 4)
+        configs, _, _, _ = _resolve_study(path)
+        assert configs == {"s": config}
 
     def test_seed_flag_overrides_config(self, tmp_path):
         rc, out = self.run_simulate(tmp_path, "run1", extra=("--seed", "11"))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from localeq.cli import main
 from localeq.errors import StudyUnstableWarning
 from localeq.evaluation import (
     ErrorAccumulator,
@@ -47,30 +48,95 @@ class TestBinByTheta:
             bin_by_theta([], 3)
 
 
+def add_per_bin(acc, bins, errors):
+    """Fold one replication into a one-score accumulator (every score 0)."""
+    acc.add(bins, np.zeros(len(bins), dtype=int), errors)
+
+
+class ReferenceAccumulator:
+    """Reference for the streaming fold: one replications x bins x scores
+    slot per sum, averaged twice at the end (within each replication, then
+    over the replications that touched the cell)."""
+
+    def __init__(self, replications, nbins, n_scores):
+        shape = (replications, nbins, n_scores)
+        self.abs_sum, self.sq_sum, self.signed_sum = (np.zeros(shape) for _ in range(3))
+        self.count = np.zeros(shape, dtype=int)
+
+    def add(self, replication, bins, scores, errors):
+        errors = np.asarray(errors, dtype=float)
+        idx = (np.full(errors.shape, replication), np.asarray(bins) - 1, np.asarray(scores))
+        np.add.at(self.abs_sum, idx, np.abs(errors))
+        np.add.at(self.sq_sum, idx, errors**2)
+        np.add.at(self.signed_sum, idx, errors)
+        np.add.at(self.count, idx, 1)
+
+    def _double_average(self, sums):
+        used = self.count > 0
+        per_rep = np.where(used, sums / np.maximum(self.count, 1), 0.0)
+        n_used = used.sum(axis=0)
+        totals = per_rep.sum(axis=0) / np.maximum(n_used, 1)
+        return np.where(n_used > 0, totals, np.nan)
+
+    def bias(self):
+        return self._double_average(self.abs_sum)
+
+    def rmse(self):
+        return np.sqrt(self._double_average(self.sq_sum))
+
+    def signed_mean(self):
+        return self._double_average(self.signed_sum)
+
+    def reps_used(self):
+        return (self.count > 0).sum(axis=0)
+
+    def signed_mcse(self):  # two passes: centre, then squared deviations
+        used = self.count > 0
+        n_used = used.sum(axis=0)
+        per_rep = self.signed_sum / np.maximum(self.count, 1)
+        centre = per_rep.sum(axis=0, where=used) / np.maximum(n_used, 1)
+        sq_dev = np.sum((per_rep - centre) ** 2, axis=0, where=used)
+        var = sq_dev / np.maximum(n_used - 1, 1)
+        return np.where(n_used >= 2, np.sqrt(var / np.maximum(n_used, 1)), np.nan)
+
+
+def random_replications(seed, reps, nbins, n_scores):
+    """(bins, scores, errors) per replication: some empty, some tiny, some
+    large; scores stop one short of the top, so the last column stays empty."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(reps):
+        n = int(rng.choice([0, 1, 3, 40, 200]))
+        bins = rng.integers(1, nbins + 1, n)
+        scores = rng.binomial(n_scores - 2, 0.3, n)
+        out.append((bins, scores, rng.standard_normal(n) * rng.uniform(0.1, 3) + 0.2))
+    return out
+
+
 class TestErrorAccumulator:
     def test_perfect_estimates(self):
-        acc = ErrorAccumulator(1, 2)
-        acc.add(0, [1, 2], [0.0, 0.0])
+        acc = ErrorAccumulator(2, 1)
+        add_per_bin(acc, [1, 2], [0.0, 0.0])
         assert acc.bias()[0, 0] == 0.0
         assert acc.rmse()[1, 0] == 0.0
 
     def test_constant_offset(self):
         acc = ErrorAccumulator(1, 1)
-        acc.add(0, [1, 1, 1], [0.7, 0.7, 0.7])
+        add_per_bin(acc, [1, 1, 1], [0.7, 0.7, 0.7])
         assert acc.bias()[0, 0] == pytest.approx(0.7)
         assert acc.rmse()[0, 0] == pytest.approx(0.7)
         assert acc.signed_mean()[0, 0] == pytest.approx(0.7)
 
     def test_absolute_vs_signed(self):
         acc = ErrorAccumulator(1, 1)
-        acc.add(0, [1, 1], [1.0, -1.0])
+        add_per_bin(acc, [1, 1], [1.0, -1.0])
         assert acc.bias()[0, 0] == pytest.approx(1.0)
         assert acc.signed_mean()[0, 0] == pytest.approx(0.0)
         assert acc.rmse()[0, 0] == pytest.approx(1.0)
 
     def test_rmse_hand_value(self):
         acc = ErrorAccumulator(1, 1)
-        acc.add(0, [1, 1, 1], [1.0, -1.0, 3.0])
+        add_per_bin(acc, [1, 1, 1], [1.0, -1.0, 3.0])
         assert acc.rmse()[0, 0] == pytest.approx(math.sqrt(11.0 / 3.0))
         assert acc.bias()[0, 0] == pytest.approx(5.0 / 3.0)
         assert acc.signed_mean()[0, 0] == pytest.approx(1.0)
@@ -78,42 +144,59 @@ class TestErrorAccumulator:
     def test_double_average_weights_reps_equally(self):
         # rep 0 contributes cell mean 1, rep 1 contributes cell mean 3;
         # the headline number is their plain average, not the pooled mean
-        acc = ErrorAccumulator(2, 1)
-        acc.add(0, [1, 1], [1.0, 1.0])
-        acc.add(1, [1], [3.0])
+        acc = ErrorAccumulator(1, 1)
+        add_per_bin(acc, [1, 1], [1.0, 1.0])
+        add_per_bin(acc, [1], [3.0])
         assert acc.bias()[0, 0] == pytest.approx(2.0)
         assert acc.reps_used()[0, 0] == 2
 
     def test_untouched_cell_is_nan(self):
-        acc = ErrorAccumulator(1, 2)
-        acc.add(0, [1], [0.5])
+        acc = ErrorAccumulator(2, 1)
+        add_per_bin(acc, [1], [0.5])
         assert np.isnan(acc.bias()[1, 0])
         assert acc.reps_used()[1, 0] == 0
 
-    def test_per_score_requires_scores(self):
-        acc = ErrorAccumulator(1, 1, n_scores=5)
-        with pytest.raises(ValueError):
-            acc.add(0, [1], [0.2])
-        acc.add(0, [1], [0.2], scores=[3])
-        assert acc.count[0, 0, 3] == 1
+    def test_each_score_lands_in_its_own_column(self):
+        acc = ErrorAccumulator(2, 5)
+        acc.add([1, 2, 1], [3, 0, 3], [0.2, -0.5, 0.4])
+        expected = np.zeros((2, 5), dtype=int)
+        expected[0, 3] = expected[1, 0] = 1
+        np.testing.assert_array_equal(acc.reps_used(), expected)
+        assert acc.bias()[0, 3] == pytest.approx(0.3)
+        assert acc.signed_mean()[1, 0] == pytest.approx(-0.5)
+        assert np.isnan(acc.bias()[expected == 0]).all()
 
     def test_shape_mismatch(self):
         acc = ErrorAccumulator(1, 1)
         with pytest.raises(ValueError):
-            acc.add(0, [1, 1], [0.1])
+            add_per_bin(acc, [1, 1], [0.1])
+        with pytest.raises(ValueError):
+            acc.add([1, 1], [0], [0.1, 0.2])
+
+    @pytest.mark.parametrize(
+        "bins, scores, bad",
+        [([0], [1], "bin label 0"), ([4], [1], "bin label 4"),
+         ([1], [-1], "score -1"), ([2], [4], "score 4"), ([0], [-1], "bin label 0")],
+    )
+    def test_out_of_range_cell_raises(self, bins, scores, bad):
+        # negative indices would wrap into another cell instead
+        acc = ErrorAccumulator(3, 4)
+        with pytest.raises(ValueError, match=bad):
+            acc.add(bins, scores, [0.5])
+        assert not acc.count.any()
 
     def test_insert_matches_direct_adds(self):
-        direct = ErrorAccumulator(2, 3)
-        direct.add(0, [1, 2], [0.5, -0.3])
-        direct.add(1, [2, 3], [1.1, 0.0])
+        direct = ErrorAccumulator(3, 1)
+        add_per_bin(direct, [1, 2], [0.5, -0.3])
+        add_per_bin(direct, [2, 3], [1.1, 0.0])
 
-        part0 = ErrorAccumulator(1, 3)
-        part0.add(0, [1, 2], [0.5, -0.3])
-        part1 = ErrorAccumulator(1, 3)
-        part1.add(0, [2, 3], [1.1, 0.0])
-        merged = ErrorAccumulator(2, 3)
-        merged.insert(0, part0)
-        merged.insert(1, part1)
+        part0 = ErrorAccumulator(3, 1)
+        add_per_bin(part0, [1, 2], [0.5, -0.3])
+        part1 = ErrorAccumulator(3, 1)
+        add_per_bin(part1, [2, 3], [1.1, 0.0])
+        merged = ErrorAccumulator(3, 1)
+        merged.insert(part0)
+        merged.insert(part1)
 
         np.testing.assert_array_equal(direct.bias(), merged.bias())
         np.testing.assert_array_equal(direct.rmse(), merged.rmse())
@@ -121,48 +204,91 @@ class TestErrorAccumulator:
 
     def test_signed_mcse_hand_value(self):
         # per-replication cell means 1 and 3: sd (ddof=1) sqrt(2), over sqrt(2)
-        acc = ErrorAccumulator(2, 1)
-        acc.add(0, [1, 1], [0.5, 1.5])
-        acc.add(1, [1], [3.0])
+        acc = ErrorAccumulator(1, 1)
+        add_per_bin(acc, [1, 1], [0.5, 1.5])
+        add_per_bin(acc, [1], [3.0])
         assert acc.signed_mean()[0, 0] == pytest.approx(2.0)
         assert acc.signed_mcse()[0, 0] == pytest.approx(1.0)
 
     def test_signed_mcse_nan_below_two_replications(self):
-        acc = ErrorAccumulator(3, 2)
-        acc.add(0, [1, 2, 2], [0.4, 1.0, -2.0])
-        acc.add(2, [2], [0.7])
+        acc = ErrorAccumulator(2, 1)
+        add_per_bin(acc, [1, 2, 2], [0.4, 1.0, -2.0])
+        add_per_bin(acc, [], [])
+        add_per_bin(acc, [2], [0.7])
         mcse = acc.signed_mcse()
         assert np.isnan(mcse[0, 0])
         assert acc.reps_used()[0, 0] == 1
-        # rep means -0.5 and 0.7, the unused rep 1 is not a zero
+        # rep means -0.5 and 0.7, the empty rep in between is not a zero
         assert mcse[1, 0] == pytest.approx(0.6)
 
     def test_signed_mcse_insert_matches_direct_adds(self):
-        direct = ErrorAccumulator(3, 2, n_scores=3)
+        direct = ErrorAccumulator(2, 3)
         parts = []
-        for rep, (bins, errors, scores) in enumerate(
-            [([1, 1, 2], [0.5, -0.1, 0.3], [0, 2, 1]),
-             ([1, 2], [1.2, -0.8], [0, 1]),
-             ([1, 2, 2], [-0.4, 0.9, 0.2], [0, 1, 2])]
-        ):
-            direct.add(rep, bins, errors, scores=scores)
-            part = ErrorAccumulator(1, 2, n_scores=3)
-            part.add(0, bins, errors, scores=scores)
+        for bins, errors, scores in [
+            ([1, 1, 2], [0.5, -0.1, 0.3], [0, 2, 1]),
+            ([1, 2], [1.2, -0.8], [0, 1]),
+            ([1, 2, 2], [-0.4, 0.9, 0.2], [0, 1, 2]),
+        ]:
+            direct.add(bins, scores, errors)
+            part = ErrorAccumulator(2, 3)
+            part.add(bins, scores, errors)
             parts.append(part)
-        merged = ErrorAccumulator(3, 2, n_scores=3)
-        for rep, part in enumerate(parts):
-            merged.insert(rep, part)
+        merged = ErrorAccumulator(2, 3)
+        for part in parts:
+            merged.insert(part)
         np.testing.assert_array_equal(direct.signed_mcse(), merged.signed_mcse())
         assert not np.isnan(direct.signed_mcse()[0, 0])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_streaming_fold_matches_stored_slot_reference(self, seed):
+        nbins, n_scores, reps = 4, 7, 30
+        data = random_replications(seed, reps, nbins, n_scores)
+        reference = ReferenceAccumulator(reps, nbins, n_scores)
+        direct = ErrorAccumulator(nbins, n_scores)
+        merged = ErrorAccumulator(nbins, n_scores)
+        for rep, (bins, scores, errors) in enumerate(data):
+            reference.add(rep, bins, scores, errors)
+            direct.add(bins, scores, errors)
+            part = ErrorAccumulator(nbins, n_scores)
+            part.add(bins, scores, errors)
+            merged.insert(part)
+            for acc in (direct, merged):  # read mid-stream, after rep + 1 reps
+                for stat in ("bias", "rmse", "signed_mean", "reps_used"):
+                    np.testing.assert_array_equal(
+                        getattr(acc, stat)(), getattr(reference, stat)()
+                    )
+                np.testing.assert_allclose(
+                    acc.signed_mcse(), reference.signed_mcse(), rtol=1e-12, atol=0
+                )
+        used = reference.reps_used()
+        assert (used == 0).any() and (used == 1).any() and (used > 5).any()
+        assert any(len(bins) == 0 for bins, _, _ in data)
+
+    def test_signed_mcse_merges_multi_replication_parts(self):
+        # merging runs of several replications exercises the pairwise update
+        nbins, n_scores = 3, 6
+        data = random_replications(11, 24, nbins, n_scores)
+        reference = ReferenceAccumulator(len(data), nbins, n_scores)
+        merged = ErrorAccumulator(nbins, n_scores)
+        for start in range(0, len(data), 5):
+            part = ErrorAccumulator(nbins, n_scores)
+            for rep in range(start, min(start + 5, len(data))):
+                reference.add(rep, *data[rep])
+                part.add(*data[rep])
+            merged.insert(part)
+        np.testing.assert_array_equal(merged.reps_used(), reference.reps_used())
+        np.testing.assert_allclose(
+            merged.signed_mcse(), reference.signed_mcse(), rtol=1e-12, atol=0
+        )
 
     def test_rmse_dominates_bias(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            acc = ErrorAccumulator(3, 2)
+            acc = ErrorAccumulator(2, 1)
             for rep in range(3):
                 n = rng.integers(1, 30)
-                acc.add(
-                    rep,
+                add_per_bin(
+                    acc,
                     rng.integers(1, 3, n),
                     rng.standard_normal(n) * rng.uniform(0.1, 5),
                 )
@@ -173,15 +299,15 @@ class TestErrorAccumulator:
 
 class TestPerBinWrappers:
     def test_bias_accumulates_across_replications(self):
-        acc = ErrorAccumulator(2, 2)
-        acc.add(0, [1, 2], np.subtract([1.5, 2.5], [1.0, 2.0]))
-        acc.add(1, [1], np.subtract([2.5], [1.0]))
+        acc = ErrorAccumulator(2, 1)
+        add_per_bin(acc, [1, 2], np.subtract([1.5, 2.5], [1.0, 2.0]))
+        add_per_bin(acc, [1], np.subtract([2.5], [1.0]))
         assert acc.bias().shape == (2, 1)
         assert acc.bias()[0, 0] == pytest.approx((0.5 + 1.5) / 2)
 
     def test_rmse_wrapper(self):
         acc = ErrorAccumulator(1, 1)
-        acc.add(0, [1, 1], np.subtract([3.0, -4.0], [0.0, 0.0]))
+        add_per_bin(acc, [1, 1], np.subtract([3.0, -4.0], [0.0, 0.0]))
         assert acc.rmse()[0, 0] == pytest.approx(math.sqrt(12.5))
 
     def test_doubling_replications_halves_se_variance(self):
@@ -193,13 +319,13 @@ class TestPerBinWrappers:
         est_2r = np.empty((macro, nbins))
         for s in range(macro):
             children = np.random.SeedSequence((4, s)).spawn(2 * reps)
-            acc = ErrorAccumulator(2 * reps, nbins)
+            acc = ErrorAccumulator(nbins, 1)
             for r, child in enumerate(children):
                 rng = np.random.default_rng(child)
                 labels = rng.integers(1, nbins + 1, 400)
                 truth = np.zeros(400)
                 estimated = truth + rng.normal(0.4 * labels, 1.0)
-                acc.add(r, labels, estimated - truth)
+                add_per_bin(acc, labels, estimated - truth)
                 if r == reps - 1:
                     est_r[s] = acc.bias().ravel()
             est_2r[s] = acc.bias().ravel()
@@ -223,18 +349,11 @@ class TestOmissionRule:
         np.testing.assert_array_equal(mask, [True, False, False, True])
 
 
+TINY_FIELDS = dict(n=200, items=12, anchor_items=8, strata=3, replications=3, nbins=4)
+
+
 def tiny_config(**overrides):
-    base = dict(
-        n=200,
-        items=12,
-        anchor_items=8,
-        strata=3,
-        replications=3,
-        nbins=4,
-        seed=7,
-    )
-    base.update(overrides)
-    return SimulationConfig(**base)
+    return SimulationConfig(**{**TINY_FIELDS, "seed": 7, **overrides})
 
 
 class TestRunStudy:
@@ -307,10 +426,17 @@ class TestRunStudy:
         assert report.methods["strat"].failures == 4
         assert report.methods["ipw"].failures == 4
 
-    def test_write_csv_round_trips(self, tmp_path):
-        report = run_study(tiny_config(), methods=("eg",))
-        path = tmp_path / "report.csv"
-        report.write_csv(path)
+    def test_write_csv_round_trips(self, tmp_path, capsys):
+        config = tmp_path / "study.cfg"
+        config.write_text(
+            "methods = eg\nseed = 7\n"
+            + "".join(f"scenario.tiny.{k} = {v}\n" for k, v in TINY_FIELDS.items()),
+            encoding="utf-8",
+        )
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
+        path = tmp_path / "report_tiny.csv"
+        assert f"wrote {path}" in capsys.readouterr().out.splitlines()
+        report = run_study(tiny_config(), methods=("eg",), scenario="tiny")
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(EvaluationReport.columns)
-        assert len(lines) == 1 + len(report.to_rows())
+        assert [tuple(line.split(",")) for line in lines[1:]] == report.to_rows()
