@@ -4,6 +4,13 @@ All input and output is comma-separated UTF-8 text with a header row.
 Floats are written with repr so identical runs produce identical bytes.
 The default output directory comes from --out-dir, then the
 LOCALEQ_OUT_DIR environment variable, then the working directory.
+
+`equate` and `diagnose` read their input through one loader, `_load`: it
+checks the schema against what the command needs (an anchor role, or
+covariate roles) before it opens the data file, then parses the file into a
+validated ScoreTable. Each command fits the propensity model at most once.
+`simulate` reads its study file against one key table built from the
+top-level and scenario defaults; `--seed` sets the seed of every scenario.
 """
 
 from __future__ import annotations
@@ -39,9 +46,7 @@ from .simulation import SimulationConfig
 
 __all__ = [
     "DatasetSchema",
-    "ParsedDataset",
     "parse_dataset",
-    "write_dataset",
     "cmd_equate",
     "cmd_diagnose",
     "cmd_simulate",
@@ -115,22 +120,6 @@ class DatasetSchema:
         return [kind for _, kind in self.covariates]
 
 
-@dataclass
-class ParsedDataset:
-    """A validated :class:`ScoreTable` plus what re-serializes it losslessly.
-
-    ``categorical_levels`` maps each categorical column to its sorted level
-    strings, whose positions the table stores. ``len()`` counts the rows.
-    """
-
-    table: ScoreTable
-    schema: DatasetSchema
-    categorical_levels: dict
-
-    def __len__(self):
-        return len(self.table)
-
-
 def _read_rows(path, schema):
     """The header and every record after it; record i sits on file line i + 2."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -143,7 +132,7 @@ def _read_rows(path, schema):
     return header, rows
 
 
-def parse_dataset(path, schema: DatasetSchema) -> ParsedDataset:
+def parse_dataset(path, schema: DatasetSchema) -> ScoreTable:
     """Read and validate a delimited dataset against a schema, column by column.
 
     Only when a value is invalid are the rows read again, one by one, to name
@@ -175,8 +164,7 @@ def parse_dataset(path, schema: DatasetSchema) -> ParsedDataset:
         columns = list(zip(*rows))
         del rows  # the columns hold every value; the error path rereads the file
         try:
-            table, levels = _table_from_columns(columns, positions, schema)
-            return ParsedDataset(table=table, schema=schema, categorical_levels=levels)
+            return _table_from_columns(columns, positions, schema)
         except (KeyError, ValueError, OverflowError):
             pass
     _raise_first_bad_row(path, schema, len(header), positions)
@@ -184,7 +172,7 @@ def parse_dataset(path, schema: DatasetSchema) -> ParsedDataset:
 
 
 def _table_from_columns(columns, positions, schema):
-    """The table and categorical levels; KeyError or ValueError on a bad value."""
+    """The validated table; KeyError or ValueError on a bad value."""
     n = len(columns[0])
     column = {name: columns[i] for name, i in positions.items()}
 
@@ -193,15 +181,14 @@ def _table_from_columns(columns, positions, schema):
 
     form = np.fromiter(map(_FORM_LABELS.__getitem__, column[schema.form]), np.int64, n)
     anchor = None if schema.anchor is None else integers(schema.anchor)
-    levels, covariates = {}, np.empty((n, len(schema.covariates)))
+    covariates = np.empty((n, len(schema.covariates)))
     for j, (name, kind) in enumerate(schema.covariates):
         if kind == "numeric":
             covariates[:, j] = np.fromiter(map(float, column[name]), float, n)
         else:
-            levels[name] = sorted(set(column[name]))
-            code = {level: i for i, level in enumerate(levels[name])}
+            code = {level: i for i, level in enumerate(sorted(set(column[name])))}
             covariates[:, j] = np.fromiter(map(code.get, column[name]), float, n)
-    return ScoreTable(form, integers(schema.score), anchor, covariates), levels
+    return ScoreTable(form, integers(schema.score), anchor, covariates)
 
 
 def _raise_first_bad_row(path, schema, width, positions):
@@ -242,25 +229,6 @@ def _parse_number(text, column, line, convert=int):
     return value
 
 
-def write_dataset(dataset: ParsedDataset, path):
-    """Serialize a parsed dataset back to delimited text (role columns only)."""
-    schema, table = dataset.schema, dataset.table
-    header = [schema.form, schema.score]
-    columns = [map(str, table.form.tolist()), map(str, table.score.tolist())]
-    if schema.anchor is not None:
-        header.append(schema.anchor)
-        columns.append(map(str, table.anchor.tolist()))
-    header.extend(schema.covariate_names)
-    for (name, kind), values in zip(schema.covariates, table.covariates.T.tolist()):
-        if kind == "categorical":
-            columns.append(map(dataset.categorical_levels[name].__getitem__, map(int, values)))
-        else:
-            columns.append(map(repr, values))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
-
-
 def _fmt(value) -> str:
     return repr(float(value))
 
@@ -271,34 +239,41 @@ def _write_table(out_dir, name, header, rows):
     print(f"wrote {path}")
 
 
-def _fit_strata(dataset: ParsedDataset, strata: int):
-    if not dataset.schema.covariates:
-        raise UsageError("this method needs covariate columns in the schema")
-    encoded = encode_covariates(dataset.table, dataset.schema.covariate_kinds)
+def _load(args, role, usage):
+    """The schema and table of ``args.data``, once the schema names ``role``.
+
+    ``role`` is ``anchor`` or ``covariates``. A schema without it is a usage
+    error, raised before the data file is opened.
+    """
+    schema = DatasetSchema.from_string(args.schema)
+    if not getattr(schema, role):
+        raise UsageError(usage)
+    return schema, parse_dataset(args.data, schema)
+
+
+def _propensities(schema, table):
+    """Fit the propensity model once; each record's estimated propensity."""
+    encoded = encode_covariates(table, schema.covariate_kinds)
     if encoded.shape[1] == 0:
         raise UsageError("no usable covariate columns after encoding")
-    model = fit_logistic(encoded, dataset.table.form)
-    propensities = estimate_propensity(model, encoded)
-    assignment = stratify_quantile(propensities, strata)
-    return assignment, propensities
+    return estimate_propensity(fit_logistic(encoded, table.form), encoded)
 
 
-def _build_family(dataset, method, strata, trim_alpha, bandwidth) -> tuple:
+def _build_family(schema, table, args) -> tuple:
     """Family plus the per-record conditioning values for percentile picks."""
-    table = dataset.table
-    if method in ("anchor", "equipercentile-anchor"):
-        if dataset.schema.anchor is None:
-            raise UsageError("method needs an anchor column in the schema")
-        if method == "anchor":
-            return anchor_family(table), table.anchor
+    method, bandwidth = args.method, args.bandwidth
+    if method == "anchor":
+        return anchor_family(table), table.anchor
+    if method == "equipercentile-anchor":
         return equipercentile_family(table, "anchor", bandwidth), table.anchor
-    assignment, propensities = _fit_strata(dataset, strata)
+    propensities = _propensities(schema, table)
+    assignment = stratify_quantile(propensities, args.strata)
     index_values = assignment.labels
     if method == "strat":
         return strat_family(table, assignment), index_values
     if method == "equipercentile-strat":
         return equipercentile_family(table, assignment, bandwidth), index_values
-    weights = ipw_weights(table, assignment, propensities, trim_alpha)
+    weights = ipw_weights(table, assignment, propensities, args.trim_alpha)
     if method == "ipw":
         return ipw_family(table, weights), index_values
     return equipercentile_family(table, weights, bandwidth), index_values
@@ -317,17 +292,18 @@ def _family_rows(family: TransformFamily):
 
 
 def cmd_equate(args) -> int:
-    schema = DatasetSchema.from_string(args.schema)
-    dataset = parse_dataset(args.data, schema)
-    family, index_values = _build_family(
-        dataset, args.method, args.strata, args.trim_alpha, args.bandwidth
-    )
+    if args.method in ("anchor", "equipercentile-anchor"):
+        need = ("anchor", "method needs an anchor column in the schema")
+    else:
+        need = ("covariates", "this method needs covariate columns in the schema")
+    schema, table = _load(args, *need)
+    family, index_values = _build_family(schema, table, args)
     out_dir = _resolve_out_dir(args.out_dir)
 
     header = ("index", "slope", "mu_y", "mu_x", "omitted")
     _write_table(out_dir, f"{args.method}_family.csv", header, _family_rows(family))
 
-    grid = np.arange(dataset.table.score.max() + 1, dtype=float)
+    grid = np.arange(table.score.max() + 1, dtype=float)
     for pick in family_at_percentiles(family, args.percentiles, index_values):
         equated = np.asarray(pick.transform(grid), dtype=float)
         _write_table(
@@ -340,16 +316,13 @@ def cmd_equate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    schema = DatasetSchema.from_string(args.schema)
-    dataset = parse_dataset(args.data, schema)
-    if not schema.covariates:
-        raise UsageError("diagnose needs covariate columns in the schema")
+    schema, table = _load(args, "covariates", "diagnose needs covariate columns in the schema")
+    propensities = _propensities(schema, table)
     out_dir = _resolve_out_dir(args.out_dir)
     names = schema.covariate_names
     summary_rows = []
     for strata in args.strata_list:
-        assignment, _ = _fit_strata(dataset, strata)
-        report = balance_report(dataset.table, assignment, names)
+        report = balance_report(table, stratify_quantile(propensities, strata), names)
         rows = []
         for k in range(1, report.K + 1):
             cells = [
@@ -372,108 +345,92 @@ def _field_parser(default):
     """Parse a config value as the type of ``default``; tuples split on commas."""
     if isinstance(default, tuple):
         kind = type(default[0])
-        return lambda text: tuple(kind(v) for v in text.split(","))
+        return lambda text: tuple(kind(v.strip()) for v in text.split(","))
     return type(default)
 
 
-_SCENARIO_FIELD_PARSERS = {
-    f.name: _field_parser(f.default) for f in fields(SimulationConfig)
+_TOP_LEVEL_DEFAULTS = {"methods": ("anchor", "strat", "ipw"), "seed": 0, "workers": 1}
+
+# one parser per config key; ``scenario.<name>.<field>`` is looked up as
+# ``scenario.*.<field>``, with the SimulationConfig fields as defaults
+_CONFIG_PARSERS = {
+    key: _field_parser(default)
+    for key, default in [
+        *_TOP_LEVEL_DEFAULTS.items(),
+        *((f"scenario.*.{f.name}", f.default) for f in fields(SimulationConfig)),
+    ]
 }
-
-_TOP_LEVEL_PARSERS = {
-    "seed": int,
-    "workers": int,
-    "methods": lambda text: tuple(p.strip() for p in text.split(",")),
-}
-
-
-def _parse_values(entries, parsers, bad_values) -> dict:
-    """Parse each ``name: (full key, text)`` entry; collect keys that fail."""
-    parsed = {}
-    for name, (full_key, value) in entries.items():
-        try:
-            parsed[name] = parsers[name](value)
-        except ValueError:
-            bad_values.append(full_key)
-    return parsed
 
 
 def _read_config(path):
-    """Parse the flat key=value study config; collect every bad key at once."""
-    top = {}
-    scenario_fields = {}
-    bad_keys = []
+    """Parse the flat key=value study config in one pass.
+
+    Every bad key and every unparseable value is collected; bad keys are
+    raised first. Returns the top-level settings and each scenario's fields.
+    """
+    top, scenarios, bad_keys, bad_values = {}, {}, [], {}
     with open(path, "r", encoding="utf-8") as fh:
         for raw_line in fh:
             line = raw_line.split("#", 1)[0].strip()
             if not line:
                 continue
             key, sep, value = (p.strip() for p in line.partition("="))
-            if not sep:
+            parts = key.split(".")
+            scenario = parts[1] if len(parts) == 3 and parts[0] == "scenario" else None
+            parser = _CONFIG_PARSERS.get(key if scenario is None else f"scenario.*.{parts[2]}")
+            if not sep or parser is None:
                 bad_keys.append(key)
                 continue
-            if key in _TOP_LEVEL_PARSERS:
-                top[key] = (key, value)
-            elif key.startswith("scenario."):
-                parts = key.split(".")
-                if len(parts) != 3 or parts[2] not in _SCENARIO_FIELD_PARSERS:
-                    bad_keys.append(key)
-                    continue
-                scenario_fields.setdefault(parts[1], {})[parts[2]] = (key, value)
-            else:
-                bad_keys.append(key)
+            target = top if scenario is None else scenarios.setdefault(scenario, {})
+            try:
+                target[parts[-1]] = parser(value)
+                bad_values.pop(key, None)  # a key set twice takes its last value
+            except ValueError:
+                bad_values[key] = None
     if bad_keys:
         raise ConfigError(bad_keys)
-
-    bad_values = []
-    parsed_top = _parse_values(top, _TOP_LEVEL_PARSERS, bad_values)
-    scenarios = {
-        name: _parse_values(mapping, _SCENARIO_FIELD_PARSERS, bad_values)
-        for name, mapping in scenario_fields.items()
-    }
     if bad_values:
-        raise ConfigError(bad_values, f"unparseable config values: {bad_values}")
-    return parsed_top, scenarios
+        bad = list(bad_values)
+        raise ConfigError(bad, f"unparseable config values: {bad}")
+    return top, scenarios
 
 
 def _resolve_study(path, seed_override=None):
-    top, scenario_fields = _read_config(path)
-    workers = top.get("workers", 1)
-    methods = top.get("methods", ("anchor", "strat", "ipw"))
-    for method in methods:
+    """Scenario configs, methods, workers and seed of a study file.
+
+    Unset keys take their defaults. A scenario's own seed beats the
+    top-level ``seed``; ``seed_override`` (the --seed flag) beats both.
+    """
+    top, scenarios = _read_config(path)
+    flag = {} if seed_override is None else {"seed": seed_override}
+    settings = {**_TOP_LEVEL_DEFAULTS, **top, **flag}
+    for method in settings["methods"]:
         if method not in METHODS:
             raise ConfigError(["methods"], f"unknown study method {method!r}")
-    seed = seed_override if seed_override is not None else top.get("seed", 0)
-    if not scenario_fields:
-        scenario_fields = {"default": {}}
     configs = {}
-    for name in sorted(scenario_fields):
-        overrides = dict(scenario_fields[name])
-        overrides.setdefault("seed", seed)
+    for name, overrides in sorted((scenarios or {"default": {}}).items()):
+        overrides = {"seed": settings["seed"], **overrides, **flag}
         try:
             configs[name] = SimulationConfig(**overrides)
         except ValueError as exc:
             raise ConfigError(
                 [f"scenario.{name}"], f"scenario {name!r}: {exc}"
             ) from None
-    return configs, methods, workers, seed
+    return configs, settings["methods"], settings["workers"], settings["seed"]
 
 
 def _echo_config(path, configs, methods, workers, seed):
     """Write the fully resolved study configuration, reparseable as input."""
-    lines = [
-        f"methods = {','.join(methods)}",
-        f"seed = {seed}",
-        f"workers = {workers}",
-    ]
+    entries = [("methods", methods), ("seed", seed), ("workers", workers)]
     for name in sorted(configs):
-        config = configs[name]
-        for f in sorted(fields(SimulationConfig), key=lambda f: f.name):
-            value = getattr(config, f.name)  # str(float) is its repr
-            text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
-            lines.append(f"scenario.{name}.{f.name} = {text}")
+        entries += sorted(
+            (f"scenario.{name}.{f.name}", getattr(configs[name], f.name))
+            for f in fields(SimulationConfig)
+        )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for key, value in entries:  # str(float) is its repr
+            text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            fh.write(f"{key} = {text}\n")
 
 
 def cmd_simulate(args) -> int:
@@ -597,10 +554,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LocalEqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LocalEqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -292,9 +292,6 @@ class KernelCDF:
         if not bandwidth > 0:
             raise InvalidBandwidthError(f"bandwidth must be > 0, got {bandwidth}")
         mu, sigma = weighted_moments(sample)
-        self.mu = mu
-        self.sigma = sigma
-        self.bandwidth = float(bandwidth)
         distinct, tie = np.unique(sample.values, return_inverse=True)
         self.fractions = np.bincount(tie, weights=sample.weights / sample.weights.sum())
         if math.isinf(bandwidth) or sigma == 0.0:
@@ -335,16 +332,15 @@ class KernelCDF:
         return out if out.ndim else float(out)
 
 
-def inverse_cdf(cdf, p, domain: tuple[float, float] | None = None, survival=None):
-    """Generalized inverse: smallest x in the domain with ``cdf(x) >= p``.
+def inverse_cdf(cdf, p, survival=None):
+    """Generalized inverse: smallest x in ``cdf.support`` with ``cdf(x) >= p``.
 
     ``p`` is a probability or an array of them, inverted all at once; a
     scalar returns a float. Step CDFs exposing an exact ``quantile`` method
-    are inverted exactly. Smooth CDFs are bisected over ``domain`` (default
-    ``cdf.support``) to absolute tolerance 1e-8: one evaluation at the
-    domain's midpoint sends each entry to the lower or the upper half, and
-    each half then bisects all its entries in step, so answers from the two
-    halves cannot cross.
+    are inverted exactly. Smooth CDFs are bisected over ``cdf.support`` to
+    absolute tolerance 1e-8: one evaluation at the support's midpoint sends
+    each entry to the lower or the upper half, and each half then bisects
+    all its entries in step, so answers from the two halves cannot cross.
 
     ``survival`` optionally holds 1 - p computed directly (same shape as
     ``p``), for a ``cdf`` with an ``sf`` method. The upper half then bisects
@@ -358,7 +354,7 @@ def inverse_cdf(cdf, p, domain: tuple[float, float] | None = None, survival=None
         raise DimensionError(f"survival {q.shape} and p {probs.shape} differ in shape")
     if hasattr(cdf, "quantile"):
         return cdf.quantile(probs)
-    lo, hi = (float(v) for v in (cdf.support if domain is None else domain))
+    lo, hi = (float(v) for v in cdf.support)
     half = 0.5 * (lo + hi)
     out = np.empty(probs.shape)
     upper = probs > cdf(half)

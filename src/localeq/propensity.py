@@ -93,7 +93,6 @@ class BalanceReport:
     asmd: np.ndarray
     satisfactory_fraction: np.ndarray
     overlap_violations: list[int] = field(default_factory=list)
-    threshold: float = BALANCE_THRESHOLD
 
 
 def encode_covariates(table: ScoreTable, kinds: Sequence[str]) -> np.ndarray:

@@ -57,6 +57,25 @@ def test_tracer_installs_observes_and_restores(tmp_path, capsys):
     assert [vars(owner)[attr] for owner, attr, _, _ in targets] == before
 
 
+def test_diagnose_fits_the_propensity_model_once(tmp_path):
+    """diagnose stratifies one set of propensities for every stratum count."""
+    tracing = load_tracing()
+    golden = Path(__file__).resolve().parent / "golden"
+    tracer = tracing.Tracer()
+    with tracer.installed(tracing.targets(localeq)):
+        rc = localeq.cli.main(
+            ["diagnose", "--strata", "5,10,20", "--data", str(golden / "scores.csv"),
+             "--schema", "form:group,score:total,anchor:anch,num:c1,num:c2,cat:c3",
+             "--out-dir", str(tmp_path)]
+        )
+    assert rc == 0
+    calls, _ = tracer.summary()
+    assert calls["propensity.encode_covariates"] == 1
+    assert calls["propensity.fit_logistic"] == 1
+    assert calls["propensity.stratify_quantile"] == 3
+    assert calls["propensity.balance_report"] == 3
+
+
 def test_kernel_map_inverts_in_one_traced_call():
     """The traced names stay on the kernel path, and one map stays one batched
     inversion: a handful of kernel-CDF evaluations, not one bisection per score."""

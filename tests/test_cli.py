@@ -18,7 +18,6 @@ from localeq.cli import (
     _resolve_study,
     main,
     parse_dataset,
-    write_dataset,
 )
 from localeq.errors import ConfigError, RowError, SchemaError
 from localeq.simulation import SimulationConfig, gen_population
@@ -78,16 +77,14 @@ def small_file(tmp_path):
 
 class TestParseDataset:
     def test_happy_path(self, small_file):
-        ds = parse_dataset(small_file, DatasetSchema.from_string(SCHEMA))
-        table = ds.table
-        assert len(ds) == 3
+        table = parse_dataset(small_file, DatasetSchema.from_string(SCHEMA))
+        assert len(table) == 3
         assert table.form[0] == 0 and table.form[1] == 1
         assert table.score[0] == 12
         assert table.anchor[0] == 3
         # categorical coded as position in the sorted level list
-        assert ds.categorical_levels["gender"] == ["f", "m"]
-        assert tuple(table.covariates[0]) == (0,)
-        assert tuple(table.covariates[1]) == (1,)
+        levels = sorted({"f", "m"})
+        assert table.covariates[:, 0].tolist() == [levels.index(g) for g in "fmf"]
 
     def test_bad_score_reports_file_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -152,15 +149,6 @@ class TestParseDataset:
         )
         assert len(ds) == 2
 
-    def test_write_round_trip(self, small_file, tmp_path):
-        schema = DatasetSchema.from_string(SCHEMA)
-        ds = parse_dataset(small_file, schema)
-        out = tmp_path / "copy.csv"
-        write_dataset(ds, out)
-        again = parse_dataset(out, schema)
-        assert again.table == ds.table
-        assert again.categorical_levels == ds.categorical_levels
-
     def test_first_bad_line_wins_across_error_kinds(self, tmp_path):
         # bad form label on line 7, negative score on line 4, short row on 9
         path = tmp_path / "bad.csv"
@@ -184,8 +172,8 @@ class TestParseDataset:
     def test_blank_lines_hold_no_record(self, tmp_path):
         path = tmp_path / "ok.csv"
         write_lines(path, ["group,total,anch,gender", "X,12,3,f", "", "Y,10,1,m"])
-        ds = parse_dataset(path, DatasetSchema.from_string(SCHEMA))
-        assert ds.table.score.tolist() == [12, 10]
+        table = parse_dataset(path, DatasetSchema.from_string(SCHEMA))
+        assert table.score.tolist() == [12, 10]
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
     def test_non_finite_numeric_covariate(self, tmp_path, text):
@@ -248,23 +236,25 @@ class TestParseDataset:
             max_size=40,
         )
     )
-    def test_write_then_parse_round_trip(self, tmp_path_factory, rows):
+    def test_parse_reads_every_generated_value(self, tmp_path_factory, rows):
         schema = DatasetSchema.from_string(
             "form:group,score:total,anchor:anch,num:age,cat:tag"
         )
-        path = tmp_path_factory.mktemp("trip") / "data.csv"
+        path = tmp_path_factory.mktemp("parse") / "data.csv"
         write_lines(
             path,
             ["group,total,anch,age,tag"]
             + [f"{f},{s},{a},{age!r},{tag}" for f, s, a, age, tag in rows],
         )
-        ds = parse_dataset(path, schema)
-        copy = path.with_name("copy.csv")
-        write_dataset(ds, copy)
-        again = parse_dataset(copy, schema)
-        assert again.table == ds.table
-        assert again.categorical_levels == ds.categorical_levels
-        assert ds.categorical_levels["tag"] == sorted({row[4] for row in rows})
+        table = parse_dataset(path, schema)
+        forms, scores, anchors, ages, tags = zip(*rows)
+        levels = sorted(set(tags))
+        assert table.form.tolist() == [int(f in "Yy1") for f in forms]
+        assert table.score.tolist() == list(scores)
+        assert table.anchor.tolist() == list(anchors)
+        # a repr-written float reads back bit for bit, the sign of zero included
+        assert table.covariates[:, 0].tobytes() == np.array(ages, dtype=float).tobytes()
+        assert table.covariates[:, 1].tolist() == [levels.index(t) for t in tags]
 
 
 def write_identity_dataset(path):
@@ -510,6 +500,28 @@ def test_non_finite_covariate_is_a_row_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["equate", "--method", "anchor", "--schema", "form:group,score:total,num:c1"],
+         "method needs an anchor column in the schema"),
+        (["equate", "--method", "strat", "--schema", "form:group,score:total,anchor:anch"],
+         "this method needs covariate columns in the schema"),
+        (["equate", "--method", "ipw", "--schema", "form:group,score:total,anchor:anch"],
+         "this method needs covariate columns in the schema"),
+        (["diagnose", "--schema", "form:group,score:total,anchor:anch"],
+         "diagnose needs covariate columns in the schema"),
+    ],
+    ids=["equate-anchor", "equate-strat", "equate-ipw", "diagnose"],
+)
+def test_schema_usage_error_comes_before_the_file_is_read(tmp_path, capsys, argv, message):
+    absent = tmp_path / "absent.csv"
+    rc = main(argv + ["--data", str(absent), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not absent.exists() and not (tmp_path / "out").exists()
+
+
 class TestDiagnoseCommand:
     def test_balance_tables_per_strata_count(self, tmp_path):
         data = tmp_path / "sim.csv"
@@ -617,6 +629,27 @@ class TestSimulateCommand:
         assert seed == 11
         assert configs["tiny"].seed == 11
 
+    def test_seed_flag_overrides_echoed_scenario_seeds(self, tmp_path):
+        _, first = self.run_simulate(tmp_path, "run1")
+        rerun = tmp_path / "rerun"
+        echo = first / "resolved_config.txt"
+        rc = main(["simulate", "--config", str(echo), "--seed", "99", "--out-dir", str(rerun)])
+        assert rc == 0
+        lines = (rerun / "resolved_config.txt").read_text(encoding="utf-8").splitlines()
+        seeds = [line for line in lines if line.startswith("scenario.") and ".seed = " in line]
+        assert seeds == ["scenario.tiny.seed = 99"]
+        _, fresh = self.run_simulate(tmp_path, "fresh", extra=("--seed", "99"))
+        for name in ("report_tiny.csv", "summary.csv"):
+            assert (rerun / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_scenario_seed_beats_top_level_seed(self, tmp_path):
+        config = tmp_path / "study.cfg"
+        config.write_text("seed = 5\nscenario.a.seed = 7\nscenario.b.n = 50\n", encoding="utf-8")
+        configs, _, _, seed = _resolve_study(config)
+        assert (seed, configs["a"].seed, configs["b"].seed) == (5, 7, 5)
+        configs, _, _, seed = _resolve_study(config, seed_override=99)
+        assert (seed, configs["a"].seed, configs["b"].seed) == (99, 99, 99)
+
     def test_unknown_key_is_collected(self, tmp_path, capsys):
         config = tmp_path / "study.cfg"
         config.write_text("scenario.tiny.stratas = 8\n", encoding="utf-8")
@@ -630,6 +663,16 @@ class TestSimulateCommand:
         rc = main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)])
         assert rc == 2
         assert "scenario.tiny.n" in capsys.readouterr().err
+
+    def test_a_key_set_twice_takes_its_last_value(self, tmp_path):
+        config = tmp_path / "study.cfg"
+        config.write_text("scenario.a.n = many\nscenario.a.n = 50\n", encoding="utf-8")
+        configs, _, _, _ = _resolve_study(config)
+        assert configs["a"].n == 50
+        config.write_text("scenario.a.n = 50\nscenario.a.n = many\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            _resolve_study(config)
+        assert exc.value.keys == ["scenario.a.n"]
 
     def test_unknown_method_rejected(self, tmp_path):
         config = tmp_path / "study.cfg"
