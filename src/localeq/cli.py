@@ -400,8 +400,14 @@ def _resolve_study(path, seed_override=None):
 
     Unset keys take their defaults. A scenario's own seed beats the
     top-level ``seed``; ``seed_override`` (the --seed flag) beats both.
+    A negative seed in the file is a ConfigError naming its key.
     """
     top, scenarios = _read_config(path)
+    seeds = [("seed", top.get("seed", 0))]
+    seeds += [(f"scenario.{name}.seed", v.get("seed", 0)) for name, v in scenarios.items()]
+    negative = [key for key, seed in seeds if seed < 0]
+    if negative:
+        raise ConfigError(negative, f"seeds must be non-negative: {negative}")
     flag = {} if seed_override is None else {"seed": seed_override}
     settings = {**_TOP_LEVEL_DEFAULTS, **top, **flag}
     for method in settings["methods"]:
@@ -506,6 +512,7 @@ _strata_list_arg = _checked_arg(
     "strata list",
     "must be non-empty and positive",
 )
+_seed_arg = _checked_arg(int, lambda s: s >= 0, "seed", "must be non-negative")
 _trim_alpha_arg = _checked_arg(
     float, lambda a: 0.0 <= a < 0.5, "trim fraction", "must lie in [0, 0.5)"
 )
@@ -543,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="run the replication study")
     simulate.add_argument("--config", required=True, help="flat key=value study file")
-    simulate.add_argument("--seed", type=int, default=None)
+    simulate.add_argument("--seed", type=_seed_arg, default=None)
     simulate.add_argument("--out-dir", default=None)
     simulate.set_defaults(func=cmd_simulate)
     return parser

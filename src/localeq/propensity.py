@@ -43,12 +43,19 @@ BALANCE_THRESHOLD = 0.1
 
 
 def sigmoid(eta):
+    """Logistic function 1 / (1 + exp(-eta)) without overflow.
+
+    With e = exp(-|eta|) it is 1 / (1 + e) for eta >= 0 and e / (1 + e)
+    below, one exp per element. Not ``scipy.special.expit``: that differs by
+    up to 1 ulp, enough to flip a seeded ``rng.random() < p`` draw.
+    """
     eta = np.asarray(eta, dtype=float)
-    out = np.empty_like(eta)
     pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    expeta = np.exp(eta[~pos])
-    out[~pos] = expeta / (1.0 + expeta)
+    e = np.where(pos, -eta, eta)  # -|eta|, and a NaN keeps its sign bit
+    np.exp(e, out=e)
+    out = np.where(pos, 1.0, e)
+    e += 1.0
+    out /= e
     return out if out.ndim else float(out)
 
 

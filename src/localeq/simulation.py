@@ -141,6 +141,8 @@ class SimulationConfig:
         for name in ("n", "items", "anchor_items", "strata", "replications", "nbins"):
             if int(getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be positive")
+        if int(self.seed) < 0:
+            raise ValueError("seed must be non-negative")
         if self.covariate_strength not in STRENGTH_RANGES:
             raise ValueError(
                 f"covariate_strength must be one of {sorted(STRENGTH_RANGES)}, "
@@ -249,9 +251,11 @@ def gen_population(
     propensity = sigmoid(beta[0] + proxies @ beta[1:])
     form = (rng.random(n) < propensity).astype(int)
 
-    p_x = prob_2pl(theta[:, None], design.form_x_items.a, design.form_x_items.b)
-    p_y = prob_2pl(theta[:, None], design.form_y_items.a, design.form_y_items.b)
-    p_taken = np.where(form[:, None] == 1, p_y, p_x)
+    # each examinee's item probabilities on the form taken, one form at a time
+    p_taken = np.empty((n, design.form_x_items.n_items))
+    for taken, items in enumerate((design.form_x_items, design.form_y_items)):
+        rows = form == taken
+        p_taken[rows] = prob_2pl(theta[rows, None], items.a, items.b)
     score = (rng.random(p_taken.shape) < p_taken).sum(axis=1)
 
     return SimulatedPopulation(
@@ -294,24 +298,13 @@ def true_transform(
     )
 
 
-def _conditional_score_distribution(items: ItemParams, theta: float) -> np.ndarray:
-    p = prob_2pl(float(theta), items.a, items.b)
-    dist = np.array([1.0])
-    for p_l in p:
-        nxt = np.empty(dist.size + 1)
-        nxt[0] = dist[0] * (1.0 - p_l)
-        nxt[-1] = dist[-1] * p_l
-        nxt[1:-1] = dist[1:] * (1.0 - p_l) + dist[:-1] * p_l
-        dist = nxt
-    return dist
-
-
 def score_distribution(items: ItemParams, nodes, weights) -> np.ndarray:
     """Sum-score distribution marginalized over an ability grid.
 
-    Runs the convolution recursion at each node and averages with the grid
-    weights, which must sum to 1. A single node with weight 1 gives the
-    conditional distribution at that ability.
+    Runs the Lord-Wingersky recursion at every node at once, one item per
+    step over a nodes x scores array, then averages the rows with the grid
+    weights, which must sum to 1, in node order. A single node with weight
+    1 gives the conditional distribution at that ability.
     """
     nodes = np.asarray(nodes, dtype=float).reshape(-1)
     weights = np.asarray(weights, dtype=float).reshape(-1)
@@ -319,9 +312,18 @@ def score_distribution(items: ItemParams, nodes, weights) -> np.ndarray:
         raise ValueError("one weight per node required")
     if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError("grid weights must be non-negative and sum to 1")
+    p = prob_2pl(nodes[:, None], items.a, items.b)
+    dist = np.ones((nodes.size, 1))
+    for p_l in p.T[:, :, None]:  # one item's nodes x 1 column per step
+        q_l = 1.0 - p_l
+        nxt = np.empty((nodes.size, dist.shape[1] + 1))
+        nxt[:, :1] = dist[:, :1] * q_l
+        nxt[:, -1:] = dist[:, -1:] * p_l
+        nxt[:, 1:-1] = dist[:, 1:] * q_l + dist[:, :-1] * p_l
+        dist = nxt
     out = np.zeros(items.n_items + 1)
-    for theta, w in zip(nodes, weights):
-        out += w * _conditional_score_distribution(items, theta)
+    for w, row in zip(weights, dist):  # not weights @ dist: keep the sum order
+        out += w * row
     return out
 
 

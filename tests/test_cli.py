@@ -674,6 +674,38 @@ class TestSimulateCommand:
             _resolve_study(config)
         assert exc.value.keys == ["scenario.a.n"]
 
+    def test_negative_seed_flag_is_a_usage_error(self, tmp_path):
+        config = tmp_path / "study.cfg"
+        config.write_text(TINY_CONFIG, encoding="utf-8")
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "localeq.cli", "simulate",
+                "--config", str(config), "--seed", "-1", "--out-dir", str(out),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "argument --seed: seed must be non-negative" in proc.stderr
+        assert not (out / "resolved_config.txt").exists()
+
+    @pytest.mark.parametrize(
+        "line, key", [("seed = -1", "seed"), ("scenario.tiny.seed = -1", "scenario.tiny.seed")]
+    )
+    def test_negative_seed_in_the_file_is_a_config_error(self, tmp_path, capsys, line, key):
+        config = tmp_path / "study.cfg"
+        config.write_text(TINY_CONFIG + line + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            _resolve_study(config)
+        assert exc.value.keys == [key]
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(config), "--out-dir", str(out)])
+        assert rc == 2
+        assert f"seeds must be non-negative: ['{key}']" in capsys.readouterr().err
+        assert not (out / "resolved_config.txt").exists()
+
     def test_unknown_method_rejected(self, tmp_path):
         config = tmp_path / "study.cfg"
         config.write_text("methods = anchor,bogus\n", encoding="utf-8")

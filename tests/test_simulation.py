@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
 from localeq.errors import OmittedBinError
+from localeq.propensity import sigmoid
 from localeq.simulation import (
     CovariateDesign,
     ItemParams,
@@ -24,6 +26,94 @@ from localeq.simulation import (
     score_distribution,
     true_transform,
 )
+
+
+def masked_sigmoid(eta):
+    """The two-branch sigmoid the one-exp form replaced, kept as a reference."""
+    eta = np.asarray(eta, dtype=float)
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    expeta = np.exp(eta[~pos])
+    out[~pos] = expeta / (1.0 + expeta)
+    return out if out.ndim else float(out)
+
+
+def reference_population(config, rng):
+    """The draw as it was written before the taken-form 2PL evaluation.
+
+    Same draw order as ``gen_population``; both forms' probabilities are
+    evaluated for every examinee and the taken one picked with np.where.
+    """
+
+    def p2pl(theta, a, b):
+        return masked_sigmoid(np.asarray(a, dtype=float) * (theta - np.asarray(b, dtype=float)))
+
+    def standardize(column):
+        sd = column.std(ddof=1) if column.size > 1 else 0.0
+        return np.zeros_like(column) if sd == 0.0 else (column - column.mean()) / sd
+
+    design = draw_design(config, rng)
+    n = config.n
+    group = (rng.random(n) < 0.5).astype(int)
+    means = np.asarray(config.group_theta_means, dtype=float)
+    theta = means[group] + config.theta_sd * rng.standard_normal(n)
+    p_anchor = p2pl(theta[:, None], design.anchor_items.a, design.anchor_items.b)
+    anchor_score = (rng.random(p_anchor.shape) < p_anchor).sum(axis=1)
+    columns = []
+    for a_c, b_c in zip(design.covariates.discriminations, design.covariates.difficulties):
+        p = p2pl(theta[:, None], a_c, b_c)
+        columns.append((rng.random(p.shape) < p).sum(axis=1))
+    covariates = np.column_stack(columns).astype(int)
+    beta = np.asarray(config.beta, dtype=float)
+    proxies = np.column_stack(
+        [standardize(anchor_score.astype(float))]
+        + [standardize(covariates[:, j].astype(float)) for j in range(covariates.shape[1])]
+    )
+    propensity = masked_sigmoid(beta[0] + proxies @ beta[1:])
+    form = (rng.random(n) < propensity).astype(int)
+    p_x = p2pl(theta[:, None], design.form_x_items.a, design.form_x_items.b)
+    p_y = p2pl(theta[:, None], design.form_y_items.a, design.form_y_items.b)
+    p_taken = np.where(form[:, None] == 1, p_y, p_x)
+    score = (rng.random(p_taken.shape) < p_taken).sum(axis=1)
+    return dict(theta=theta, group=group, anchor_score=anchor_score, covariates=covariates,
+                propensity=propensity, form=form, score=score)
+
+
+def per_node_score_distribution(items, nodes, weights):
+    """The Lord-Wingersky recursion one node at a time, kept as a reference."""
+    out = np.zeros(items.n_items + 1)
+    for theta, w in zip(nodes, weights):
+        p = prob_2pl(float(theta), items.a, items.b)
+        dist = np.array([1.0])
+        for p_l in p:
+            nxt = np.empty(dist.size + 1)
+            nxt[0] = dist[0] * (1.0 - p_l)
+            nxt[-1] = dist[-1] * p_l
+            nxt[1:-1] = dist[1:] * (1.0 - p_l) + dist[:-1] * p_l
+            dist = nxt
+        out += w * dist
+    return out
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSigmoidPinned:
+    def test_edge_values_match_the_masked_form_bit_for_bit(self):
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 700.0, -745.0, 1e-300, -5e-324]
+        for value in edges:
+            assert same_bytes(sigmoid(value), masked_sigmoid(value)), value
+        assert isinstance(sigmoid(0.25), float)
+        assert same_bytes(sigmoid(np.array(edges)), masked_sigmoid(np.array(edges)))
+
+    def test_normal_draws_match_the_masked_form_bit_for_bit(self):
+        eta = np.random.default_rng(0).standard_normal(100_000)
+        assert same_bytes(sigmoid(eta), masked_sigmoid(eta))
+        wide = 8.0 * eta.reshape(250, 400)
+        assert same_bytes(sigmoid(wide), masked_sigmoid(wide))
 
 
 class TestProb2PL:
@@ -138,6 +228,11 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(n=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SimulationConfig(seed=-1)
+        assert SimulationConfig(seed=0).seed == 0
+
 
 class TestGenPopulation:
     def test_bit_reproducible(self):
@@ -183,6 +278,29 @@ class TestGenPopulation:
             resid = pop.score[sel] - mu
             se = math.sqrt(var.mean() / sel.sum())
             assert abs(resid.mean()) < 4 * se
+
+    @pytest.mark.parametrize("strength", ["medium", "weak"])
+    @pytest.mark.parametrize("n", [1, 37, 1000])
+    def test_columns_match_the_reference_draw_bit_for_bit(self, n, strength):
+        # n = 1 leaves one form without examinees: an empty row block
+        for seed in range(5):
+            config = SimulationConfig(n=n, covariate_strength=strength, seed=seed)
+            pop = gen_population(config, np.random.default_rng(seed))
+            expected = reference_population(config, np.random.default_rng(seed))
+            for name, column in expected.items():
+                assert same_bytes(getattr(pop, name), column), (seed, name)
+
+    def test_peak_memory_stays_within_four_score_matrices(self):
+        config = SimulationConfig(n=10_000, items=40)
+        rng = np.random.default_rng(3)
+        design = draw_design(config, rng)
+        tracemalloc.start()
+        try:
+            gen_population(config, rng, design=design)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * config.n * config.items * 8
 
     def test_records_round_trip(self):
         config = SimulationConfig(n=20)
@@ -310,6 +428,19 @@ class TestScoreDistribution:
         mean = (np.arange(13) * dist).sum()
         expected = (weights * prob_2pl(nodes[:, None], items.a, items.b).sum(axis=1)).sum()
         assert mean == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("n_items", [1, 2, 40])
+    @pytest.mark.parametrize("n_nodes", [1, 61])
+    def test_batched_recursion_matches_the_per_node_loop(self, n_items, n_nodes):
+        rng = np.random.default_rng(100 * n_items + n_nodes)
+        for _ in range(5):
+            items = ItemParams(a=rng.uniform(0.1, 4.0, n_items), b=rng.normal(0.0, 2.0, n_items))
+            nodes = rng.normal(0.0, 3.0, n_nodes)
+            nodes[: min(n_nodes, 4)] = [-60.0, 60.0, -800.0, 800.0][:n_nodes]
+            weights = rng.random(n_nodes)
+            weights /= weights.sum()
+            got = score_distribution(items, nodes, weights)
+            assert np.array_equal(got, per_node_score_distribution(items, nodes, weights))
 
     def test_weight_validation(self):
         items = draw_items(2, np.random.default_rng(0))
