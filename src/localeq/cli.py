@@ -1,6 +1,7 @@
 """Command-line front end: `localeq equate | diagnose | simulate`.
 
-All input and output is comma-separated UTF-8 text with a header row.
+All input and output is comma-separated UTF-8 text with a header row; an
+input file may start with a byte-order mark.
 Floats are written with repr so identical runs produce identical bytes.
 The default output directory comes from --out-dir, then the
 LOCALEQ_OUT_DIR environment variable, then the working directory.
@@ -17,10 +18,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import os
 import sys
 from dataclasses import dataclass, fields
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -120,32 +123,72 @@ class DatasetSchema:
         return [kind for _, kind in self.covariates]
 
 
-def _read_rows(path, schema):
-    """The header and every record after it; record i sits on file line i + 2."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(schema.form, "file has no header row") from None
-        rows = list(reader)
-    return header, rows
-
-
 def parse_dataset(path, schema: DatasetSchema) -> ScoreTable:
     """Read and validate a delimited dataset against a schema, column by column.
 
-    Only when a value is invalid are the rows read again, one by one, to name
-    the first bad 1-based file line (the header is line 1). Numeric covariates
-    must be finite; categorical ones, arbitrary strings, are coded as
-    positions in the column's sorted level list.
+    The file is decoded once. ``_split_columns`` takes a file without quotes as
+    one flat field list; the reference row scan, ``_scan_rows``, takes every
+    other file and every file the split declines, and names the first bad
+    1-based file line (the header is line 1). Numeric covariates must be
+    finite; categorical ones, arbitrary strings, are coded as positions in the
+    column's sorted level list.
     """
-    header, rows = _read_rows(path, schema)
-    positions = {}
+    text = _read_text(path)
+    table = _split_columns(text, schema)
+    return _scan_rows(text, schema) if table is None else table
+
+
+def _read_text(path):
+    """The file decoded as UTF-8 after an optional byte-order mark.
+
+    An undecodable byte is a RowError naming its file line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        head = exc.object[: exc.start]  # the bytes after the mark
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        bad = exc.object[exc.start]
+        raise RowError(line, f"byte {bad:#04x} is not valid UTF-8") from None
+
+
+def _split_columns(text, schema):
+    """The table from one flat field list, or None where the row scan must decide.
+
+    It declines a file with a quote or a NUL, a line as long as csv's field
+    size limit, a blank header, a row of the wrong width and any invalid value,
+    so what it returns is what ``_scan_rows`` would.
+    """
+    if '"' in text or "\0" in text:
+        return None
+    # outside quotes, CRLF and a lone CR end a record as LF does
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[0] or max(map(len, lines)) >= csv.field_size_limit():
+        return None
+    header = lines[0].split(",")
+    positions = _column_positions(header, schema)
+    body = list(filter(None, lines[1:]))  # blank lines hold no record
+    del lines
+    width = len(header)
+    if not body or set(map(str.count, body, repeat(","))) != {width - 1}:
+        return None
+    joined = ",".join(body)
+    del body  # the line strings go before the field strings come
+    try:
+        return _table_from_values(joined.split(","), width, positions, schema)
+    except (KeyError, ValueError, OverflowError):
+        return None
+
+
+def _column_positions(header, schema):
+    """Each schema column's index in ``header``; SchemaError unless it covers it."""
     required = [schema.form, schema.score]
     if schema.anchor is not None:
         required.append(schema.anchor)
     required.extend(schema.covariate_names)
+    positions = {}
     for column in required:
         if column not in header:
             raise SchemaError(column, f"required column {column!r} missing from header")
@@ -156,63 +199,83 @@ def parse_dataset(path, schema: DatasetSchema) -> ScoreTable:
             untagged[0],
             f"columns not covered by the schema or its ignore list: {untagged}",
         )
-
-    rows = [row for row in rows if row]  # blank lines hold no record
-    if not rows:
-        raise RowError(2, "file contains no data rows")
-    if set(map(len, rows)) == {len(header)}:
-        columns = list(zip(*rows))
-        del rows  # the columns hold every value; the error path rereads the file
-        try:
-            return _table_from_columns(columns, positions, schema)
-        except (KeyError, ValueError, OverflowError):
-            pass
-    _raise_first_bad_row(path, schema, len(header), positions)
-    raise AssertionError("the row scan accepted what the column parse rejected")
+    return positions
 
 
-def _table_from_columns(columns, positions, schema):
-    """The validated table; KeyError or ValueError on a bad value."""
-    n = len(columns[0])
-    column = {name: columns[i] for name, i in positions.items()}
+def _table_from_values(values, width, positions, schema):
+    """The table of ``values``, the records' fields end to end, ``width`` per record.
+
+    Each column is taken as a slice; KeyError, ValueError or OverflowError on a
+    bad value.
+    """
+    n = len(values) // width
+
+    def column(name):
+        return values[positions[name] :: width]
 
     def integers(name):
-        return np.fromiter(map(int, column[name]), np.int64, n)
+        return np.fromiter(map(int, column(name)), np.int64, n)
 
-    form = np.fromiter(map(_FORM_LABELS.__getitem__, column[schema.form]), np.int64, n)
+    form = np.fromiter(map(_FORM_LABELS.__getitem__, column(schema.form)), np.int64, n)
     anchor = None if schema.anchor is None else integers(schema.anchor)
     covariates = np.empty((n, len(schema.covariates)))
     for j, (name, kind) in enumerate(schema.covariates):
+        texts = column(name)
         if kind == "numeric":
-            covariates[:, j] = np.fromiter(map(float, column[name]), float, n)
+            covariates[:, j] = np.fromiter(map(float, texts), float, n)
         else:
-            code = {level: i for i, level in enumerate(sorted(set(column[name])))}
-            covariates[:, j] = np.fromiter(map(code.get, column[name]), float, n)
+            code = {level: i for i, level in enumerate(sorted(set(texts)))}
+            covariates[:, j] = np.fromiter(map(code.get, texts), float, n)
     return ScoreTable(form, integers(schema.score), anchor, covariates)
 
 
-def _raise_first_bad_row(path, schema, width, positions):
-    """Read the rows again and raise the RowError of the first invalid one."""
-    _, rows = _read_rows(path, schema)
-    for line, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != width:
-            raise RowError(line, f"expected {width} fields, got {len(row)}")
-        form_text = row[positions[schema.form]]
-        if form_text not in _FORM_LABELS:
-            raise RowError(line, f"unknown form label {form_text!r}")
-        score = _parse_number(row[positions[schema.score]], schema.score, line)
-        anchor = None
-        if schema.anchor is not None:
-            anchor = [_parse_number(row[positions[schema.anchor]], schema.anchor, line)]
-        for name, kind in schema.covariates:
-            if kind == "numeric":
-                _parse_number(row[positions[name]], name, line, float)
-        try:
-            ScoreTable([_FORM_LABELS[form_text]], [score], anchor)
-        except ValueError as exc:
-            raise RowError(line, str(exc)) from None
+def _scan_rows(text, schema):
+    """The reference parse: csv.reader, row by row, in the excel dialect.
+
+    Returns the table, or raises the RowError of the first invalid record;
+    record i after the header sits on file line i + 2. A csv error (a field
+    over the size limit) is a RowError on the line where the reader stopped.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError(schema.form, "file has no header row")
+        positions = _column_positions(header, schema)
+        rows = []
+        for line, row in enumerate(reader, start=2):
+            if row:
+                _check_row(row, line, schema, len(header), positions)
+                rows.append(row)
+    except csv.Error as exc:
+        raise RowError(reader.line_num, str(exc)) from None
+    if not rows:
+        raise RowError(2, "file contains no data rows")
+    return _table_from_values(list(chain.from_iterable(rows)), len(header), positions, schema)
+
+
+def _check_row(row, line, schema, width, positions):
+    """Raise a RowError if the record on ``line`` is invalid.
+
+    Its width, form label and number syntax come first, its score and anchor
+    signs last.
+    """
+    if len(row) != width:
+        raise RowError(line, f"expected {width} fields, got {len(row)}")
+    form_text = row[positions[schema.form]]
+    if form_text not in _FORM_LABELS:
+        raise RowError(line, f"unknown form label {form_text!r}")
+    score = _parse_number(row[positions[schema.score]], schema.score, line)
+    anchor = None
+    if schema.anchor is not None:
+        anchor = _parse_number(row[positions[schema.anchor]], schema.anchor, line)
+    for name, kind in schema.covariates:
+        if kind == "numeric":
+            _parse_number(row[positions[name]], name, line, float)
+    if score < 0:
+        raise RowError(line, f"total score must be non-negative, got {score}")
+    if anchor is not None and anchor < 0:
+        raise RowError(line, f"anchor score must be non-negative, got {anchor}")
 
 
 def _parse_number(text, column, line, convert=int):
@@ -400,7 +463,8 @@ def _resolve_study(path, seed_override=None):
 
     Unset keys take their defaults. A scenario's own seed beats the
     top-level ``seed``; ``seed_override`` (the --seed flag) beats both.
-    A negative seed in the file is a ConfigError naming its key.
+    A negative seed or a worker count below 1 in the file is a ConfigError
+    naming its key.
     """
     top, scenarios = _read_config(path)
     seeds = [("seed", top.get("seed", 0))]
@@ -410,6 +474,8 @@ def _resolve_study(path, seed_override=None):
         raise ConfigError(negative, f"seeds must be non-negative: {negative}")
     flag = {} if seed_override is None else {"seed": seed_override}
     settings = {**_TOP_LEVEL_DEFAULTS, **top, **flag}
+    if settings["workers"] < 1:
+        raise ConfigError(["workers"], f"workers must be at least 1, got {settings['workers']}")
     for method in settings["methods"]:
         if method not in METHODS:
             raise ConfigError(["methods"], f"unknown study method {method!r}")

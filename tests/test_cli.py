@@ -1,9 +1,11 @@
 """Tests for dataset parsing and the three CLI verbs."""
 
+import codecs
 import csv
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -14,8 +16,9 @@ from hypothesis import strategies as st
 from localeq.cli import (
     DatasetSchema,
     _echo_config,
-    _raise_first_bad_row,
     _resolve_study,
+    _scan_rows,
+    _split_columns,
     main,
     parse_dataset,
 )
@@ -54,6 +57,10 @@ class TestDatasetSchema:
 
 
 SCHEMA = "form:group,score:total,anchor:anch,cat:gender"
+
+# texts put in place of any one field of a generated record
+SWAP_TEXTS = ["X", "y", "1", "Q", "", "3", "-2", "abc", "1.5", "nan", "-inf", "1e3",
+              str(2**64), '"Y"', '"7"', '"3.25"', '"a,b"']
 
 
 def write_lines(path, lines):
@@ -191,36 +198,77 @@ class TestParseDataset:
         assert exc.value.row == 3
         assert "out of range" in str(exc.value)
 
-    @settings(max_examples=150, deadline=None)
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark
+        schema = DatasetSchema.from_string("form:group,score:total,anchor:anch")
+        lines = ["group,total,anch", "X,12,3", "Y,10,4"]
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_lines(plain, lines)
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert parse_dataset(marked, schema) == parse_dataset(plain, schema)
+
+    def test_field_over_the_csv_size_limit(self, tmp_path):
+        path = tmp_path / "long.csv"
+        label = "a" * (csv.field_size_limit() + 1)
+        write_lines(path, ["group,total,tag", "X,12,a", f"Y,10,{label}"])
+        with pytest.raises(RowError) as exc:
+            parse_dataset(path, DatasetSchema.from_string("form:group,score:total,cat:tag"))
+        assert exc.value.row == 3
+        assert "field larger than field limit" in str(exc.value)
+
+    @settings(max_examples=300, deadline=None)
     @given(
         rows=st.lists(
-            st.lists(
-                st.sampled_from(["X", "y", "1", "Q", "", "3", "-2", "abc", "1.5",
-                                 "nan", "-inf", "1e3", str(2**64)]),
-                min_size=3,
-                max_size=5,
+            st.tuples(
+                st.sampled_from(["X", "y", "1", "0"]),
+                st.sampled_from(["3", "0", "12", " 4"]),
+                st.sampled_from(["1", "0", "7"]),
+                st.sampled_from(["1.5", "-0.0", "2", "1e3"]),
+                st.sampled_from(["a", "b", "", "a b", 'a"b', '"a,b"', '"x""y"', '"b"']),
+                st.integers(0, 11),  # the field swapped, if below 5
+                st.sampled_from(SWAP_TEXTS),
+                st.sampled_from([0] * 8 + [-1, 1]),  # fields dropped or added
+                st.sampled_from([False] * 3 + [True]),  # a blank line after the record
             ),
             min_size=1,
             max_size=6,
-        )
+        ),
+        line_end=st.sampled_from(["\n", "\n", "\r\n", "\r"]),
+        quotes=st.booleans(),
+        final_newline=st.booleans(),
     )
-    def test_column_parse_agrees_with_the_row_scan(self, tmp_path_factory, rows):
-        # whole-column conversion and the row-by-row scan accept the same
-        # files, and on a bad file the scan raises the error parse_dataset does
-        schema = DatasetSchema.from_string("form:group,score:total,anchor:anch,num:c1")
+    def test_column_parse_agrees_with_the_row_scan(
+        self, tmp_path_factory, rows, line_end, quotes, final_newline
+    ):
+        # parse_dataset, the column split and the reference row scan return
+        # the same table bit for bit, or raise the same RowError
+        schema = DatasetSchema.from_string("form:group,score:total,anchor:anch,num:c1,cat:c2")
+        lines = ["group,total,anch,c1,c2"]
+        for *values, swap_at, swap_text, width_change, blank in rows:
+            if swap_at < len(values):
+                values[swap_at] = swap_text
+            values = values[: len(values) + width_change] + ["5"] * width_change
+            line = ",".join(values)
+            lines += [line if quotes else line.replace('"', "")] + [""] * blank
+        text = line_end.join(lines) + (line_end if final_newline else "")
         path = tmp_path_factory.mktemp("scan") / "data.csv"
-        write_lines(path, ["group,total,anch,c1"] + [",".join(row) for row in rows])
-        try:
-            parse_dataset(path, schema)
-            error = None
-        except RowError as exc:
-            error = str(exc)
-        positions = {"group": 0, "total": 1, "anch": 2, "c1": 3}
-        try:
-            _raise_first_bad_row(path, schema, 4, positions)
-            assert error is None
-        except RowError as exc:
-            assert str(exc) == error
+        path.write_bytes(text.encode("utf-8"))
+
+        def columns(table):
+            arrays = (table.form, table.score, table.anchor, table.covariates)
+            return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+        def outcome(parse, source):
+            try:
+                return columns(parse(source, schema))
+            except RowError as exc:
+                return str(exc)
+
+        reference = outcome(_scan_rows, text)
+        assert outcome(parse_dataset, path) == reference
+        split = _split_columns(text, schema)
+        if split is not None:
+            assert columns(split) == reference
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -446,19 +494,13 @@ class TestEquateCommand:
 
     def test_seeded_kernel_command_completes(self, tmp_path):
         # the seeded 20k-row file on which the kernel CDF once overshot 1
-        config = SimulationConfig(n=20000, seed=1)
-        pop = gen_population(config, np.random.default_rng(1))
         data = tmp_path / "scores.csv"
-        np.savetxt(
-            data,
-            np.column_stack([pop.form, pop.score, pop.anchor_score, pop.covariates]),
-            fmt="%d", delimiter=",", header="form,score,anchor,c1,c2,c3", comments="",
-        )
+        write_bench_dataset(data)
         rc = main(
             [
                 "equate",
                 "--data", str(data),
-                "--schema", "form:form,score:score,anchor:anchor,num:c1,num:c2,num:c3",
+                "--schema", BENCH_SCHEMA,
                 "--method", "equipercentile-anchor",
                 "--bandwidth", "0.6",
                 "--out-dir", str(tmp_path),
@@ -472,6 +514,50 @@ class TestEquateCommand:
                 equated = [float(row["equated"]) for row in csv.DictReader(fh)]
             assert np.all(np.isfinite(equated))
             assert np.all(np.diff(equated) >= 0.0)
+
+
+def write_bench_dataset(path, n=20000, seed=1):
+    """The benchmark's seeded integer file: form, score, anchor and three covariates."""
+    pop = gen_population(SimulationConfig(n=n, seed=seed), np.random.default_rng(seed))
+    np.savetxt(
+        path,
+        np.column_stack([pop.form, pop.score, pop.anchor_score, pop.covariates]),
+        fmt="%d", delimiter=",", header="form,score,anchor,c1,c2,c3", comments="",
+    )
+
+
+BENCH_SCHEMA = "form:form,score:score,anchor:anchor,num:c1,num:c2,num:c3"
+
+
+def test_column_split_reads_a_20k_row_file_within_its_memory_bound(tmp_path):
+    # a Python list per record, as csv.reader makes, peaks at 6.4 MB on this
+    # file; one flat field list peaks at 4.4 MB
+    data = tmp_path / "scores.csv"
+    write_bench_dataset(data)
+    schema = DatasetSchema.from_string(BENCH_SCHEMA)
+    assert _split_columns(data.read_text(encoding="utf-8"), schema) is not None
+    tracemalloc.start()
+    try:
+        table = parse_dataset(data, schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 20000
+    assert peak < 5.3e6, f"parse peaked at {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize(
+    "prefix, line_end", [(b"", b"\n"), (codecs.BOM_UTF8, b"\n"), (b"", b"\r\n"), (b"", b"\r")]
+)
+def test_undecodable_byte_is_a_row_error(tmp_path, capsys, prefix, line_end):
+    data = tmp_path / "bad.csv"
+    data.write_bytes(prefix + line_end.join([b"group,total,anch", b"X,12,3", b"Y,1\xff,4", b""]))
+    rc = main(
+        ["equate", "--method", "anchor", "--data", str(data),
+         "--schema", "form:group,score:total,anchor:anch", "--out-dir", str(tmp_path)]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == "error: row 3: byte 0xff is not valid UTF-8\n"
 
 
 def write_non_finite_dataset(path):
@@ -704,6 +790,19 @@ class TestSimulateCommand:
         rc = main(["simulate", "--config", str(config), "--out-dir", str(out)])
         assert rc == 2
         assert f"seeds must be non-negative: ['{key}']" in capsys.readouterr().err
+        assert not (out / "resolved_config.txt").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_worker_count_below_one_is_a_config_error(self, tmp_path, capsys, count):
+        config = tmp_path / "study.cfg"
+        config.write_text(TINY_CONFIG + f"workers = {count}\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            _resolve_study(config)
+        assert exc.value.keys == ["workers"]
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(config), "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: workers must be at least 1, got {count}\n"
         assert not (out / "resolved_config.txt").exists()
 
     def test_unknown_method_rejected(self, tmp_path):

@@ -5,12 +5,15 @@
 32-replication, 10-bin scenario on two worker processes), the six
 linear and step-equipercentile ``equate`` methods, the anchor and IPW
 kernel-equipercentile ``equate`` methods (bandwidth 0.6) and ``diagnose``
-write for the inputs beside it. A change that is meant to alter these bytes must say
+write for the inputs beside it. ``equate`` and ``diagnose`` must write the
+same bytes when ``scores.csv`` is rewritten with a byte-order mark, CRLF
+line ends and every field quoted. A change that is meant to alter these bytes must say
 so and regenerate the digests explicitly:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import codecs
 import hashlib
 import sys
 from pathlib import Path
@@ -21,6 +24,7 @@ from localeq.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SUMS = GOLDEN / "SHA256SUMS"
+SCORES = str(GOLDEN / "scores.csv")
 SCHEMA = "form:group,score:total,anchor:anch,num:c1,num:c2,cat:c3"
 EQUATE_METHODS = (
     "anchor",
@@ -36,24 +40,26 @@ COMMANDS = {
     "simulate-parallel": ["simulate", "--config", str(GOLDEN / "study_parallel.cfg")],
     **{
         method: ["equate", "--method", method, "--strata", "6",
-                 "--data", str(GOLDEN / "scores.csv"), "--schema", SCHEMA]
+                 "--data", SCORES, "--schema", SCHEMA]
         for method in EQUATE_METHODS
     },
     **{
         f"{method}-kernel": ["equate", "--method", method, "--bandwidth", "0.6",
-                             "--strata", "6", "--data", str(GOLDEN / "scores.csv"),
+                             "--strata", "6", "--data", SCORES,
                              "--schema", SCHEMA]
         for method in ("equipercentile-anchor", "equipercentile-ipw")
     },
     "diagnose": ["diagnose", "--strata", "3,6",
-                 "--data", str(GOLDEN / "scores.csv"), "--schema", SCHEMA],
+                 "--data", SCORES, "--schema", SCHEMA],
 }
 
 
-def digests(name, out_root):
-    """Run one command into ``out_root/name``; sha256 per written file."""
+def digests(name, out_root, data=SCORES):
+    """Run one command, ``data`` in place of scores.csv, into ``out_root/name``;
+    sha256 per written file."""
     out = Path(out_root) / name
-    assert main(COMMANDS[name] + ["--out-dir", str(out)]) == 0
+    argv = [data if arg == SCORES else arg for arg in COMMANDS[name]]
+    assert main(argv + ["--out-dir", str(out)]) == 0
     return {
         f"{name}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(out.iterdir())
@@ -70,6 +76,15 @@ def test_outputs_match_golden_digests(name, tmp_path, capsys):
     expected = pinned(name)
     assert expected, f"no golden digests for {name}"
     assert digests(name, tmp_path) == expected
+
+
+@pytest.mark.parametrize("name", [name for name in COMMANDS if SCORES in COMMANDS[name]])
+def test_quoted_crlf_file_with_a_byte_order_mark_matches(name, tmp_path, capsys):
+    lines = Path(SCORES).read_text(encoding="utf-8").splitlines()
+    quoted = "".join('"' + '","'.join(line.split(",")) + '"\r\n' for line in lines)
+    data = tmp_path / "scores.csv"
+    data.write_bytes(codecs.BOM_UTF8 + quoted.encode("utf-8"))
+    assert digests(name, tmp_path / "out", str(data)) == pinned(name)
 
 
 if __name__ == "__main__":
