@@ -232,9 +232,10 @@ def _table_from_values(values, width, positions, schema):
 def _scan_rows(text, schema):
     """The reference parse: csv.reader, row by row, in the excel dialect.
 
-    Returns the table, or raises the RowError of the first invalid record;
-    record i after the header sits on file line i + 2. A csv error (a field
-    over the size limit) is a RowError on the line where the reader stopped.
+    Returns the table, or raises the RowError of the first invalid record,
+    named by the file line it starts on (a quoted field may span lines). A
+    csv error (a field over the size limit) is a RowError on the line where
+    the reader stopped.
     """
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
@@ -243,10 +244,12 @@ def _scan_rows(text, schema):
             raise SchemaError(schema.form, "file has no header row")
         positions = _column_positions(header, schema)
         rows = []
-        for line, row in enumerate(reader, start=2):
+        end = reader.line_num  # the file line the previous record ended on
+        for row in reader:
             if row:
-                _check_row(row, line, schema, len(header), positions)
+                _check_row(row, end + 1, schema, len(header), positions)
                 rows.append(row)
+            end = reader.line_num
     except csv.Error as exc:
         raise RowError(reader.line_num, str(exc)) from None
     if not rows:

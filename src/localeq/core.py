@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import (
     DimensionError,
@@ -270,6 +269,15 @@ class ECDF:
         return out if out.ndim else float(out)
 
 
+def _ndtr(z):
+    """The standard normal CDF, elementwise."""
+    # imported at first use: scipy.special takes about 0.3 s to load and only
+    # kernel continuization needs it
+    from scipy.special import ndtr
+
+    return ndtr(z)
+
+
 class KernelCDF:
     """Gaussian-kernel continuization of a weighted sample.
 
@@ -313,7 +321,7 @@ class KernelCDF:
         x = np.asarray(x, dtype=float)
         if self.scale == 0.0:
             return self._mix(x[..., None] >= self.centers)
-        return self._mix(ndtr((x[..., None] - self.centers) / self.scale))
+        return self._mix(_ndtr((x[..., None] - self.centers) / self.scale))
 
     def sf(self, x):
         """Survival function 1 - F_h(x) = sum_j r_j * Phi((c_j - x) / s).
@@ -324,7 +332,7 @@ class KernelCDF:
         x = np.asarray(x, dtype=float)
         if self.scale == 0.0:
             return self._mix(x[..., None] < self.centers)
-        return self._mix(ndtr((self.centers - x[..., None]) / self.scale))
+        return self._mix(_ndtr((self.centers - x[..., None]) / self.scale))
 
     def _mix(self, mass):
         # the weighted sum can overshoot 1 by a few ulp; a probability cannot

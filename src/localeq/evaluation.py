@@ -15,10 +15,8 @@ worker count.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from multiprocessing import get_context
 from typing import Sequence
 
 import numpy as np
@@ -353,6 +351,10 @@ def run_study(
 
     replicate = partial(_run_replication, config, design, methods)
     if workers > 1:
+        # imported here so a one-worker study never loads the process-pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=get_context("fork")
         ) as pool:

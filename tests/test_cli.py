@@ -56,6 +56,16 @@ class TestDatasetSchema:
             DatasetSchema.from_string("form:group,score")
 
 
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+
+def src_env():
+    """This environment with src/ first on PYTHONPATH, for a localeq subprocess."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
 SCHEMA = "form:group,score:total,anchor:anch,cat:gender"
 
 # texts put in place of any one field of a generated record
@@ -175,6 +185,13 @@ class TestParseDataset:
         with pytest.raises(RowError) as exc:
             parse_dataset(path, DatasetSchema.from_string(SCHEMA))
         assert str(exc.value) == "row 4: anchor score must be non-negative, got -1"
+
+    def test_multi_line_quoted_field_counts_toward_the_file_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        write_lines(path, ["form,score,c1", 'X,12,"two', 'lines"', "X,3,a", "Y,-1,b"])
+        with pytest.raises(RowError) as exc:
+            parse_dataset(path, DatasetSchema.from_string("form:form,score:score,cat:c1"))
+        assert str(exc.value) == "row 5: total score must be non-negative, got -1"
 
     def test_blank_lines_hold_no_record(self, tmp_path):
         path = tmp_path / "ok.csv"
@@ -471,6 +488,8 @@ class TestEquateCommand:
             ],
             capture_output=True,
             text=True,
+            env=src_env(),
+            timeout=120,
         )
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
@@ -771,6 +790,8 @@ class TestSimulateCommand:
             ],
             capture_output=True,
             text=True,
+            env=src_env(),
+            timeout=120,
         )
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
@@ -827,7 +848,56 @@ class TestEntryPoint:
             [sys.executable, "-m", "localeq.cli", "--help"],
             capture_output=True,
             text=True,
+            env=src_env(),
+            timeout=120,
         )
         assert proc.returncode == 0
         assert "equate" in proc.stdout
         assert "simulate" in proc.stdout
+
+
+# runs main() on its arguments (none: the import alone), then prints the
+# exit code and which of the modules a cold start should not pay for got loaded
+COLD_PROBE = """
+import sys
+from localeq.cli import main
+
+rc = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+heavy = ("scipy", "multiprocessing", "concurrent.futures.process")
+print(rc, *[name for name in heavy if name in sys.modules])
+"""
+
+
+class TestColdStart:
+    """Only a kernel (--bandwidth) method loads scipy; no one-worker run loads the process pool."""
+
+    def probe(self, tmp_path, command):
+        data = tmp_path / "sim.csv"
+        write_sim_dataset(data)
+        config = tmp_path / "study.cfg"
+        config.write_text(TINY_CONFIG, encoding="utf-8")
+        out = ["--out-dir", str(tmp_path / "out")]
+        equate = ["equate", "--data", str(data), "--schema", SIM_SCHEMA, *out, "--method"]
+        argv = {
+            "import": [],
+            "equate-anchor": [*equate, "anchor"],
+            "equate-kernel": [*equate, "equipercentile-anchor", "--bandwidth", "0.6"],
+            "diagnose": ["diagnose", "--data", str(data), "--schema", SIM_SCHEMA, *out],
+            "simulate": ["simulate", "--config", str(config), *out],
+        }[command]
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_PROBE, *argv],
+            capture_output=True, text=True, cwd=tmp_path, env=src_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rc, *loaded = proc.stdout.splitlines()[-1].split()
+        return int(rc), loaded
+
+    @pytest.mark.parametrize("command", ["import", "equate-anchor", "diagnose", "simulate"])
+    def test_command_loads_neither_scipy_nor_the_process_pool(self, tmp_path, command):
+        assert self.probe(tmp_path, command) == (0, [])
+
+    def test_kernel_method_loads_scipy(self, tmp_path):
+        rc, loaded = self.probe(tmp_path, "equate-kernel")
+        assert rc == 0
+        assert "scipy" in loaded

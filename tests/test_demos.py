@@ -18,6 +18,7 @@ def test_demo_runs(demo):
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, cwd=ROOT, env=env
+        [sys.executable, str(demo)], capture_output=True, text=True, cwd=ROOT, env=env,
+        timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
