@@ -9,7 +9,8 @@ LOCALEQ_OUT_DIR environment variable, then the working directory.
 `equate` and `diagnose` read their input through one loader, `_load`: it
 checks the schema against what the command needs (an anchor role, or
 covariate roles) before it opens the data file, then parses the file into a
-validated ScoreTable. Each command fits the propensity model at most once.
+validated ScoreTable and rejects one that holds only one form. Each command
+fits the propensity model at most once.
 `simulate` reads its study file against one key table built from the
 top-level and scenario defaults; `--seed` sets the seed of every scenario.
 """
@@ -309,12 +310,17 @@ def _load(args, role, usage):
     """The schema and table of ``args.data``, once the schema names ``role``.
 
     ``role`` is ``anchor`` or ``covariates``. A schema without it is a usage
-    error, raised before the data file is opened.
+    error, raised before the data file is opened. A file that holds only one
+    form is an error too, raised before any fit: both commands compare forms.
     """
     schema = DatasetSchema.from_string(args.schema)
     if not getattr(schema, role):
         raise UsageError(usage)
-    return schema, parse_dataset(args.data, schema)
+    table = parse_dataset(args.data, schema)
+    for form, label in ((0, "X"), (1, "Y")):
+        if not np.any(table.form == form):
+            raise UsageError(f"form column {schema.form!r} holds no form {label} records")
+    return schema, table
 
 
 def _propensities(schema, table):

@@ -128,7 +128,7 @@ class LinearTransform:
 class TransformFamily:
     """A family of equating maps indexed by a conditioning value.
 
-    ``index_kind`` is one of ``anchor_score``, ``stratum``, ``theta_bin``.
+    ``index_kind`` is ``anchor_score`` or ``stratum``.
     ``entries`` maps each qualifying index value to its transform (a
     :class:`LinearTransform` or any monotone callable); ``omitted`` lists
     index values observed in the data but with insufficient data to estimate
@@ -193,11 +193,14 @@ def weighted_moments(sample: WeightedSample) -> tuple[float, float]:
 
     mean = sum(w v) / sum(w);  sd = sqrt(sum(w (v - mean)^2) / sum(w)).
     No n-1 correction: this matches the weighted-moment estimators used by
-    the IPW transform.
+    the IPW transform. A sample of one distinct value has sd exactly 0.0,
+    even where the rounded mean misses that value by an ulp.
     """
     v, w = sample.values, sample.weights
     wsum = w.sum()
     mean = float(np.dot(w, v) / wsum)
+    if v.min() == v.max():
+        return mean, 0.0
     var = float(np.dot(w, (v - mean) ** 2) / wsum)
     return mean, math.sqrt(max(var, 0.0))
 

@@ -21,7 +21,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import TransformFamily
 from .equating import (
     anchor_family,
     ipw_family,
@@ -81,14 +80,14 @@ def bin_by_theta(theta, nbins: int):
 class ErrorAccumulator:
     """Running per-(bin, score) sums of the per-replication cell means.
 
-    Each replication adds the means of its absolute, squared and signed
-    errors in every cell it touched, and ``count`` tallies the replications
-    that touched each cell, so a finalized statistic is one division and
-    every replication weighs the same. ``signed_m2`` is the sum of squared
-    deviations of the per-replication signed means from their mean, merged
-    pairwise (Chan, Golub & LeVeque 1979). The last bits of every sum
-    depend on the order replications are folded in; ``run_study`` folds
-    them in replication order.
+    A replication's :meth:`tally` holds the means of its absolute, squared
+    and signed errors in every cell it touched; :meth:`insert` merges it
+    once. ``count`` tallies the replications that touched each cell, so a
+    finalized statistic is one division and every replication weighs the
+    same. ``signed_m2`` is the sum of squared deviations of the
+    per-replication signed means from their mean, merged pairwise (Chan,
+    Golub & LeVeque 1979). The last bits of every sum depend on the order
+    replications are merged in; ``run_study`` merges them in replication order.
     """
 
     def __init__(self, nbins: int, n_scores: int):
@@ -100,42 +99,47 @@ class ErrorAccumulator:
         self.count = np.zeros(shape, dtype=int)
 
     def add(self, bins, scores, errors):
-        """Fold one replication: bin labels run 1..nbins, scores 0..n_scores - 1."""
-        bins, scores = np.asarray(bins, dtype=int), np.asarray(scores, dtype=int)
-        errors = np.asarray(errors, dtype=float)
-        if not bins.shape == scores.shape == errors.shape:
+        """Tally one replication and insert it; bins run 1..nbins, scores 0..n_scores - 1."""
+        if not np.shape(bins) == np.shape(scores) == np.shape(errors):
             raise ValueError("bin labels, scores and errors must align")
-        shape, size = self.count.shape, self.count.size
+        self.insert(self.tally(self.cells(bins, scores), errors))
+
+    def cells(self, bins, scores):
+        """Each record's flat (bin, score) cell index, and the records per cell."""
+        bins, scores = np.asarray(bins, dtype=int), np.asarray(scores, dtype=int)
+        shape = self.count.shape
         for what, values, low, high in (
             ("bin label", bins, 1, shape[0]), ("score", scores, 0, shape[1] - 1)
         ):
             bad = values[(values < low) | (values > high)]
             if bad.size:
                 raise ValueError(f"{what} {bad[0]} is outside {low}..{high}")
-        cells = np.ravel_multi_index((bins.ravel() - 1, scores.ravel()), shape)
-        n = np.bincount(cells, minlength=size).reshape(shape)
+        index = np.ravel_multi_index((bins.ravel() - 1, scores.ravel()), shape)
+        return index, np.bincount(index, minlength=self.count.size).reshape(shape)
 
-        def cell_means(values):  # 0.0 in the cells this replication left empty
-            sums = np.bincount(cells, values.ravel(), size).reshape(shape)
-            return sums / np.maximum(n, 1)
-
-        means = [cell_means(v) for v in (np.abs(errors), errors**2, errors)]
-        self._fold(*means, (n > 0).astype(int), 0.0)
+    def tally(self, cells, errors) -> "ErrorAccumulator":
+        """One replication's accumulator: the cell means of the absolute,
+        squared and signed ``errors``, 0.0 in the cells it left empty.
+        ``cells`` is :meth:`cells` of the errors' records."""
+        index, n = cells
+        errors = np.asarray(errors, dtype=float).ravel()
+        out = ErrorAccumulator(*n.shape)
+        out.abs_sum, out.sq_sum, out.signed_sum = (
+            np.bincount(index, values, n.size).reshape(n.shape) / np.maximum(n, 1)
+            for values in (np.abs(errors), errors**2, errors)
+        )
+        out.count = (n > 0).astype(int)
+        return out
 
     def insert(self, other: "ErrorAccumulator"):
         """Fold in another accumulator's replications, after this one's."""
-        self._fold(
-            other.abs_sum, other.sq_sum, other.signed_sum, other.count, other.signed_m2
-        )
-
-    def _fold(self, abs_sum, sq_sum, signed_sum, count, signed_m2):
-        n_a, n_b = self.count, count
-        delta = signed_sum / np.maximum(n_b, 1) - self.signed_sum / np.maximum(n_a, 1)
-        self.signed_m2 += signed_m2 + delta**2 * (n_a * n_b / np.maximum(n_a + n_b, 1))
-        self.abs_sum += abs_sum
-        self.sq_sum += sq_sum
-        self.signed_sum += signed_sum
-        self.count += count
+        n_a, n_b = self.count, other.count
+        delta = other.signed_sum / np.maximum(n_b, 1) - self.signed_sum / np.maximum(n_a, 1)
+        self.signed_m2 += other.signed_m2 + delta**2 * (n_a * n_b / np.maximum(n_a + n_b, 1))
+        self.abs_sum += other.abs_sum
+        self.sq_sum += other.sq_sum
+        self.signed_sum += other.signed_sum
+        self.count += n_b
 
     def _mean(self, sums):
         return np.where(self.count > 0, sums / np.maximum(self.count, 1), np.nan)
@@ -232,16 +236,12 @@ def write_rows(path, header, rows):
         fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
-def _apply_family(family: TransformFamily, indices, scores) -> np.ndarray:
-    """Equate scores cell by cell, falling back to the nearest fitted index."""
-    out = np.empty(scores.size)
-    for idx in np.unique(indices):
-        sel = indices == idx
-        transform = family.entries.get(int(idx))
-        if transform is None:
-            transform = family.entries[family.nearest(int(idx))]
-        out[sel] = transform(scores[sel])
-    return out
+def _on_score_grid(map_of, cells, scores, items: int) -> np.ndarray:
+    """Each record's score under its cell's map: ``map_of(cell)`` is evaluated
+    once per distinct cell on the score grid 0..items, then gathered by (cell, score)."""
+    distinct, row = np.unique(cells, return_inverse=True)
+    grid = np.arange(items + 1, dtype=float)
+    return np.stack([map_of(int(cell))(grid) for cell in distinct])[row, scores]
 
 
 def _propensity_stage(pop, strata: int):
@@ -262,43 +262,46 @@ def _propensity_stage(pop, strata: int):
 
 
 def _equate_target_scores(method, table, pop, config, target, stage):
-    """Equated form-Y scores for the target examinees under one method."""
-    y = pop.score[target].astype(float)
+    """Equated form-Y scores for the target examinees under one method; an
+    examinee in an omitted cell takes the nearest fitted cell's transform."""
+    scores = pop.score[target]
     if method == "eg":
-        return pooled_transform(table)(y)
+        return pooled_transform(table)(scores.astype(float))
     if method == "anchor":
-        return _apply_family(anchor_family(table), pop.anchor_score[target], y)
-    if method in ("strat", "ipw"):
+        family, cells = anchor_family(table), pop.anchor_score[target]
+    elif method in ("strat", "ipw"):
         assignment, propensities = stage
         if method == "strat":
             family = strat_family(table, assignment)
         else:
             weights = ipw_weights(table, assignment, propensities, config.trim_alpha)
             family = ipw_family(table, weights)
-        return _apply_family(family, assignment.labels[target], y)
-    raise ValueError(f"unknown method {method!r}")
+        cells = assignment.labels[target]
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return _on_score_grid(
+        lambda cell: family.entries[family.nearest(cell)], cells, scores, config.items
+    )
 
 
 def _run_replication(config, design, methods, seed_seq):
-    """One replication: generate, equate with each method, return cell sums."""
+    """One replication: generate, equate with each method, return cell-mean tallies."""
     rng = np.random.default_rng(seed_seq)
     pop = gen_population(config, rng, design)
     table = pop.to_records()
     target = pop.form == 1
     if not target.any() or target.all():
         return {method: None for method in methods}
-    theta = pop.theta[target]
-    y = pop.score[target].astype(float)
+    theta, scores = pop.theta[target], pop.score[target]
     labels, _ = bin_by_theta(theta, config.nbins)
+    true_eq = _on_score_grid(
+        lambda b: true_transform(theta[labels == b], design.form_x_items, design.form_y_items),
+        labels, scores, config.items,
+    )
+    grid = ErrorAccumulator(config.nbins, config.items + 1)
+    cells = grid.cells(labels, scores)
 
-    true_eq = np.empty(y.size)
-    for b in np.unique(labels):
-        sel = labels == b
-        truth = true_transform(theta[sel], design.form_x_items, design.form_y_items)
-        true_eq[sel] = truth(y[sel])
-
-    out = {}
-    stage = None
+    out, stage = {}, None
     if "strat" in methods or "ipw" in methods:
         try:
             stage = _propensity_stage(pop, config.strata)
@@ -310,11 +313,8 @@ def _run_replication(config, design, methods, seed_seq):
         try:
             estimated = _equate_target_scores(method, table, pop, config, target, stage)
         except LocalEqError:
-            out[method] = None
-            continue
-        cell = ErrorAccumulator(config.nbins, config.items + 1)
-        cell.add(labels, pop.score[target], estimated - true_eq)
-        out[method] = cell
+            estimated = None
+        out[method] = None if estimated is None else grid.tally(cells, estimated - true_eq)
     return out
 
 

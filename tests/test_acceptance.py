@@ -15,6 +15,7 @@ import csv
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 from scipy import stats
@@ -251,6 +252,27 @@ def test_weak_covariate_scenario_ipw_orders_below_anchor():
         f"IPW RMSE <= anchor RMSE at only {rmse_frac:.1%} of {int(both.sum())} "
         f"cells, against {frac:.1%} on bias ({detail})"
     )
+
+
+def test_small_sample_cells_stay_within_the_score_range():
+    # at N = 30 with 8 strata many IPW cells hold one repeated form-Y score;
+    # such a cell must be omitted, not fitted with a slope near 1e15
+    config = SimulationConfig(
+        n=30, replications=20, strata=8, items=10, anchor_items=5, nbins=3, seed=0
+    )
+    methods = ("anchor", "strat", "ipw", "eg")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # separation clamps, failed replications
+        report = run_study(config, methods)
+    for method in methods:
+        res = report.methods[method]
+        cells = ~report.omitted[np.newaxis, :] & (res.reps_used > 0)
+        assert cells.any()
+        worst = float(res.bias[cells].max())
+        assert worst <= config.items, (
+            f"{method}: a retained cell has bias {worst:.3g}, beyond the "
+            f"{config.items}-point score range"
+        )
 
 
 def test_omission_mask_marks_contiguous_extremes():

@@ -14,7 +14,7 @@ import localeq
 import localeq.cli
 from localeq.core import KernelCDF, WeightedSample
 from localeq.equating import EquipercentileMap
-from localeq.evaluation import run_study
+from localeq.evaluation import bin_by_theta, run_study
 from localeq.simulation import SimulationConfig
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -117,3 +117,33 @@ def test_traced_study_folds_each_replication_into_fixed_size_accumulators():
         sizes[replications] = tracer.accumulator_bytes
     assert sizes[3] > 0
     assert sizes[3] == sizes[12]
+
+
+def test_traced_study_calls_each_layer_once_per_replication(monkeypatch):
+    """The study keeps one traced call per fit: the truth once per populated
+    ability bin, the propensity model and each family builder once per
+    replication. A refactor that moves a call out of the traced name fails here."""
+    tracing = load_tracing()
+    populated = []
+
+    def counting_bins(theta, nbins):
+        labels, edges = bin_by_theta(theta, nbins)
+        populated.append(np.unique(labels).size)
+        return labels, edges
+
+    monkeypatch.setattr(localeq.evaluation, "bin_by_theta", counting_bins)
+    config = SimulationConfig(
+        n=150, items=12, anchor_items=8, strata=3, nbins=12, replications=5, seed=4
+    )
+    tracer = tracing.Tracer()
+    with tracer.installed(tracing.targets(localeq)):
+        report = run_study(config, ("anchor", "strat", "ipw", "eg"))
+    assert all(r.failures == 0 for r in report.methods.values())
+    calls, _ = tracer.summary()
+    assert len(populated) == config.replications
+    assert sum(populated) < config.replications * config.nbins  # some bin left empty
+    assert calls["simulation.true_transform"] == sum(populated)
+    for name in ("propensity.fit_logistic", "equating.anchor_family",
+                 "equating.strat_family", "equating.ipw_weights",
+                 "equating.ipw_family", "equating.pooled_transform"):
+        assert calls[name] == config.replications, name

@@ -627,6 +627,32 @@ def test_schema_usage_error_comes_before_the_file_is_read(tmp_path, capsys, argv
     assert not absent.exists() and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("present, missing", [("X", "Y"), ("Y", "X")])
+@pytest.mark.parametrize(
+    "argv",
+    [["equate", "--method", "anchor"], ["equate", "--method", "strat"], ["diagnose"]],
+    ids=["equate-anchor", "equate-strat", "diagnose"],
+)
+def test_one_form_file_is_rejected_before_any_fit(tmp_path, capsys, argv, present, missing):
+    # strat once failed on such a file with a misleading empty-family message,
+    # and diagnose wrote blank balance tables and exited 0
+    rng = np.random.default_rng(6)
+    data = tmp_path / "one_form.csv"
+    write_lines(data, ["group,total,anch,c1,c2,c3"] + [
+        f"{present},{rng.integers(0, 21)},{rng.integers(0, 11)},{rng.normal():.3f},"
+        f"{rng.normal():.3f},{rng.integers(0, 3)}"
+        for _ in range(60)
+    ])
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(argv + ["--data", str(data), "--schema", SIM_SCHEMA, "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: form column 'group' holds no form {missing} records\n"
+    )
+    assert not any(out.iterdir())
+
+
 class TestDiagnoseCommand:
     def test_balance_tables_per_strata_count(self, tmp_path):
         data = tmp_path / "sim.csv"

@@ -157,6 +157,17 @@ class TestMoments:
         assert mean == pytest.approx(v.mean())
         assert sd == pytest.approx(v.std(ddof=0))
 
+    def test_constant_weighted_sample_has_zero_sd(self):
+        # the weighted mean of a constant sample can round an ulp off the
+        # value, which left an sd near 1e-15 instead of 0
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            n = int(rng.integers(2, 6))
+            values = np.full(n, float(rng.integers(0, 41)))
+            sample = WeightedSample(values, rng.uniform(0.2, 5.0, n))
+            assert weighted_moments(sample)[1] == 0.0
+        assert weighted_moments(WeightedSample([7.0] * 3, [0.4, 1.3, 2.2]))[1] == 0.0
+
     def test_unweighted_moments_use_n_minus_1(self):
         mean, sd = unweighted_moments([2.0, 4.0])
         assert mean == pytest.approx(3.0)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from localeq.core import KernelCDF, LinearTransform, ScoreTable, TransformFamily, WeightedSample
 from localeq.equating import (
     EquipercentileMap,
+    IPWWeights,
     anchor_family,
     equipercentile_family,
     family_at_percentiles,
@@ -254,6 +255,18 @@ class TestIPWFamily:
         fam = ipw_family(table(records), w)
         assert fam.omitted == [1]
         assert 2 in fam.entries
+
+    def test_stratum_with_constant_form_y_scores_omitted(self):
+        # stratum 1's form-Y scores are all 7; with these weights the
+        # rounded weighted mean is 7 - 1 ulp, which once gave a slope near 1e15
+        records = [rec(0, 2), rec(0, 4), rec(0, 6), rec(1, 7), rec(1, 7), rec(1, 7)]
+        records += [rec(0, 2), rec(0, 4), rec(1, 1), rec(1, 3)]
+        strata = np.array([1] * 6 + [2] * 4)
+        w = np.array([1.0, 1.0, 1.0, 0.4, 1.3, 2.2, 1.0, 1.0, 1.0, 1.0])
+        weights = IPWWeights(raw=w, trimmed=w, strata=strata, trim_alpha=0.0)
+        fam = ipw_family(table(records), weights)
+        assert fam.omitted == [1]
+        assert fam.entries[2].slope == pytest.approx(1.0)
 
     def test_sd_convention_difference_shrinks_with_n(self):
         # all weights 1: ipw uses the weight-sum sd, strat the n-1 sd; the
