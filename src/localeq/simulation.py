@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import LinearTransform, ScoreTable
 from .errors import OmittedBinError
-from .propensity import sigmoid
+from .propensity import sigmoid, sigmoid_inplace
 
 __all__ = [
     "STRENGTH_RANGES",
@@ -40,12 +40,40 @@ __all__ = [
 
 # discrimination ranges for the covariate indicator items, by strength label
 STRENGTH_RANGES = {"medium": (0.5, 1.5), "weak": (0.1, 0.5)}
+BLOCK_SIZE = 256 * 40  # 2PL probabilities per row block: 80 kB, reused in cache
 
 
 def prob_2pl(theta, a, b):
     """Probability of a correct binary response: 1 / (1 + exp(-a(theta - b)))."""
     theta = np.asarray(theta, dtype=float)
     return sigmoid(np.asarray(a, dtype=float) * (theta - np.asarray(b, dtype=float)))
+
+
+def _prob_2pl_blocks(theta, a, b, form=None):
+    """Per row block of about ``BLOCK_SIZE`` entries, yield ``(rows, p, scratch)``:
+    ``p`` is ``prob_2pl(theta[rows, None], a, b)`` bit for bit, with ``form[i]``
+    picking row i's ``a`` and ``b`` if given. The two buffers are allocated once."""
+    n, k = theta.shape[0], np.shape(b)[-1]
+    block = max(1, BLOCK_SIZE // max(k, 1))
+    buffers = np.empty((2, min(n, block), k))
+    for start in range(0, n, block):
+        rows = slice(start, min(start + block, n))
+        p, scratch = buffers[:, : rows.stop - start]
+        a_rows, b_rows = a, b
+        if form is not None:  # one row of a and b per form; "clip" takes unbuffered
+            a_rows = np.take(a, form[rows], axis=0, out=scratch, mode="clip")
+            b_rows = np.take(b, form[rows], axis=0, out=p, mode="clip")
+        np.subtract(theta[rows, None], b_rows, out=p)
+        p *= a_rows
+        yield rows, sigmoid_inplace(p, scratch), scratch
+
+
+def _draw_counts(theta, a, b, rng, form=None) -> np.ndarray:
+    """Per row, ``(rng.random(p.shape) < p).sum(axis=1)``, uniforms in row order."""
+    counts = np.empty(theta.shape[0], dtype=int)
+    for rows, p, u in _prob_2pl_blocks(theta, a, b, form):
+        counts[rows] = np.add.reduce(np.less(rng.random(out=u), p, out=u), axis=1)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -112,11 +140,8 @@ def covariates_from_design(
 ) -> np.ndarray:
     """Ordinal covariates (one column each) positively associated with theta."""
     theta = np.asarray(theta, dtype=float)
-    columns = []
-    for a_c, b_c in zip(design.discriminations, design.difficulties):
-        p = prob_2pl(theta[:, None], a_c, b_c)
-        columns.append((rng.random(p.shape) < p).sum(axis=1))
-    return np.column_stack(columns).astype(int)
+    pairs = zip(design.discriminations, design.difficulties)
+    return np.column_stack([_draw_counts(theta, a_c, b_c, rng) for a_c, b_c in pairs])
 
 
 @dataclass(frozen=True)
@@ -150,6 +175,8 @@ class SimulationConfig:
             )
         if len(self.group_theta_means) != 2:
             raise ValueError("group_theta_means needs one mean per group")
+        if min(self.covariate_categories, default=0) < 2:
+            raise ValueError("covariate_categories needs one or more covariates of 2+ categories")
         if len(self.beta) != 2 + len(self.covariate_categories):
             raise ValueError(
                 "beta needs an intercept, an anchor coefficient, and one "
@@ -239,8 +266,7 @@ def gen_population(
     means = np.asarray(config.group_theta_means, dtype=float)
     theta = means[group] + config.theta_sd * rng.standard_normal(n)
 
-    p_anchor = prob_2pl(theta[:, None], design.anchor_items.a, design.anchor_items.b)
-    anchor_score = (rng.random(p_anchor.shape) < p_anchor).sum(axis=1)
+    anchor_score = _draw_counts(theta, design.anchor_items.a, design.anchor_items.b, rng)
     covariates = covariates_from_design(theta, design.covariates, rng)
 
     beta = np.asarray(config.beta, dtype=float)
@@ -251,12 +277,8 @@ def gen_population(
     propensity = sigmoid(beta[0] + proxies @ beta[1:])
     form = (rng.random(n) < propensity).astype(int)
 
-    # each examinee's item probabilities on the form taken, one form at a time
-    p_taken = np.empty((n, design.form_x_items.n_items))
-    for taken, items in enumerate((design.form_x_items, design.form_y_items)):
-        rows = form == taken
-        p_taken[rows] = prob_2pl(theta[rows, None], items.a, items.b)
-    score = (rng.random(p_taken.shape) < p_taken).sum(axis=1)
+    x, y = design.form_x_items, design.form_y_items  # answered on the form taken
+    score = _draw_counts(theta, np.stack([x.a, y.a]), np.stack([x.b, y.b]), rng, form)
 
     return SimulatedPopulation(
         theta=theta,
@@ -270,9 +292,19 @@ def gen_population(
 
 
 def conditional_score_moments(items: ItemParams, theta):
-    """Analytic sum-score mean and variance given theta, per local independence."""
-    p = prob_2pl(np.asarray(theta, dtype=float)[..., None], items.a, items.b)
-    return p.sum(axis=-1), (p * (1.0 - p)).sum(axis=-1)
+    """Analytic sum-score mean and variance given theta, per local independence.
+
+    Per theta, sum(p) and sum(p * (1 - p)) over its item probabilities p, in
+    cache-sized row blocks: memory stays flat in the theta count and no page
+    of a theta x items matrix is faulted in. Rows sum in that matrix's order.
+    """
+    theta = np.asarray(theta, dtype=float)
+    mean, var = np.empty((2, theta.size))
+    for rows, p, scratch in _prob_2pl_blocks(theta.reshape(-1), items.a, items.b):
+        np.add.reduce(p, axis=-1, out=mean[rows])  # p.sum(-1) without its wrapper
+        np.multiply(p, np.subtract(1.0, p, out=scratch), out=scratch)
+        np.add.reduce(scratch, axis=-1, out=var[rows])
+    return mean.reshape(theta.shape)[()], var.reshape(theta.shape)[()]  # 0-d: scalars
 
 
 def true_transform(

@@ -852,6 +852,23 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == f"error: workers must be at least 1, got {count}\n"
         assert not (out / "resolved_config.txt").exists()
 
+    def test_covariate_with_one_category_is_a_config_error(self, tmp_path, capsys):
+        config = tmp_path / "study.cfg"
+        config.write_text(
+            TINY_CONFIG
+            + "scenario.tiny.covariate_categories = 1\nscenario.tiny.beta = 0,-0.35,0.1\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigError) as exc:
+            _resolve_study(config)
+        assert exc.value.keys == ["scenario.tiny"]
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(config), "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "scenario 'tiny': covariate_categories" in err and "Traceback" not in err
+        assert not (out / "resolved_config.txt").exists()
+
     def test_unknown_method_rejected(self, tmp_path):
         config = tmp_path / "study.cfg"
         config.write_text("methods = anchor,bogus\n", encoding="utf-8")

@@ -11,6 +11,7 @@ from scipy.stats import spearmanr
 from localeq.errors import OmittedBinError
 from localeq.propensity import sigmoid
 from localeq.simulation import (
+    BLOCK_SIZE,
     CovariateDesign,
     ItemParams,
     SimulationConfig,
@@ -78,6 +79,17 @@ def reference_population(config, rng):
     score = (rng.random(p_taken.shape) < p_taken).sum(axis=1)
     return dict(theta=theta, group=group, anchor_score=anchor_score, covariates=covariates,
                 propensity=propensity, form=form, score=score)
+
+
+def unblocked_moments(items, theta):
+    """conditional_score_moments on the whole theta x items matrix at once."""
+    theta = np.asarray(theta, dtype=float)
+    p = masked_sigmoid(items.a * (theta[..., None] - items.b))
+    return p.sum(axis=-1), (p * (1.0 - p)).sum(axis=-1)
+
+
+# rows per block of the taken-form draw (40 items by default)
+TAKEN_BLOCK = BLOCK_SIZE // SimulationConfig().items
 
 
 def per_node_score_distribution(items, nodes, weights):
@@ -228,6 +240,12 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(n=0)
 
+    @pytest.mark.parametrize("categories", [(), (1,), (3, 1)])
+    def test_covariates_need_two_categories_each(self, categories):
+        beta = (0.0, -0.35) + (0.1,) * len(categories)
+        with pytest.raises(ValueError, match="covariate_categories"):
+            SimulationConfig(covariate_categories=categories, beta=beta)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be non-negative"):
             SimulationConfig(seed=-1)
@@ -280,15 +298,42 @@ class TestGenPopulation:
             assert abs(resid.mean()) < 4 * se
 
     @pytest.mark.parametrize("strength", ["medium", "weak"])
-    @pytest.mark.parametrize("n", [1, 37, 1000])
+    @pytest.mark.parametrize(
+        "n",
+        [1, 37, 1000, TAKEN_BLOCK - 1, TAKEN_BLOCK, TAKEN_BLOCK + 1, 2 * TAKEN_BLOCK + 1],
+    )
     def test_columns_match_the_reference_draw_bit_for_bit(self, n, strength):
-        # n = 1 leaves one form without examinees: an empty row block
+        # n = 1 leaves one form without examinees; block + 1 ends on a one-row block
         for seed in range(5):
             config = SimulationConfig(n=n, covariate_strength=strength, seed=seed)
             pop = gen_population(config, np.random.default_rng(seed))
             expected = reference_population(config, np.random.default_rng(seed))
             for name, column in expected.items():
                 assert same_bytes(getattr(pop, name), column), (seed, name)
+
+    @pytest.mark.parametrize("intercept, taken", [(-40.0, 0), (40.0, 1)])
+    def test_single_form_blocks_match_the_reference_draw(self, intercept, taken):
+        config = SimulationConfig(n=2 * TAKEN_BLOCK + 1, beta=(intercept, 0.0, 0.0, 0.0, 0.0))
+        pop = gen_population(config, np.random.default_rng(4))
+        expected = reference_population(config, np.random.default_rng(4))
+        assert np.all(pop.form == taken)
+        for name, column in expected.items():
+            assert same_bytes(getattr(pop, name), column), name
+
+    @pytest.mark.parametrize("items", [40, 200])
+    def test_peak_memory_is_per_examinee_plus_fixed_blocks(self, items):
+        # no n x items matrix: 160 bytes per examinee for the returned and
+        # standardized columns, plus twice the two block buffers
+        config = SimulationConfig(n=10_000, items=items)
+        rng = np.random.default_rng(3)
+        design = draw_design(config, rng)
+        tracemalloc.start()
+        try:
+            gen_population(config, rng, design=design)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 160 * config.n + 4 * BLOCK_SIZE * 8
 
     def test_peak_memory_stays_within_four_score_matrices(self):
         config = SimulationConfig(n=10_000, items=40)
@@ -338,6 +383,29 @@ class TestConditionalScoreMoments:
         items = draw_items(5, np.random.default_rng(0))
         mu, var = conditional_score_moments(items, np.zeros(7))
         assert mu.shape == (7,) and var.shape == (7,)
+
+    @pytest.mark.parametrize("n_items", [3, 40, 200])
+    @pytest.mark.parametrize(
+        "shape", [(), (0,), (1,), (TAKEN_BLOCK,), (3 * TAKEN_BLOCK + 5,), (37, 29), (4, 0)]
+    )
+    def test_blocks_match_the_unblocked_sums_bit_for_bit(self, n_items, shape):
+        items = draw_items(n_items, np.random.default_rng(6))
+        theta = 3.0 * np.random.default_rng(7).standard_normal(shape)
+        expected = unblocked_moments(items, theta)
+        for got, want in zip(conditional_score_moments(items, theta), expected):
+            assert type(got) is type(want)
+            assert same_bytes(got, want)
+
+    def test_peak_memory_is_the_two_result_arrays_plus_blocks(self):
+        items = draw_items(40, np.random.default_rng(0))
+        theta = np.random.default_rng(1).standard_normal(100_000)
+        tracemalloc.start()
+        try:
+            conditional_score_moments(items, theta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6
 
 
 class TestTrueTransform:
