@@ -117,7 +117,13 @@ class LinearTransform:
             raise ValueError(f"slope must be positive, got {self.slope}")
 
     def __call__(self, y):
-        return self.slope * (np.asarray(y, dtype=float) - self.mu_y) + self.mu_x
+        return self.apply(np.asarray(y, dtype=float), self.slope, self.mu_y, self.mu_x)
+
+    @staticmethod
+    def apply(y, slope, mu_y, mu_x):
+        """The map's arithmetic on arrays that broadcast: with (cells, 1)
+        columns of parameters and a row of scores, every cell's map at once."""
+        return slope * (y - mu_y) + mu_x
 
     def inverse(self) -> "LinearTransform":
         """The reverse-direction map built from the same cell moments."""
@@ -220,9 +226,9 @@ def unweighted_moments(values) -> tuple[float, float]:
         raise EmptyInputError("cannot compute moments of an empty sample")
     if v.size < 2:
         raise InsufficientDataError("sd needs at least 2 observations")
-    mean = float(v.mean())
-    sd = float(v.std(ddof=1))
-    return mean, sd
+    # numpy's own mean / std(ddof=1) steps, so the same bits, minus their wrappers
+    mean = np.add.reduce(v) / v.size
+    return float(mean), math.sqrt(np.add.reduce((v - mean) ** 2) / (v.size - 1))
 
 
 def _probabilities(values, what: str = "p") -> np.ndarray:

@@ -66,10 +66,21 @@ class IPWWeights:
     overlap_violations: list[int] = field(default_factory=list)
 
 
-def _linear_map(x: WeightedSample, y: WeightedSample, moments) -> LinearTransform | None:
-    """Conditional-moment linear transform, or None if either sd is zero."""
-    mu_x, sd_x = moments(x)
-    mu_y, sd_y = moments(y)
+# one form's records in one cell: slices of the family's sorted columns,
+# ``weights`` None for unit-weight cells
+_Slice = namedtuple("_Slice", ["values", "weights"])
+
+
+def _linear_map(x: _Slice, y: _Slice) -> LinearTransform | None:
+    """Conditional-moment linear transform, or None if either sd is zero.
+
+    The moments follow from the conditioning: unit-weight cells (anchor
+    scores, strata) use the n-1 sd, IPW-weighted cells the weight-sum sd.
+    """
+    (mu_x, sd_x), (mu_y, sd_y) = (
+        unweighted_moments(s.values) if s.weights is None else weighted_moments(s)
+        for s in (x, y)
+    )
     if sd_x <= 0.0 or sd_y <= 0.0:
         return None
     return LinearTransform(slope=sd_x / sd_y, mu_y=mu_y, mu_x=mu_x)
@@ -77,7 +88,7 @@ def _linear_map(x: WeightedSample, y: WeightedSample, moments) -> LinearTransfor
 
 def _cdf_map(cdf):
     """Per-cell fit: the equipercentile map between ``cdf`` of each form."""
-    return lambda x, y, moments: EquipercentileMap(cdf(y), cdf(x))
+    return lambda x, y: EquipercentileMap(cdf(WeightedSample(*y)), cdf(WeightedSample(*x)))
 
 
 def _fit_cells(table: ScoreTable, by, fit) -> TransformFamily:
@@ -86,10 +97,13 @@ def _fit_cells(table: ScoreTable, by, fit) -> TransformFamily:
     ``by`` is the conditioning: ``"anchor"``, a :class:`StratumAssignment`,
     or an :class:`IPWWeights` (trimmed weights; overlap-violating strata are
     skipped). A cell qualifies with at least ``MIN_CELL_SIZE`` records of
-    each form; then ``fit(x, y, moments)`` maps its form-Y sample onto its
-    form-X sample, or returns None to omit it. The moments follow from the
-    conditioning: unit-weight cells (anchor scores, strata) use the n-1 sd,
-    IPW-weighted cells the weight-sum sd.
+    each form; then ``fit(x, y)`` maps its form-Y sample onto its form-X
+    sample, or returns None to omit it. A qualifying cell holding a weight
+    that is not finite and > 0 raises InvalidWeightError.
+
+    The records are sorted once, stably, by (cell, form), so each sample is
+    a contiguous slice whose records keep their input order: its sums run in
+    the order a per-cell selection would give them, bit for bit.
     """
     weights, skip = None, ()
     if isinstance(by, IPWWeights):
@@ -103,24 +117,35 @@ def _fit_cells(table: ScoreTable, by, fit) -> TransformFamily:
         kind, cells = "anchor_score", table.anchor
     else:
         raise ValueError(f"cannot condition on {by!r}")
-    forms, scores = table.form, table.score.astype(float)
+    forms = table.form
     if cells.size != forms.size:
         raise DimensionError("conditioning does not cover the records")
-    moments = (
-        weighted_moments if weights is not None
-        else lambda sample: unweighted_moments(sample.values)
-    )
+    order = np.lexsort((forms, cells))
+    cells = cells[order]
+    scores = table.score[order].astype(float)
+    bad_weight = ()
+    if weights is not None:
+        weights = weights[order]
+        bad_weight = set(cells[~((weights > 0) & (weights < np.inf))].tolist())
+    # each cell is a run [start, stop) of the sorted records, form X first:
+    # [start, split) holds its form-X records, [split, stop) its form-Y ones
+    edges = np.flatnonzero(np.diff(cells, prepend=cells[:1] - 1, append=cells[-1:] + 1))
+    starts, stops = edges[:-1], edges[1:]
+    form_x_before = np.concatenate(([0], np.cumsum(forms[order] == 0)))
+    splits = starts + form_x_before[stops] - form_x_before[starts]
     entries, omitted = {}, []
-    for index in sorted(set(cells.tolist())):
-        in_cell = cells == index
-        selections = [in_cell & (forms == 0), in_cell & (forms == 1)]
+    for index, start, split, stop in zip(
+        cells[starts].tolist(), starts.tolist(), splits.tolist(), stops.tolist()
+    ):
         transform = None
-        if index not in skip and min(s.sum() for s in selections) >= MIN_CELL_SIZE:
+        if index not in skip and min(split - start, stop - split) >= MIN_CELL_SIZE:
+            if index in bad_weight:
+                raise InvalidWeightError("all weights must be finite and > 0")
             x, y = (
-                WeightedSample(scores[s], None if weights is None else weights[s])
-                for s in selections
+                _Slice(scores[a:b], None if weights is None else weights[a:b])
+                for a, b in ((start, split), (split, stop))
             )
-            transform = fit(x, y, moments)
+            transform = fit(x, y)
         if transform is None:
             omitted.append(index)
         else:

@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import LinearTransform
 from .equating import (
     anchor_family,
     ipw_family,
@@ -237,11 +238,14 @@ def write_rows(path, header, rows):
 
 
 def _on_score_grid(map_of, cells, scores, items: int) -> np.ndarray:
-    """Each record's score under its cell's map: ``map_of(cell)`` is evaluated
-    once per distinct cell on the score grid 0..items, then gathered by (cell, score)."""
+    """Each record's score under its cell's :class:`LinearTransform`, ``map_of(cell)``:
+    every distinct cell's map is evaluated on the score grid 0..items in one
+    array by ``LinearTransform.apply``, then gathered by (cell, score)."""
     distinct, row = np.unique(cells, return_inverse=True)
+    maps = map(map_of, distinct.tolist())
+    slope, mu_y, mu_x = np.array([(m.slope, m.mu_y, m.mu_x) for m in maps]).T[..., None]
     grid = np.arange(items + 1, dtype=float)
-    return np.stack([map_of(int(cell))(grid) for cell in distinct])[row, scores]
+    return LinearTransform.apply(grid, slope, mu_y, mu_x)[row, scores]
 
 
 def _propensity_stage(pop, strata: int):

@@ -193,6 +193,31 @@ class TestParseDataset:
             parse_dataset(path, DatasetSchema.from_string("form:form,score:score,cat:c1"))
         assert str(exc.value) == "row 5: total score must be non-negative, got -1"
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (['X,12,"two', 'lines"', '"X",3,"a"', "Y,-1,b", "Q,2,c"],
+             "row 5: total score must be non-negative, got -1"),
+            (['"X",12,"a"', '"Y",1x,b', '"X",3,' + "c" * (csv.field_size_limit() + 1)],
+             "row 3: column 'total': '1x' is not an integer"),
+            (['"X",12,"a,b"', '"Y",10', '"Y",11,c'], "row 3: expected 3 fields, got 2"),
+            (['"X",12,"0.5"', '"Y",10,"2"', '"Y",11,"inf"'],
+             "row 4: column 'c1': 'inf' is not finite"),
+            (['"X",12,"a"', f'"Y",{2**63},"b"'],
+             f"row 3: column 'total': '{2**63}' is out of range"),
+        ],
+    )
+    def test_quoted_file_with_a_bad_record_names_its_line(self, tmp_path, lines, message):
+        # a quoted file takes the row scan: the first bad record wins, also
+        # over a csv error on a later line
+        path = tmp_path / "bad.csv"
+        write_lines(path, ["group,total,c1"] + lines)
+        kind = "num" if "inf" in message else "cat"
+        schema = DatasetSchema.from_string(f"form:group,score:total,{kind}:c1")
+        with pytest.raises(RowError) as exc:
+            parse_dataset(path, schema)
+        assert str(exc.value) == message
+
     def test_blank_lines_hold_no_record(self, tmp_path):
         path = tmp_path / "ok.csv"
         write_lines(path, ["group,total,anch,gender", "X,12,3,f", "", "Y,10,1,m"])

@@ -173,6 +173,18 @@ class TestMoments:
         assert mean == pytest.approx(3.0)
         assert sd == pytest.approx(math.sqrt(2.0))
 
+    def test_unweighted_moments_match_numpy_bit_for_bit(self):
+        # every length from 2 to 3000, so both sides of numpy's 8-element
+        # unrolled and 128-element pairwise-sum blocks, at three value scales
+        rng = np.random.default_rng(13)
+        for n in range(2, 3001):
+            for v in (
+                rng.integers(0, 41, n).astype(float),
+                rng.normal(20.0, 5.0, n),
+                rng.uniform(0.0, 1e6, n),
+            ):
+                assert unweighted_moments(v) == (float(v.mean()), float(v.std(ddof=1))), n
+
     def test_unweighted_empty_raises(self):
         with pytest.raises(EmptyInputError):
             unweighted_moments([])

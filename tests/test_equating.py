@@ -2,13 +2,22 @@
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localeq.core import KernelCDF, LinearTransform, ScoreTable, TransformFamily, WeightedSample
+from localeq.core import (
+    ECDF,
+    KernelCDF,
+    LinearTransform,
+    ScoreTable,
+    TransformFamily,
+    WeightedSample,
+    weighted_moments,
+)
 from localeq.equating import (
     EquipercentileMap,
     IPWWeights,
@@ -24,6 +33,7 @@ from localeq.errors import (
     DimensionError,
     EmptyFamilyError,
     InvalidWeightError,
+    LocalEqError,
 )
 from localeq.propensity import StratumAssignment, stratify_quantile
 
@@ -569,3 +579,145 @@ class TestConvergenceToPooled:
         for fam in (fam_s, fam_w):
             for t in fam.entries.values():
                 assert abs(t.slope - pooled.slope) < 0.05
+
+
+def reference_fit_cells(t, by, fit):
+    """The per-cell mask loop the sorted cell engine replaced, kept as its
+    oracle: four masks per cell and a validated WeightedSample per form.
+    ``fit(x, y, weighted)`` maps the form-Y sample onto the form-X sample."""
+    weights, skip, kind = None, (), "stratum"
+    if isinstance(by, IPWWeights):
+        cells, weights, skip = by.strata, by.trimmed, by.overlap_violations
+    elif isinstance(by, StratumAssignment):
+        cells = by.labels
+    else:
+        cells, kind = t.anchor, "anchor_score"
+    forms, scores = t.form, t.score.astype(float)
+    entries, omitted = {}, []
+    for index in sorted(set(cells.tolist())):
+        in_cell = cells == index
+        selections = [in_cell & (forms == 0), in_cell & (forms == 1)]
+        transform = None
+        if index not in skip and min(s.sum() for s in selections) >= 2:
+            x, y = (
+                WeightedSample(scores[s], None if weights is None else weights[s])
+                for s in selections
+            )
+            transform = fit(x, y, weights is not None)
+        if transform is None:
+            omitted.append(index)
+        else:
+            entries[index] = transform
+    if not entries:
+        raise EmptyFamilyError(f"no {kind} cell qualified for a transform")
+    return TransformFamily(index_kind=kind, entries=entries, omitted=omitted)
+
+
+def reference_linear(x, y, weighted):
+    def moments(sample):
+        if weighted:
+            return weighted_moments(sample)
+        return float(sample.values.mean()), float(sample.values.std(ddof=1))
+
+    (mu_x, sd_x), (mu_y, sd_y) = moments(x), moments(y)
+    if sd_x <= 0.0 or sd_y <= 0.0:
+        return None
+    return LinearTransform(slope=sd_x / sd_y, mu_y=mu_y, mu_x=mu_x)
+
+
+# the bandwidth of each fit (None for the linear one) and its reference
+REFERENCE_FITS = {
+    None: reference_linear,
+    "step": lambda x, y, weighted: EquipercentileMap(ECDF(y), ECDF(x)),
+    0.7: lambda x, y, weighted: EquipercentileMap(KernelCDF(y, 0.7), KernelCDF(x, 0.7)),
+}
+
+
+def snapshot(transform):
+    """A linear map as itself (== on every field); an equipercentile map as the
+    type and the bytes of every array of both of its CDFs."""
+    if isinstance(transform, LinearTransform):
+        return transform
+    return tuple(
+        (type(cdf).__name__, [(k, np.asarray(v).tobytes()) for k, v in sorted(vars(cdf).items())])
+        for cdf in (transform.cdf_y, transform.cdf_x)
+    )
+
+
+def family_outcome(build):
+    """(entry keys in order, entry snapshots, omitted) of a family, or the error raised."""
+    try:
+        family = build()
+    except LocalEqError as exc:
+        return type(exc).__name__, str(exc)
+    return list(family.entries), [snapshot(t) for t in family.entries.values()], family.omitted
+
+
+def assert_engine_matches_reference(t, assignment, propensities, bad_weight=None):
+    """Every family and fit of the cell engine against the mask loop: the
+    same entries bit for bit, the same omitted list, or the same error.
+    ``bad_weight`` replaces one finite trimmed IPW weight."""
+    weights = ipw_weights(t, assignment, propensities)
+    fitted = np.flatnonzero(np.isfinite(weights.trimmed))
+    if bad_weight is not None and fitted.size:
+        weights.trimmed[fitted[fitted.size // 2]] = bad_weight
+    everyone = StratumAssignment(K=1, labels=np.ones(len(t), dtype=int), boundaries=np.empty(0))
+    conditionings = {
+        "anchor": ("anchor", lambda: anchor_family(t)),
+        "strata": (assignment, lambda: strat_family(t, assignment)),
+        "ipw": (weights, lambda: ipw_family(t, weights)),
+        "pooled": (everyone, lambda: TransformFamily("stratum", {1: pooled_transform(t)})),
+    }
+    for name, (by, linear) in conditionings.items():
+        for fit, reference in REFERENCE_FITS.items():
+            bandwidth = None if fit == "step" else fit
+            engine = linear if fit is None else partial(equipercentile_family, t, by, bandwidth)
+            expected = family_outcome(partial(reference_fit_cells, t, by, reference))
+            assert family_outcome(engine) == expected, (name, fit)
+
+
+class TestCellEngineOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(0, 160),
+        score_max=st.sampled_from([0, 1, 3, 40]),
+        anchor_max=st.integers(0, 8),
+        strata=st.integers(1, 6),
+        bad_weight=st.sampled_from([None, None, None, 0.0, -1.0, math.nan, math.inf]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sorted_engine_matches_the_mask_loop(
+        self, n, score_max, anchor_max, strata, bad_weight, seed
+    ):
+        rng = np.random.default_rng(seed)
+        t = ScoreTable(
+            form=rng.integers(0, 2, n),
+            score=rng.integers(0, score_max + 1, n),
+            anchor=rng.integers(0, anchor_max + 1, n),
+        )
+        assignment = StratumAssignment(
+            K=strata, labels=rng.integers(1, strata + 1, n), boundaries=np.empty(0)
+        )
+        assert_engine_matches_reference(t, assignment, rng.uniform(0.02, 0.98, n), bad_weight)
+
+    def test_pinned_cell_sizes(self):
+        # (form X, form Y) records per anchor value and stratum: every size
+        # 0, 1 and 2 in either form, a constant-score cell, tied scores, and
+        # a one-form stratum (an overlap violation with NaN weights)
+        sizes = {0: (0, 2), 1: (1, 2), 2: (2, 2), 3: (2, 1), 4: (2, 0), 5: (3, 3), 6: (9, 12)}
+        records = []
+        for cell, (n_x, n_y) in sizes.items():
+            for form, count in ((0, n_x), (1, n_y)):
+                for i in range(count):
+                    score = 7 if cell == 5 else (3 * i + cell) % 5 + form
+                    records.append(rec(form, score, anchor=cell))
+        t = table(records)
+        assignment = StratumAssignment(
+            K=7, labels=t.anchor + 1, boundaries=np.empty(0)
+        )
+        propensities = np.linspace(0.1, 0.9, len(t))
+        assert 5 in ipw_weights(t, assignment, propensities).overlap_violations
+        for bad_weight in (None, 0.0, math.nan):
+            assert_engine_matches_reference(t, assignment, propensities, bad_weight)
+        fam = anchor_family(t)
+        assert sorted(fam.entries) == [2, 6] and fam.omitted == [0, 1, 3, 4, 5]

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from localeq.cli import main
+from localeq.core import LinearTransform, TransformFamily
 from localeq.errors import StudyUnstableWarning
 from localeq.evaluation import (
     ErrorAccumulator,
     EvaluationReport,
+    _on_score_grid,
     apply_omission_rule,
     bin_by_theta,
     run_study,
@@ -333,6 +335,38 @@ class TestPerBinWrappers:
         target = 1.0 / math.sqrt(2.0)
         assert np.all(ratio >= 0.8 * target), ratio
         assert np.all(ratio <= 1.2 * target), ratio
+
+
+class TestOnScoreGrid:
+    def test_broadcast_equals_the_per_cell_gather(self):
+        # fitted cells 1, 3 and 6; cell 2 ties between 1 and 3 and goes low,
+        # cells 0 and 4 resolve to their one nearest neighbour, 9 to the top
+        rng = np.random.default_rng(7)
+        items = 40
+        for _ in range(50):
+            entries = {
+                cell: LinearTransform(
+                    slope=float(rng.uniform(0.2, 3.0)),
+                    mu_y=float(rng.uniform(0.0, items)),
+                    mu_x=float(rng.uniform(0.0, items)),
+                )
+                for cell in (1, 3, 6)
+            }
+            family = TransformFamily("stratum", entries, omitted=[0, 2, 4, 9])
+            cells = rng.choice([0, 1, 2, 3, 4, 6, 9], 500)
+            scores = rng.integers(0, items + 1, 500)
+
+            def map_of(cell):
+                return family.entries[family.nearest(cell)]
+
+            grid = np.arange(items + 1, dtype=float)
+            distinct, row = np.unique(cells, return_inverse=True)
+            expected = np.stack([map_of(int(c))(grid) for c in distinct])[row, scores]
+            got = _on_score_grid(map_of, cells, scores, items)
+            assert got.tobytes() == expected.tobytes()
+            for cell, nearest in ((0, 1), (2, 1), (4, 3), (9, 6)):
+                at = cells == cell
+                assert got[at].tobytes() == entries[nearest](scores[at]).tobytes()
 
 
 class TestOmissionRule:
