@@ -34,6 +34,7 @@ __all__ = [
     "ECDF",
     "KernelCDF",
     "inverse_cdf",
+    "sorted_quantiles",
 ]
 
 
@@ -229,6 +230,30 @@ def unweighted_moments(values) -> tuple[float, float]:
     # numpy's own mean / std(ddof=1) steps, so the same bits, minus their wrappers
     mean = np.add.reduce(v) / v.size
     return float(mean), math.sqrt(np.add.reduce((v - mean) ** 2) / (v.size - 1))
+
+
+def sorted_quantiles(values: np.ndarray, start, count, q) -> np.ndarray:
+    """Linear quantiles of sorted runs, bit for bit those of ``np.quantile``.
+
+    Run i is ``values[start[i]:start[i] + count[i]]``, sorted ascending, with
+    ``count[i] >= 1``; ``q`` holds probabilities in [0, 1]. Returns one row
+    of ``len(q)`` quantiles per run. The steps are numpy's own for Hyndman &
+    Fan's definition 7: virtual index (n - 1) q, its floor and fraction
+    gamma, then a + (b - a) gamma, overwritten by b - (b - a)(1 - gamma)
+    where gamma >= 0.5. At the run's end b is a, and gamma is moot.
+    """
+    start = np.asarray(start)[:, None]
+    last = np.asarray(count)[:, None] - 1
+    virtual = last * np.asarray(q, dtype=float)
+    below = np.floor(virtual)
+    gamma = virtual - below
+    first = start + below.astype(np.intp)
+    a = values[first]
+    b = values[np.minimum(first + 1, start + last)]
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
 
 
 def _probabilities(values, what: str = "p") -> np.ndarray:

@@ -26,6 +26,7 @@ from .core import (
     TransformFamily,
     WeightedSample,
     inverse_cdf,
+    sorted_quantiles,
     unweighted_moments,
     weighted_moments,
 )
@@ -183,31 +184,38 @@ def ipw_weights(
     the alpha/2 and 1-alpha/2 quantiles of the stratum's pooled weights
     (inclusive linear-interpolation quantiles). Strata with only one form
     are overlap violations: their records get NaN weights.
+
+    One pass serves every stratum: the records are sorted by (stratum,
+    weight), and each stratum's bounds are read off its sorted run with
+    ``np.quantile``'s own steps, so the bits are those of a per-stratum
+    ``np.quantile``.
     """
     if not 0.0 <= trim_alpha < 0.5:
         raise ValueError(f"trim fraction must lie in [0, 0.5), got {trim_alpha}")
     pi = np.asarray(propensities, dtype=float).reshape(-1)
     if pi.size != len(table) or assignment.labels.size != len(table):
         raise DimensionError("propensities/assignment do not cover the records")
-    if np.any(pi <= 0.0) or np.any(pi >= 1.0):
+    if not ((pi > 0.0) & (pi < 1.0)).all():  # NaN included
         raise InvalidWeightError("propensities must lie strictly inside (0, 1)")
-    raw = np.full(pi.size, np.nan)
-    trimmed = np.full(pi.size, np.nan)
-    violations = []
-    for k in range(1, assignment.K + 1):
-        members = assignment.members(k)
-        if members.size == 0:
-            continue
-        t = table.form[members]
-        n_y = int(t.sum())
-        if n_y == 0 or n_y == members.size:
-            violations.append(k)
-            continue
-        p_k = n_y / members.size
-        w = np.where(t == 1, p_k / pi[members], (1.0 - p_k) / (1.0 - pi[members]))
-        lo, hi = np.quantile(w, [trim_alpha / 2.0, 1.0 - trim_alpha / 2.0])
-        raw[members] = w
-        trimmed[members] = np.clip(w, lo, hi)
+    stratum = assignment.labels.astype(np.intp, copy=False) - 1  # 0-based
+    sizes = np.bincount(stratum, minlength=assignment.K)
+    n_y = np.bincount(stratum, weights=table.form, minlength=assignment.K)
+    overlap = (n_y > 0) & (n_y < sizes)
+    p = (n_y / np.maximum(sizes, 1))[stratum]
+    raw = np.where(table.form == 1, p / pi, (1.0 - p) / (1.0 - pi))
+    by_weight = np.argsort(raw)
+    # a stable sort of 8- or 16-bit keys is a radix sort
+    key = stratum[by_weight].astype(np.min_scalar_type(assignment.K))
+    run = raw[by_weight[np.argsort(key, kind="stable")]]
+    starts = np.cumsum(sizes) - sizes
+    # a stratum without overlap keeps NaN bounds, and clipping to them NaN
+    lo, hi = np.full((2, assignment.K), np.nan)
+    lo[overlap], hi[overlap] = sorted_quantiles(
+        run, starts[overlap], sizes[overlap], [trim_alpha / 2.0, 1.0 - trim_alpha / 2.0]
+    ).T
+    trimmed = np.clip(raw, lo[stratum], hi[stratum])
+    raw[~overlap[stratum]] = np.nan
+    violations = (np.flatnonzero((sizes > 0) & ~overlap) + 1).tolist()
     return IPWWeights(
         raw=raw,
         trimmed=trimmed,

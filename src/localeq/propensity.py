@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ScoreTable
+from .core import ScoreTable, _probabilities, sorted_quantiles
 from .errors import (
     DegenerateColumnWarning,
     DimensionError,
@@ -88,6 +88,14 @@ class StratumAssignment:
     K: int
     labels: np.ndarray
     boundaries: np.ndarray
+
+    def __post_init__(self):
+        labels = np.asarray(self.labels)
+        bad = ~((labels >= 1) & (labels <= self.K) & (labels == np.floor(labels)))
+        if bad.any():
+            raise DimensionError(
+                f"stratum labels must be whole numbers in 1..{self.K}, got {labels[bad][0]}"
+            )
 
     def members(self, k: int) -> np.ndarray:
         return np.flatnonzero(self.labels == k)
@@ -242,9 +250,11 @@ def stratify_quantile(propensities, K: int) -> StratumAssignment:
     """Partition records into K strata at the j/K propensity quantiles.
 
     Records are assigned by rank, with ties broken by stable input order, so
-    stratum sizes are as equal as the ties permit.
+    stratum sizes are as equal as the ties permit. The cut points are the
+    linear quantiles of ``np.quantile``, read off the sorted propensities.
+    A propensity outside [0, 1], NaN included, raises InvalidProbabilityError.
     """
-    p = np.asarray(propensities, dtype=float).reshape(-1)
+    p = _probabilities(propensities, "propensities").reshape(-1)
     n = p.size
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
@@ -253,10 +263,7 @@ def stratify_quantile(propensities, K: int) -> StratumAssignment:
     order = np.argsort(p, kind="stable")
     labels = np.empty(n, dtype=int)
     labels[order] = np.arange(n) * K // n + 1
-    if K == 1:
-        boundaries = np.empty(0)
-    else:
-        boundaries = np.quantile(p, np.arange(1, K) / K)
+    boundaries = sorted_quantiles(p[order], [0], [n], np.arange(1, K) / K)[0]
     return StratumAssignment(K=K, labels=labels, boundaries=boundaries)
 
 

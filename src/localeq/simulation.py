@@ -8,6 +8,7 @@ true-transform oracle plus sum-score distributions for omission masking.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -319,15 +320,17 @@ def true_transform(
     thetas = np.asarray(bin_thetas, dtype=float).reshape(-1)
     if thetas.size == 0:
         raise OmittedBinError("empty ability bin")
+    n = thetas.size
     mu_x_i, var_x_i = conditional_score_moments(form_x_items, thetas)
     mu_y_i, var_y_i = conditional_score_moments(form_y_items, thetas)
-    var_x = var_x_i.mean() + mu_x_i.var()
-    var_y = var_y_i.mean() + mu_y_i.var()
+    # numpy's own mean() / var() steps, so the same bits, minus their wrappers
+    mu_x, mu_y = np.add.reduce(mu_x_i) / n, np.add.reduce(mu_y_i) / n
+    d_x, d_y = mu_x_i - mu_x, mu_y_i - mu_y
+    var_x = np.add.reduce(var_x_i) / n + np.add.reduce(d_x * d_x) / n
+    var_y = np.add.reduce(var_y_i) / n + np.add.reduce(d_y * d_y) / n
     if var_x <= 0.0 or var_y <= 0.0:
         raise OmittedBinError("degenerate score distribution in bin")
-    return LinearTransform(
-        slope=math.sqrt(var_x / var_y), mu_y=float(mu_y_i.mean()), mu_x=float(mu_x_i.mean())
-    )
+    return LinearTransform(slope=math.sqrt(var_x / var_y), mu_y=float(mu_y), mu_x=float(mu_x))
 
 
 def score_distribution(items: ItemParams, nodes, weights) -> np.ndarray:
@@ -359,6 +362,14 @@ def score_distribution(items: ItemParams, nodes, weights) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _legendre(n_nodes: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per size."""
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def normal_quadrature(mean: float, sd: float, n_nodes: int = 61, span: float = 6.0):
     """Gauss-Legendre nodes over mean +/- span*sd with normal-density weights.
 
@@ -367,7 +378,7 @@ def normal_quadrature(mean: float, sd: float, n_nodes: int = 61, span: float = 6
     """
     if sd <= 0.0:
         raise ValueError("sd must be positive")
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = _legendre(n_nodes)
     nodes = mean + span * sd * x
     density = np.exp(-0.5 * ((nodes - mean) / sd) ** 2)
     weights = w * density

@@ -16,6 +16,7 @@ from localeq.core import (
     TransformFamily,
     WeightedSample,
     inverse_cdf,
+    sorted_quantiles,
     unweighted_moments,
     weighted_moments,
 )
@@ -201,6 +202,25 @@ class TestMoments:
         r = np.array([2.0, 2.0, 5.0, 5.0, 5.0])
         assert w_mean == pytest.approx(r.mean())
         assert w_sd == pytest.approx(r.std(ddof=0))
+
+
+class TestSortedQuantiles:
+    def test_each_run_matches_np_quantile_bit_for_bit(self):
+        # runs of 1 to 60 values back to back, some tied, some with an
+        # infinite end; q at both ends, at halves and at random points
+        rng = np.random.default_rng(5)
+        q = np.concatenate([[0.0, 0.005, 0.25, 0.5, 0.995, 1.0], rng.random(6)])
+        for trial in range(200):
+            counts = rng.integers(1, 61, rng.integers(1, 6))
+            runs = [np.sort(rng.choice(rng.exponential(1.0, 4), c) if trial % 3 == 0
+                            else rng.exponential(1.0, c)) for c in counts]
+            if trial % 10 == 0:
+                runs[0][-1] = np.inf
+            values = np.concatenate(runs)
+            with np.errstate(invalid="ignore"):  # inf - inf on both sides
+                got = sorted_quantiles(values, np.cumsum(counts) - counts, counts, q)
+                expected = np.array([np.quantile(run, q) for run in runs])
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestWeightedSample:

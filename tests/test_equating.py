@@ -228,11 +228,12 @@ class TestIPWWeights:
         with pytest.raises(ValueError):
             ipw_weights(table(records), assignment, np.full(2, 0.5), trim_alpha=0.5)
 
-    def test_propensity_bounds(self):
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, math.nan])
+    def test_propensity_bounds(self, bad):
         records = [rec(1, 5), rec(0, 6)]
         assignment = stratify_quantile(np.full(2, 0.5), 1)
-        with pytest.raises(InvalidWeightError):
-            ipw_weights(table(records), assignment, np.array([0.0, 0.5]))
+        with pytest.raises(InvalidWeightError, match="propensities"):
+            ipw_weights(table(records), assignment, np.array([0.5, bad]))
 
 
 class TestIPWFamily:
@@ -721,3 +722,94 @@ class TestCellEngineOracle:
             assert_engine_matches_reference(t, assignment, propensities, bad_weight)
         fam = anchor_family(t)
         assert sorted(fam.entries) == [2, 6] and fam.omitted == [0, 1, 3, 4, 5]
+
+
+def reference_ipw_weights(table, assignment, propensities, trim_alpha=0.01):
+    """The per-stratum loop the one-sort ipw_weights replaced, kept as its
+    oracle: one selection and one ``np.quantile`` call per stratum."""
+    if not 0.0 <= trim_alpha < 0.5:
+        raise ValueError(f"trim fraction must lie in [0, 0.5), got {trim_alpha}")
+    pi = np.asarray(propensities, dtype=float).reshape(-1)
+    if pi.size != len(table) or assignment.labels.size != len(table):
+        raise DimensionError("propensities/assignment do not cover the records")
+    if np.any(pi <= 0.0) or np.any(pi >= 1.0):
+        raise InvalidWeightError("propensities must lie strictly inside (0, 1)")
+    raw = np.full(pi.size, np.nan)
+    trimmed = np.full(pi.size, np.nan)
+    violations = []
+    for k in range(1, assignment.K + 1):
+        members = assignment.members(k)
+        if members.size == 0:
+            continue
+        t = table.form[members]
+        n_y = int(t.sum())
+        if n_y == 0 or n_y == members.size:
+            violations.append(k)
+            continue
+        p_k = n_y / members.size
+        w = np.where(t == 1, p_k / pi[members], (1.0 - p_k) / (1.0 - pi[members]))
+        lo, hi = np.quantile(w, [trim_alpha / 2.0, 1.0 - trim_alpha / 2.0])
+        raw[members] = w
+        trimmed[members] = np.clip(w, lo, hi)
+    return IPWWeights(
+        raw=raw,
+        trimmed=trimmed,
+        strata=assignment.labels.copy(),
+        trim_alpha=trim_alpha,
+        overlap_violations=violations,
+    )
+
+
+def assert_ipw_weights_match_reference(t, assignment, propensities, trim_alpha):
+    got = ipw_weights(t, assignment, propensities, trim_alpha)
+    want = reference_ipw_weights(t, assignment, propensities, trim_alpha)
+    for name in ("raw", "trimmed", "strata"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.trim_alpha == want.trim_alpha
+    assert got.overlap_violations == want.overlap_violations
+    assert all(type(k) is int for k in got.overlap_violations)
+
+
+class TestIPWWeightsOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(0, 300),
+        strata=st.integers(1, 9),
+        used=st.integers(1, 9),
+        distinct=st.sampled_from([1, 2, 5, None]),
+        trim_alpha=st.one_of(st.sampled_from([0.0, 0.49]), st.floats(0.0, 0.49)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sorted_pass_matches_the_stratum_loop(
+        self, n, strata, used, distinct, trim_alpha, seed
+    ):
+        # strata above ``used`` stay empty; each stratum's form-Y share is
+        # 0, 1 (one-form strata), small or even; a few distinct propensities
+        # tie the weights
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(1, min(used, strata) + 1, n)
+        share = rng.choice([0.0, 1.0, 0.05, 0.5], strata)[labels - 1]
+        t = ScoreTable(form=(rng.random(n) < share).astype(int), score=rng.integers(0, 40, n))
+        pool = rng.uniform(0.01, 0.99, n if distinct is None else distinct)
+        propensities = pool[rng.integers(0, pool.size, n)] if n else np.empty(0)
+        assignment = StratumAssignment(K=strata, labels=labels, boundaries=np.empty(0))
+        assert_ipw_weights_match_reference(t, assignment, propensities, trim_alpha)
+
+    @pytest.mark.parametrize("trim_alpha", [0.0, 0.01, 0.49])
+    def test_pinned_strata(self, trim_alpha):
+        # stratum sizes 0, 1 (form X only), 2 (one per form), 3 with tied
+        # weights, a one-form stratum of 4, and 40 with spread weights
+        groups = [(2, [0]), (3, [0, 1]), (4, [1, 0, 1]), (5, [1] * 4), (6, [0, 1] * 20)]
+        labels = np.concatenate([[k] * len(forms) for k, forms in groups])
+        forms = np.concatenate([forms for _, forms in groups])
+        propensities = np.where(labels == 4, 0.5, np.linspace(0.05, 0.95, labels.size))
+        t = ScoreTable(form=forms, score=np.arange(labels.size))
+        assignment = StratumAssignment(K=6, labels=labels, boundaries=np.empty(0))
+        assert_ipw_weights_match_reference(t, assignment, propensities, trim_alpha)
+        assert ipw_weights(t, assignment, propensities, trim_alpha).overlap_violations == [2, 5]
+
+    def test_empty_table(self):
+        t = ScoreTable(form=np.empty(0, dtype=int), score=np.empty(0, dtype=int))
+        assignment = StratumAssignment(K=3, labels=np.empty(0, dtype=int), boundaries=np.empty(0))
+        assert_ipw_weights_match_reference(t, assignment, np.empty(0), 0.01)

@@ -9,14 +9,16 @@ from localeq.cli import main
 from localeq.core import LinearTransform, TransformFamily
 from localeq.errors import StudyUnstableWarning
 from localeq.evaluation import (
+    METHODS,
     ErrorAccumulator,
     EvaluationReport,
     _on_score_grid,
+    _run_replication,
     apply_omission_rule,
     bin_by_theta,
     run_study,
 )
-from localeq.simulation import SimulationConfig
+from localeq.simulation import SimulationConfig, draw_design
 
 
 class TestBinByTheta:
@@ -428,6 +430,19 @@ class TestRunStudy:
         report = run_study(config, methods=("strat", "ipw"))
         assert report.methods["strat"].failures == 0
         assert len(calls) == config.replications
+
+    def test_replication_path_calls_no_quantile_wrapper(self, monkeypatch):
+        # the strata cut points and the IPW trimming bounds are read off
+        # sorted runs; np.quantile stays off the study's replication path
+        def no_quantile(*args, **kwargs):
+            raise AssertionError("np.quantile called on the replication path")
+
+        monkeypatch.setattr(np, "quantile", no_quantile)
+        config = SimulationConfig(replications=1, seed=1)
+        seeds = np.random.SeedSequence(config.seed).spawn(2)
+        design = draw_design(config, np.random.default_rng(seeds[0]))
+        out = _run_replication(config, design, METHODS, seeds[1])
+        assert all(out[method] is not None for method in METHODS)
 
     def test_worker_count_does_not_change_rows(self):
         serial = run_study(tiny_config(), methods=("anchor", "ipw"))

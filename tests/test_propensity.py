@@ -12,6 +12,7 @@ from localeq.core import ScoreTable
 from localeq.errors import (
     DegenerateColumnWarning,
     DimensionError,
+    InvalidProbabilityError,
     SeparationWarning,
     TooManyStrataError,
 )
@@ -19,6 +20,7 @@ from localeq.propensity import (
     PROPENSITY_CLIP,
     SEPARATION_BOUND,
     PropensityModel,
+    StratumAssignment,
     asmd,
     balance_report,
     encode_covariates,
@@ -149,6 +151,48 @@ class TestStratifyQuantile:
     def test_too_many_strata(self):
         with pytest.raises(TooManyStrataError):
             stratify_quantile(np.array([0.4, 0.6]), 3)
+
+    @given(
+        p=st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=300,
+        ),
+        k=st.integers(1, 40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_boundaries_match_np_quantile_bit_for_bit(self, p, k):
+        # ties, signed zeros and both ends of [0, 1] included
+        p = np.array(p)
+        if k > p.size:
+            return
+        expected = np.quantile(p, np.arange(1, k) / k) if k > 1 else np.empty(0)
+        got = stratify_quantile(p, k).boundaries
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_boundaries_match_np_quantile_on_spread_propensities(self):
+        # untied draws, where the two branches of numpy's interpolation
+        # round differently in about one case in six
+        rng = np.random.default_rng(3)
+        for n in range(2, 150):
+            p = rng.uniform(0.0, 1.0, n)
+            for k in range(2, min(n, 20) + 1):
+                expected = np.quantile(p, np.arange(1, k) / k)
+                assert stratify_quantile(p, k).boundaries.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.25, 1.5, math.inf])
+    def test_rejects_a_propensity_outside_the_unit_interval(self, bad):
+        p = np.array([0.2, 0.4, bad, 0.6, math.nan])
+        with pytest.raises(InvalidProbabilityError, match=f"got {bad}"):
+            stratify_quantile(p, 2)
+
+    @pytest.mark.parametrize("bad", [0, 4, -1, 2.5])
+    def test_assignment_rejects_labels_outside_one_to_k(self, bad):
+        labels = np.array([1, 2, 3, bad, 0, 1])
+        with pytest.raises(DimensionError, match=f"got {bad}"):
+            StratumAssignment(K=3, labels=labels, boundaries=np.empty(0))
+        StratumAssignment(K=3, labels=np.array([1, 2, 3, 3]), boundaries=np.empty(0))
 
     def test_members(self):
         a = stratify_quantile(np.array([0.9, 0.1, 0.5, 0.3]), 2)

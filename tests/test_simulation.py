@@ -27,6 +27,7 @@ from localeq.simulation import (
     score_distribution,
     true_transform,
 )
+from localeq.simulation import _legendre
 
 
 def masked_sigmoid(eta):
@@ -461,6 +462,21 @@ class TestTrueTransform:
         with pytest.raises(OmittedBinError):
             true_transform([], items, items)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 257, 1000])
+    def test_matches_the_mean_var_form_bit_for_bit(self, n):
+        # the .mean() / .var() form the add.reduce steps replaced
+        rng = np.random.default_rng(n)
+        x_items, y_items = draw_items(40, rng), draw_items(40, rng)
+        for scale in (0.01, 1.0, 3.0):
+            thetas = scale * rng.standard_normal(n)
+            mu_x, var_x = conditional_score_moments(x_items, thetas)
+            mu_y, var_y = conditional_score_moments(y_items, thetas)
+            slope = math.sqrt((var_x.mean() + mu_x.var()) / (var_y.mean() + mu_y.var()))
+            t = true_transform(thetas, x_items, y_items)
+            assert same_bytes(t.slope, slope)
+            assert same_bytes(t.mu_y, float(mu_y.mean()))
+            assert same_bytes(t.mu_x, float(mu_x.mean()))
+
 
 class TestScoreDistribution:
     def test_single_coin_item(self):
@@ -531,6 +547,20 @@ class TestNormalQuadrature:
     def test_sd_validation(self):
         with pytest.raises(ValueError):
             normal_quadrature(0.0, 0.0)
+
+    def test_rule_is_computed_once_and_kept_read_only(self):
+        x, w = np.polynomial.legendre.leggauss(61)
+        nodes, weights = normal_quadrature(0.8, 1.7)
+        again, _ = normal_quadrature(-0.3, 0.9)
+        density = w * np.exp(-0.5 * ((0.8 + 6.0 * 1.7 * x - 0.8) / 1.7) ** 2)
+        assert same_bytes(nodes, 0.8 + 6.0 * 1.7 * x)
+        assert same_bytes(weights, density / density.sum())
+        assert same_bytes(again, -0.3 + 6.0 * 0.9 * x)
+        five, _ = normal_quadrature(0.0, 1.0, n_nodes=5)
+        assert same_bytes(five, 6.0 * np.polynomial.legendre.leggauss(5)[0])
+        assert _legendre(61) is _legendre(61)
+        with pytest.raises(ValueError):
+            _legendre(61)[0][0] = 1.0
 
 
 class TestMixtureScoreDistribution:
