@@ -259,6 +259,9 @@ def _propensity_stage(pop, strata: int):
     raw = np.column_stack([pop.anchor_score, pop.covariates]).astype(float)
     sds = raw.std(axis=0, ddof=1)
     keep = sds > 0.0
+    # raw[:, keep], and so ``encoded``, is Fortran-ordered. fit_logistic's BLAS
+    # products round by memory layout: a C-ordered copy of the same values
+    # moves the coefficients in their last bits, and the report bytes with them.
     encoded = (raw[:, keep] - raw[:, keep].mean(axis=0)) / sds[keep]
     model = fit_logistic(encoded, pop.form)
     propensities = estimate_propensity(model, encoded)
@@ -299,7 +302,7 @@ def _run_replication(config, design, methods, seed_seq):
     theta, scores = pop.theta[target], pop.score[target]
     labels, _ = bin_by_theta(theta, config.nbins)
     true_eq = _on_score_grid(
-        lambda b: true_transform(theta[labels == b], design.form_x_items, design.form_y_items),
+        true_transform(theta, labels, design.form_x_items, design.form_y_items).__getitem__,
         labels, scores, config.items,
     )
     grid = ErrorAccumulator(config.nbins, config.items + 1)

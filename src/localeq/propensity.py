@@ -274,11 +274,13 @@ def asmd(group_x, group_y) -> float:
     Returns 0 for identical means, and inf when both variances vanish but
     the means differ.
     """
-    x = np.asarray(group_x, dtype=float).reshape(-1)
-    y = np.asarray(group_y, dtype=float).reshape(-1)
-    var_x = x.var(ddof=1) if x.size > 1 else 0.0
-    var_y = y.var(ddof=1) if y.size > 1 else 0.0
-    diff = abs(float(x.mean()) - float(y.mean()))
+    def mean_var(v):  # numpy's own mean() / var(ddof=1) steps: the same bits
+        v = np.asarray(v, dtype=float).reshape(-1)
+        mean = np.add.reduce(v) / v.size
+        return mean, np.add.reduce((v - mean) ** 2) / (v.size - 1) if v.size > 1 else 0.0
+
+    (mean_x, var_x), (mean_y, var_y) = mean_var(group_x), mean_var(group_y)
+    diff = abs(float(mean_x) - float(mean_y))
     denom = math.sqrt((var_x + var_y) / 2.0)
     if denom == 0.0:
         return 0.0 if diff == 0.0 else math.inf
@@ -294,6 +296,7 @@ def balance_report(
 
     Strata missing either form are flagged as overlap violations and carry
     NaN entries; they are excluded from the satisfactory-balance fractions.
+    Each sample is a slice of one stable (stratum, form) sort: the same bits.
     """
     raw, forms = table.covariates, table.form
     if assignment.labels.size != len(table):
@@ -304,17 +307,20 @@ def balance_report(
         if covariate_names is not None
         else [f"C{j + 1}" for j in range(n_cov)]
     )
+    # stratum k's form-X records, then its form-Y ones (radix-sorted in a small dtype)
+    cells = 2 * assignment.labels.astype(int) - 2 + forms
+    order = np.argsort(cells.astype(np.min_scalar_type(2 * assignment.K)), kind="stable")
+    columns = raw.T.take(order, axis=1)  # one contiguous row per covariate
+    edges = [0, *np.cumsum(np.bincount(cells, minlength=2 * assignment.K)).tolist()]
     table = np.full((assignment.K, n_cov), np.nan)
     violations = []
-    for k in range(1, assignment.K + 1):
-        members = assignment.members(k)
-        in_x = members[forms[members] == 0]
-        in_y = members[forms[members] == 1]
-        if in_x.size == 0 or in_y.size == 0:
-            violations.append(k)
+    for k in range(assignment.K):
+        start, split, stop = edges[2 * k : 2 * k + 3]
+        if start == split or split == stop:
+            violations.append(k + 1)
             continue
-        for j in range(n_cov):
-            table[k - 1, j] = asmd(raw[in_x, j], raw[in_y, j])
+        for j, column in enumerate(columns):
+            table[k, j] = asmd(column[start:split], column[split:stop])
     evaluable = ~np.isnan(table)
     counts = evaluable.sum(axis=0)
     satisfactory = ((table < BALANCE_THRESHOLD) & evaluable).sum(axis=0)

@@ -9,7 +9,6 @@ true-transform oracle plus sum-score distributions for omission masking.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -53,27 +52,47 @@ def prob_2pl(theta, a, b):
 def _prob_2pl_blocks(theta, a, b, form=None):
     """Per row block of about ``BLOCK_SIZE`` entries, yield ``(rows, p, scratch)``:
     ``p`` is ``prob_2pl(theta[rows, None], a, b)`` bit for bit, with ``form[i]``
-    picking row i's ``a`` and ``b`` if given. The two buffers are allocated once."""
+    picking row i's ``a`` and ``b`` if given. The two buffers are allocated once, and
+    every ufunc runs on whole blocks: a broadcast would allocate iterator buffers."""
     n, k = theta.shape[0], np.shape(b)[-1]
     block = max(1, BLOCK_SIZE // max(k, 1))
     buffers = np.empty((2, min(n, block), k))
     for start in range(0, n, block):
         rows = slice(start, min(start + block, n))
         p, scratch = buffers[:, : rows.stop - start]
-        a_rows, b_rows = a, b
-        if form is not None:  # one row of a and b per form; "clip" takes unbuffered
-            a_rows = np.take(a, form[rows], axis=0, out=scratch, mode="clip")
-            b_rows = np.take(b, form[rows], axis=0, out=p, mode="clip")
-        np.subtract(theta[rows, None], b_rows, out=p)
-        p *= a_rows
+        np.copyto(p, theta[rows, None])
+        for param, step in ((b, np.subtract), (a, np.multiply)):  # (theta - b) * a
+            if form is None:
+                np.copyto(scratch, param)
+            else:  # one row of a and b per form; "clip" takes unbuffered
+                np.take(param, form[rows], axis=0, out=scratch, mode="clip")
+            step(p, scratch, out=p)
         yield rows, sigmoid_inplace(p, scratch), scratch
 
 
 def _draw_counts(theta, a, b, rng, form=None) -> np.ndarray:
-    """Per row, ``(rng.random(p.shape) < p).sum(axis=1)``, uniforms in row order."""
-    counts = np.empty(theta.shape[0], dtype=int)
-    for rows, p, u in _prob_2pl_blocks(theta, a, b, form):
-        counts[rows] = np.add.reduce(np.less(rng.random(out=u), p, out=u), axis=1)
+    """Per row, ``(rng.random(p.shape) < p).sum(axis=1)``, p = prob_2pl(theta[:, None], a, b),
+    ``form[i]`` picking row i's ``a`` and ``b`` if given; uniforms in row order. Without
+    ``form``, each row block's p is items x rows, so every step runs along the rows, not
+    along as few as one item, and meets the block's row-major uniforms transposed."""
+    n, k = theta.shape[0], np.shape(b)[-1]
+    counts = np.empty(n, dtype=int)
+    if form is not None:  # per-row parameters: a row-major gather is the faster layout
+        for rows, p, u in _prob_2pl_blocks(theta, a, b, form):
+            counts[rows] = np.add.reduce(np.less(rng.random(out=u), p, out=u), axis=1)
+        return counts
+    block = BLOCK_SIZE // max(k, 1)
+    buffers = np.empty((2, min(n, block) * k))
+    for start in range(0, n, block):
+        rows, m = slice(start, min(start + block, n)), min(block, n - start)
+        p, u = buffers[:, : k * m].reshape(2, k, m)
+        np.copyto(p, theta[rows])
+        for param, step in ((b, np.subtract), (a, np.multiply)):  # (theta - b) * a
+            np.copyto(u, np.reshape(param, (-1, 1)))
+            step(p, u, out=p)
+        sigmoid_inplace(p, u)
+        u = rng.random(out=u.reshape(m, k))
+        counts[rows] = np.add.reduce(np.less(u.T, p, out=p), axis=0)
     return counts
 
 
@@ -309,28 +328,40 @@ def conditional_score_moments(items: ItemParams, theta):
 
 
 def true_transform(
-    bin_thetas, form_x_items: ItemParams, form_y_items: ItemParams
-) -> LinearTransform:
-    """True linear transform for a bin of ability values.
+    thetas, labels, form_x_items: ItemParams, form_y_items: ItemParams
+) -> dict:
+    """True linear transform of every ability bin, ``{label: LinearTransform}``.
 
-    Bin-level moments compose the per-theta analytic moments: the mean of
-    conditional means, and the mean of conditional variances plus the
-    variance of conditional means across the bin.
+    ``labels`` names each theta's bin, or is one label for all. Bin-level moments
+    compose the per-theta analytic moments: the mean of conditional means, and
+    the mean of conditional variances plus the variance of conditional means.
+    One moment pass per form serves every bin: sorted stably by label, a bin's
+    moments are one slice in input order, so its sums keep a selection's bits.
     """
-    thetas = np.asarray(bin_thetas, dtype=float).reshape(-1)
+    thetas = np.asarray(thetas, dtype=float).reshape(-1)
     if thetas.size == 0:
         raise OmittedBinError("empty ability bin")
-    n = thetas.size
-    mu_x_i, var_x_i = conditional_score_moments(form_x_items, thetas)
-    mu_y_i, var_y_i = conditional_score_moments(form_y_items, thetas)
+    labels = np.broadcast_to(labels, thetas.shape)
+    order = np.argsort(labels, kind="stable")
+    bins, starts, counts = np.unique(labels[order], return_index=True, return_counts=True)
+    # rows mu_x, var_x, mu_y, var_y: of each theta in sorted order, then of each bin
+    moments = np.stack([*conditional_score_moments(form_x_items, thetas[order]),
+                        *conditional_score_moments(form_y_items, thetas[order])])
+    runs = [slice(start, start + n) for start, n in zip(starts.tolist(), counts.tolist())]
+
+    def bin_sums(rows):  # each bin's pairwise sums, as a per-bin selection sums them
+        return np.stack([np.add.reduce(rows[:, run], axis=1) for run in runs], axis=1)
+
     # numpy's own mean() / var() steps, so the same bits, minus their wrappers
-    mu_x, mu_y = np.add.reduce(mu_x_i) / n, np.add.reduce(mu_y_i) / n
-    d_x, d_y = mu_x_i - mu_x, mu_y_i - mu_y
-    var_x = np.add.reduce(var_x_i) / n + np.add.reduce(d_x * d_x) / n
-    var_y = np.add.reduce(var_y_i) / n + np.add.reduce(d_y * d_y) / n
-    if var_x <= 0.0 or var_y <= 0.0:
-        raise OmittedBinError("degenerate score distribution in bin")
-    return LinearTransform(slope=math.sqrt(var_x / var_y), mu_y=float(mu_y), mu_x=float(mu_x))
+    stats = bin_sums(moments) / counts
+    d = moments[::2] - np.repeat(stats[::2], counts, axis=1)
+    stats[1::2] += bin_sums(d * d) / counts
+    mu_x, var_x, mu_y, var_y = stats
+    degenerate = (var_x <= 0.0) | (var_y <= 0.0)
+    if degenerate.any():
+        raise OmittedBinError(f"degenerate score distribution in bin {bins[degenerate][0]}")
+    maps = map(LinearTransform, np.sqrt(var_x / var_y).tolist(), mu_y.tolist(), mu_x.tolist())
+    return dict(zip(bins.tolist(), maps))
 
 
 def score_distribution(items: ItemParams, nodes, weights) -> np.ndarray:

@@ -263,7 +263,59 @@ class TestEncodeCovariates:
             encode_covariates(recs, ["numeric", "numeric"])
 
 
+def per_stratum_asmd(table, assignment):
+    """The balance table as it was before the (stratum, form) sort, kept as a
+    reference: a member scan per stratum and numpy's mean / var per pair."""
+
+    def reference_asmd(x, y):
+        var_x = x.var(ddof=1) if x.size > 1 else 0.0
+        var_y = y.var(ddof=1) if y.size > 1 else 0.0
+        diff = abs(float(x.mean()) - float(y.mean()))
+        denom = math.sqrt((var_x + var_y) / 2.0)
+        if denom == 0.0:
+            return 0.0 if diff == 0.0 else math.inf
+        return diff / denom
+
+    raw, forms = table.covariates, table.form
+    out = np.full((assignment.K, raw.shape[1]), np.nan)
+    violations = []
+    for k in range(1, assignment.K + 1):
+        members = assignment.members(k)
+        in_x = members[forms[members] == 0]
+        in_y = members[forms[members] == 1]
+        if in_x.size == 0 or in_y.size == 0:
+            violations.append(k)
+            continue
+        for j in range(raw.shape[1]):
+            out[k - 1, j] = reference_asmd(raw[in_x, j], raw[in_y, j])
+    return out, violations
+
+
 class TestBalanceReport:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 400),
+        K=st.integers(1, 12),
+        n_cov=st.integers(1, 4),
+        share_y=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+        levels=st.sampled_from([2, 5, None]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sorted_slices_match_the_per_stratum_loop(self, n, K, n_cov, share_y, levels, seed):
+        # few form-Y records or few levels give one-form strata and constant samples
+        rng = np.random.default_rng(seed)
+        K = min(K, n)
+        forms = (rng.random(n) < share_y).astype(int)
+        cov = rng.normal(size=(n, n_cov)) * 10.0 ** rng.integers(-3, 4, n_cov)
+        if levels is not None:
+            cov = rng.integers(0, levels, (n, n_cov)).astype(float)
+        table = table_from_matrix(cov, forms)
+        assignment = stratify_quantile(rng.random(n), K)
+        report = balance_report(table, assignment)
+        want, violations = per_stratum_asmd(table, assignment)
+        assert report.asmd.tobytes() == want.tobytes()
+        assert report.overlap_violations == violations
+
     def test_single_stratum_oracle(self):
         x_vals = [1.0, 2.0, 3.0]
         y_vals = [1.0 - math.sqrt(3), 1.0, 1.0 + math.sqrt(3)]

@@ -6,8 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
+from localeq.core import LinearTransform
 from localeq.errors import OmittedBinError
 from localeq.propensity import sigmoid
 from localeq.simulation import (
@@ -177,7 +180,37 @@ class TestItemParams:
         assert np.all(np.isfinite(items.b))
 
 
+def row_major_covariates(theta, design, rng):
+    """The covariate draw as it was before the items x rows evaluation, kept as
+    a reference: p is rows x items, compared with the uniforms in row order."""
+    columns = []
+    for a_c, b_c in zip(design.discriminations, design.difficulties):
+        p = masked_sigmoid((theta[:, None] - b_c) * a_c)
+        columns.append((rng.random(p.shape) < p).sum(axis=1))
+    return np.column_stack(columns)
+
+
 class TestCovariates:
+    @pytest.mark.parametrize("items", [1, 2, 3, 4, 5, 6])
+    def test_items_by_rows_matches_the_row_major_draw(self, items):
+        # every n that ends a block early, exactly, or one row into the next;
+        # the second covariate holds the other 7 - items indicators
+        block = BLOCK_SIZE // items
+        rng = np.random.default_rng(items)
+        design = CovariateDesign(
+            discriminations=(float(rng.uniform(0.1, 1.5)), 0.7),
+            difficulties=(
+                np.sort(rng.standard_normal(items)), np.sort(rng.standard_normal(7 - items))
+            ),
+        )
+        for n in (0, 1, 2, block - 1, block, block + 1, 2 * block + 1):
+            theta = 2.0 * rng.standard_normal(n)
+            got_rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
+            got = covariates_from_design(theta, design, got_rng)
+            want = row_major_covariates(theta, design, want_rng)
+            assert same_bytes(got, want), n
+            assert got_rng.random() == want_rng.random(), n
+
     def test_values_within_category_range(self):
         rng = np.random.default_rng(1)
         theta = rng.standard_normal(500)
@@ -413,7 +446,7 @@ class TestTrueTransform:
     def test_identical_forms_identity(self):
         items = draw_items(10, np.random.default_rng(1))
         thetas = np.random.default_rng(2).standard_normal(50)
-        t = true_transform(thetas, items, items)
+        t = true_transform(thetas, 0, items, items)[0]
         assert t.slope == pytest.approx(1.0)
         for y in (2.0, 5.0, 8.0):
             assert t(y) == pytest.approx(y, abs=1e-10)
@@ -423,7 +456,7 @@ class TestTrueTransform:
         # Y has 8 (mu 4, var 2) -> slope .5 and t(4) = 1
         x_items = ItemParams(a=np.ones(2), b=np.zeros(2))
         y_items = ItemParams(a=np.ones(8), b=np.zeros(8))
-        t = true_transform([0.0], x_items, y_items)
+        t = true_transform([0.0], 0, x_items, y_items)[0]
         assert t.slope == pytest.approx(0.5)
         assert t(4.0) == pytest.approx(1.0)
 
@@ -435,7 +468,7 @@ class TestTrueTransform:
         gaps = []
         for step in np.linspace(1.0, 0.0, 5):
             y_items = ItemParams(a=x_items.a, b=x_items.b + step * (b_far - x_items.b))
-            t = true_transform(thetas, x_items, y_items)
+            t = true_transform(thetas, 0, x_items, y_items)[0]
             gaps.append(abs(t.slope - 1.0) + abs(t(10.0) - 10.0))
         assert gaps[-1] < 1e-10
         assert gaps[0] > gaps[-1]
@@ -460,7 +493,7 @@ class TestTrueTransform:
     def test_empty_bin(self):
         items = draw_items(3, np.random.default_rng(0))
         with pytest.raises(OmittedBinError):
-            true_transform([], items, items)
+            true_transform([], 0, items, items)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 257, 1000])
     def test_matches_the_mean_var_form_bit_for_bit(self, n):
@@ -472,10 +505,123 @@ class TestTrueTransform:
             mu_x, var_x = conditional_score_moments(x_items, thetas)
             mu_y, var_y = conditional_score_moments(y_items, thetas)
             slope = math.sqrt((var_x.mean() + mu_x.var()) / (var_y.mean() + mu_y.var()))
-            t = true_transform(thetas, x_items, y_items)
+            t = true_transform(thetas, 0, x_items, y_items)[0]
             assert same_bytes(t.slope, slope)
             assert same_bytes(t.mu_y, float(mu_y.mean()))
             assert same_bytes(t.mu_x, float(mu_x.mean()))
+
+
+def per_bin_true_transform(bin_thetas, form_x_items, form_y_items):
+    """The one-bin ``true_transform`` the batched pass replaced, kept as a reference."""
+    thetas = np.asarray(bin_thetas, dtype=float).reshape(-1)
+    if thetas.size == 0:
+        raise OmittedBinError("empty ability bin")
+    n = thetas.size
+    mu_x_i, var_x_i = conditional_score_moments(form_x_items, thetas)
+    mu_y_i, var_y_i = conditional_score_moments(form_y_items, thetas)
+    # numpy's own mean() / var() steps, so the same bits, minus their wrappers
+    mu_x, mu_y = np.add.reduce(mu_x_i) / n, np.add.reduce(mu_y_i) / n
+    d_x, d_y = mu_x_i - mu_x, mu_y_i - mu_y
+    var_x = np.add.reduce(var_x_i) / n + np.add.reduce(d_x * d_x) / n
+    var_y = np.add.reduce(var_y_i) / n + np.add.reduce(d_y * d_y) / n
+    if var_x <= 0.0 or var_y <= 0.0:
+        raise OmittedBinError("degenerate score distribution in bin")
+    return LinearTransform(slope=math.sqrt(var_x / var_y), mu_y=float(mu_y), mu_x=float(mu_x))
+
+
+def per_bin_truth(thetas, labels, x_items, y_items):
+    """The study's old loop: one reference call per populated bin, in label order."""
+    thetas, labels = np.asarray(thetas, dtype=float), np.asarray(labels)
+    return {
+        b: per_bin_true_transform(thetas[labels == b], x_items, y_items)
+        for b in np.unique(labels).tolist()
+    }
+
+
+def assert_same_truth(got, want):
+    assert list(got) == list(want)
+    for label, t in want.items():
+        for name in ("slope", "mu_y", "mu_x"):
+            assert same_bytes(getattr(got[label], name), getattr(t, name)), (label, name)
+
+
+class TestBatchedTruthOracle:
+    """The one-pass ``true_transform`` against the per-bin loop it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 600),
+        nbins=st.integers(1, 12),
+        n_items=st.sampled_from([1, 3, 40]),
+        scale=st.sampled_from([0.01, 1.0, 3.0]),
+        extreme=st.sampled_from([0.0, 0.1, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_per_bin_loop_bit_for_bit(self, n, nbins, n_items, scale, extreme, seed):
+        # a theta of +-2000 makes every item certain: a bin of them alone is degenerate
+        rng = np.random.default_rng(seed)
+        x_items, y_items = draw_items(n_items, rng), draw_items(n_items, rng)
+        thetas = scale * rng.standard_normal(n)
+        far = rng.random(n) < extreme
+        thetas[far] = rng.choice([-2000.0, 2000.0], far.sum())
+        labels = rng.integers(1, nbins + 1, n)
+        try:
+            want = per_bin_truth(thetas, labels, x_items, y_items)
+        except OmittedBinError:
+            with pytest.raises(OmittedBinError):
+                true_transform(thetas, labels, x_items, y_items)
+            return
+        assert_same_truth(true_transform(thetas, labels, x_items, y_items), want)
+
+    @pytest.mark.parametrize("labels", [
+        [1, 2, 3, 4, 5],  # every bin a single theta
+        [7, 7, 7, 7, 7],  # one bin
+        [3, 1, 3, 2, 1],  # interleaved, out of order
+        [9, 2, 2, 9, 9],  # a single-theta bin and gaps between labels
+    ])
+    def test_pinned_bin_layouts(self, labels):
+        rng = np.random.default_rng(11)
+        x_items, y_items = draw_items(40, rng), draw_items(40, rng)
+        thetas = rng.standard_normal(len(labels))
+        want = per_bin_truth(thetas, labels, x_items, y_items)
+        assert_same_truth(true_transform(thetas, labels, x_items, y_items), want)
+
+    def test_one_label_is_the_one_bin_call(self):
+        rng = np.random.default_rng(12)
+        x_items, y_items = draw_items(40, rng), draw_items(40, rng)
+        thetas = rng.standard_normal(3 * TAKEN_BLOCK + 5)  # crosses block edges
+        want = {4: per_bin_true_transform(thetas, x_items, y_items)}
+        assert_same_truth(true_transform(thetas, 4, x_items, y_items), want)
+
+    @pytest.mark.parametrize("far", [2000.0, -2000.0])
+    def test_a_degenerate_bin_raises(self, far):
+        rng = np.random.default_rng(13)
+        x_items, y_items = draw_items(10, rng), draw_items(10, rng)
+        thetas = np.array([0.1, far, -0.3, far])
+        with pytest.raises(OmittedBinError):
+            per_bin_true_transform(thetas[[1, 3]], x_items, y_items)
+        with pytest.raises(OmittedBinError, match="bin 2"):
+            true_transform(thetas, [1, 2, 1, 2], x_items, y_items)
+        # a far theta alongside others leaves its bin well defined
+        want = per_bin_truth(thetas, [1, 1, 2, 2], x_items, y_items)
+        assert_same_truth(true_transform(thetas, [1, 1, 2, 2], x_items, y_items), want)
+
+    def test_peak_memory_is_the_two_block_buffers_plus_per_theta_arrays(self):
+        # 500 target thetas fill the kernel's 256-row blocks; a ufunc that
+        # broadcasts a row or a column would add 64 kB iterator buffers
+        rng = np.random.default_rng(14)
+        x_items, y_items = draw_items(40, rng), draw_items(40, rng)
+        thetas, labels = rng.standard_normal(500), rng.integers(1, 11, 500)
+        true_transform(thetas, labels, x_items, y_items)
+        tracemalloc.start()
+        try:
+            true_transform(thetas, labels, x_items, y_items)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # sorted thetas, order, sorted labels and four moment arrays per theta,
+        # plus 16 kB for numpy's small casting buffers
+        assert peak <= 2 * BLOCK_SIZE * 8 + 7 * 8 * thetas.size + 16 * 1024
 
 
 class TestScoreDistribution:
