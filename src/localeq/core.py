@@ -35,6 +35,7 @@ __all__ = [
     "KernelCDF",
     "inverse_cdf",
     "sorted_quantiles",
+    "cell_form_order",
 ]
 
 
@@ -254,6 +255,21 @@ def sorted_quantiles(values: np.ndarray, start, count, q) -> np.ndarray:
     out = a + diff * gamma
     np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
     return out
+
+
+def cell_form_order(cells, forms) -> np.ndarray:
+    """Stable order of records by cell, then form X before Y, ties in input order.
+
+    Cells must be whole numbers in 0..2**63 - 1, forms 0 or 1. The key 2 cell + form
+    is built in place in the smallest unsigned dtype that holds it: as int64 it
+    would wrap near 2**63, and a stable sort of an 8- or 16-bit key is a radix sort.
+    """
+    key = np.asarray(cells).astype(np.min_scalar_type(2 * int(np.max(cells, initial=0)) + 1))
+    if not np.array_equal(key, cells):  # a negative or fractional cell
+        raise ValueError("cells must be whole numbers in 0..2**63 - 1")
+    key <<= 1
+    np.bitwise_or(key, forms, out=key, dtype=key.dtype, casting="unsafe")
+    return np.argsort(key, kind="stable")
 
 
 def _probabilities(values, what: str = "p") -> np.ndarray:

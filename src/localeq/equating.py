@@ -25,6 +25,7 @@ from .core import (
     ScoreTable,
     TransformFamily,
     WeightedSample,
+    cell_form_order,
     inverse_cdf,
     sorted_quantiles,
     unweighted_moments,
@@ -96,20 +97,20 @@ def _fit_cells(table: ScoreTable, by, fit) -> TransformFamily:
     """One transform per conditioning cell: the loop every family runs.
 
     ``by`` is the conditioning: ``"anchor"``, a :class:`StratumAssignment`,
-    or an :class:`IPWWeights` (trimmed weights; overlap-violating strata are
-    skipped). A cell qualifies with at least ``MIN_CELL_SIZE`` records of
-    each form; then ``fit(x, y)`` maps its form-Y sample onto its form-X
-    sample, or returns None to omit it. A qualifying cell holding a weight
-    that is not finite and > 0 raises InvalidWeightError.
+    or an :class:`IPWWeights` (trimmed weights; an overlap-violating stratum
+    lacks a form, so it never qualifies). A cell qualifies with at least
+    ``MIN_CELL_SIZE`` records of each form; then ``fit(x, y)`` maps its form-Y
+    sample onto its form-X sample, or returns None to omit it. A qualifying
+    cell holding a weight that is not finite and > 0 raises InvalidWeightError.
 
-    The records are sorted once, stably, by (cell, form), so each sample is
+    The records are sorted once by :func:`cell_form_order`, so each sample is
     a contiguous slice whose records keep their input order: its sums run in
     the order a per-cell selection would give them, bit for bit.
     """
-    weights, skip = None, ()
+    weights, bad_weight = None, ()
     if isinstance(by, IPWWeights):
         kind, cells, weights = "stratum", by.strata, by.trimmed
-        skip = by.overlap_violations
+        bad_weight = set(cells[~((weights > 0) & (weights < np.inf))].tolist())
     elif isinstance(by, StratumAssignment):
         kind, cells = "stratum", by.labels
     elif by == "anchor":
@@ -121,13 +122,11 @@ def _fit_cells(table: ScoreTable, by, fit) -> TransformFamily:
     forms = table.form
     if cells.size != forms.size:
         raise DimensionError("conditioning does not cover the records")
-    order = np.lexsort((forms, cells))
+    order = cell_form_order(cells, forms)
     cells = cells[order]
     scores = table.score[order].astype(float)
-    bad_weight = ()
     if weights is not None:
         weights = weights[order]
-        bad_weight = set(cells[~((weights > 0) & (weights < np.inf))].tolist())
     # each cell is a run [start, stop) of the sorted records, form X first:
     # [start, split) holds its form-X records, [split, stop) its form-Y ones
     edges = np.flatnonzero(np.diff(cells, prepend=cells[:1] - 1, append=cells[-1:] + 1))
@@ -139,7 +138,7 @@ def _fit_cells(table: ScoreTable, by, fit) -> TransformFamily:
         cells[starts].tolist(), starts.tolist(), splits.tolist(), stops.tolist()
     ):
         transform = None
-        if index not in skip and min(split - start, stop - split) >= MIN_CELL_SIZE:
+        if min(split - start, stop - split) >= MIN_CELL_SIZE:
             if index in bad_weight:
                 raise InvalidWeightError("all weights must be finite and > 0")
             x, y = (

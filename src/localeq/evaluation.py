@@ -169,10 +169,9 @@ class ErrorAccumulator:
         return np.where(n >= 2, np.sqrt(var / np.maximum(n, 1)), np.nan)
 
 
-def apply_omission_rule(score_probabilities, threshold: float = OMISSION_THRESHOLD):
-    """Mask (True = omit) for score values whose probability is below threshold."""
-    probs = np.asarray(score_probabilities, dtype=float)
-    return probs < threshold
+def apply_omission_rule(score_probabilities):
+    """Mask (True = omit) for score values of probability below ``OMISSION_THRESHOLD``."""
+    return np.asarray(score_probabilities, dtype=float) < OMISSION_THRESHOLD
 
 
 @dataclass
@@ -327,7 +326,7 @@ def _run_replication(config, design, methods, seed_seq):
 
 def run_study(
     config: SimulationConfig,
-    methods: Sequence[str] = ("anchor", "strat", "ipw"),
+    methods: Sequence[str],
     scenario: str | None = None,
     workers: int = 1,
 ) -> EvaluationReport:

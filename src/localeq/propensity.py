@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ScoreTable, _probabilities, sorted_quantiles
+from .core import ScoreTable, _probabilities, cell_form_order, sorted_quantiles
 from .errors import (
     DegenerateColumnWarning,
     DimensionError,
@@ -39,6 +39,8 @@ __all__ = [
 
 PROPENSITY_CLIP = 1e-6  # enforces positivity: estimates live in (0, 1)
 SEPARATION_BOUND = 15.0  # |beta| beyond this on standardized scale => separation
+STEP_TOLERANCE = 1e-8  # converged once no coefficient moves by more in a step
+MAX_ITERATIONS = 100
 BALANCE_THRESHOLD = 0.1
 
 
@@ -167,19 +169,14 @@ def _log_likelihood(eta: np.ndarray, labels: np.ndarray) -> float:
     return float(np.sum(labels * eta - np.logaddexp(0.0, eta)))
 
 
-def fit_logistic(
-    design: np.ndarray,
-    labels,
-    tol: float = 1e-8,
-    max_iterations: int = 100,
-) -> PropensityModel:
+def fit_logistic(design: np.ndarray, labels) -> PropensityModel:
     """Maximize the Bernoulli log-likelihood by Newton / IRLS steps.
 
     ``design`` holds the encoded covariate columns; an intercept column is
-    prepended internally. Convergence when the coefficient max-change drops
-    to ``tol`` or the gradient max-norm to 1e-6. Coefficients diverging past
-    +-15 signal (quasi-)separation: they are clamped and a
-    :class:`SeparationWarning` is raised, with the model flagged unconverged.
+    prepended internally. Converged once no coefficient moves by more than
+    ``STEP_TOLERANCE`` in a step, or the gradient max-norm is 1e-6, within
+    ``MAX_ITERATIONS`` steps. Coefficients diverging past +-15 signal (quasi-)separation:
+    they are clamped and a :class:`SeparationWarning` is raised, the model unconverged.
     """
     design = np.atleast_2d(np.asarray(design, dtype=float))
     labels = np.asarray(labels, dtype=float).reshape(-1)
@@ -192,8 +189,7 @@ def fit_logistic(
     X = np.column_stack([np.ones(labels.size), design])
     beta = np.zeros(X.shape[1])
     converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         eta = X @ beta
         mu = sigmoid(eta)
         grad = X.T @ (labels - mu)
@@ -214,9 +210,8 @@ def fit_logistic(
                 SeparationWarning,
                 stacklevel=2,
             )
-            converged = False
             break
-        if np.max(np.abs(step)) <= tol:
+        if np.max(np.abs(step)) <= STEP_TOLERANCE:
             converged = True
             break
     return PropensityModel(
@@ -288,9 +283,7 @@ def asmd(group_x, group_y) -> float:
 
 
 def balance_report(
-    table: ScoreTable,
-    assignment: StratumAssignment,
-    covariate_names: Sequence[str] | None = None,
+    table: ScoreTable, assignment: StratumAssignment, covariate_names: Sequence[str]
 ) -> BalanceReport:
     """ASMD between form-X and form-Y members, per stratum and covariate.
 
@@ -301,18 +294,11 @@ def balance_report(
     raw, forms = table.covariates, table.form
     if assignment.labels.size != len(table):
         raise DimensionError("assignment does not cover the records")
-    n_cov = raw.shape[1]
-    names = (
-        list(covariate_names)
-        if covariate_names is not None
-        else [f"C{j + 1}" for j in range(n_cov)]
-    )
-    # stratum k's form-X records, then its form-Y ones (radix-sorted in a small dtype)
-    cells = 2 * assignment.labels.astype(int) - 2 + forms
-    order = np.argsort(cells.astype(np.min_scalar_type(2 * assignment.K)), kind="stable")
+    order = cell_form_order(assignment.labels, forms)  # stratum k's form X, then its form Y
     columns = raw.T.take(order, axis=1)  # one contiguous row per covariate
+    cells = 2 * assignment.labels.astype(int) - 2 + forms
     edges = [0, *np.cumsum(np.bincount(cells, minlength=2 * assignment.K)).tolist()]
-    table = np.full((assignment.K, n_cov), np.nan)
+    table = np.full((assignment.K, raw.shape[1]), np.nan)
     violations = []
     for k in range(assignment.K):
         start, split, stop = edges[2 * k : 2 * k + 3]
@@ -327,7 +313,7 @@ def balance_report(
     frac = np.where(counts > 0, satisfactory / np.maximum(counts, 1), np.nan)
     return BalanceReport(
         K=assignment.K,
-        covariate_names=names,
+        covariate_names=list(covariate_names),
         asmd=table,
         satisfactory_fraction=frac,
         overlap_violations=violations,

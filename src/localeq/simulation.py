@@ -41,6 +41,8 @@ __all__ = [
 # discrimination ranges for the covariate indicator items, by strength label
 STRENGTH_RANGES = {"medium": (0.5, 1.5), "weak": (0.1, 0.5)}
 BLOCK_SIZE = 256 * 40  # 2PL probabilities per row block: 80 kB, reused in cache
+QUADRATURE_NODES = 61  # per normal population of the omission marginal
+QUADRATURE_SPAN = 6.0  # the nodes cover mean +/- this many sd
 
 
 def prob_2pl(theta, a, b):
@@ -394,44 +396,32 @@ def score_distribution(items: ItemParams, nodes, weights) -> np.ndarray:
 
 
 @functools.cache
-def _legendre(n_nodes: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per size."""
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+def _legendre():
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once."""
+    x, w = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
-def normal_quadrature(mean: float, sd: float, n_nodes: int = 61, span: float = 6.0):
-    """Gauss-Legendre nodes over mean +/- span*sd with normal-density weights.
+def normal_quadrature(mean: float, sd: float):
+    """Gauss-Legendre nodes over mean +/- ``QUADRATURE_SPAN`` sd, normal-density weights.
 
     Weights are normalized to sum to 1, so truncation at the span boundary
     costs only the omitted tail mass.
     """
     if sd <= 0.0:
         raise ValueError("sd must be positive")
-    x, w = _legendre(n_nodes)
-    nodes = mean + span * sd * x
+    x, w = _legendre()
+    nodes = mean + QUADRATURE_SPAN * sd * x
     density = np.exp(-0.5 * ((nodes - mean) / sd) ** 2)
     weights = w * density
     return nodes, weights / weights.sum()
 
 
-def mixture_score_distribution(
-    items: ItemParams,
-    means: Sequence[float],
-    sd: float,
-    shares: Sequence[float] | None = None,
-    n_nodes: int = 61,
-    span: float = 6.0,
-) -> np.ndarray:
-    """Score distribution under a mixture of normal ability populations."""
-    if shares is None:
-        shares = np.full(len(means), 1.0 / len(means))
-    shares = np.asarray(shares, dtype=float)
-    if shares.size != len(means) or abs(shares.sum() - 1.0) > 1e-9:
-        raise ValueError("mixture shares must align with means and sum to 1")
+def mixture_score_distribution(items: ItemParams, means: Sequence[float], sd: float) -> np.ndarray:
+    """Score distribution under an equal-share mixture of normal ability populations."""
+    share = 1.0 / len(means)
     out = np.zeros(items.n_items + 1)
-    for mean, share in zip(means, shares):
-        nodes, weights = normal_quadrature(mean, sd, n_nodes=n_nodes, span=span)
-        out += share * score_distribution(items, nodes, weights)
+    for mean in means:
+        out += share * score_distribution(items, *normal_quadrature(mean, sd))
     return out

@@ -76,6 +76,49 @@ def test_diagnose_fits_the_propensity_model_once(tmp_path):
     assert calls["propensity.balance_report"] == 3
 
 
+# the traced calls of each of bench/run.py's equate-csv commands on the golden
+# file: the spans stay where the per-layer metrics read them
+PROPENSITY_SPANS = {"propensity.encode_covariates": 1, "propensity.fit_logistic": 1,
+                    "propensity.estimate_propensity": 1, "propensity.stratify_quantile": 1}
+EQUIPERCENTILE_SPANS = {"equating.equipercentile_family": 1,
+                        "equating.EquipercentileMap.call": 5, "core.inverse_cdf": 5}
+EQUATE_CSV_SPANS = {
+    "equate-anchor": {"equating.anchor_family": 1},
+    "equate-strat": {**PROPENSITY_SPANS, "equating.strat_family": 1},
+    "equate-ipw": {**PROPENSITY_SPANS, "equating.ipw_weights": 1, "equating.ipw_family": 1},
+    "equate-eqp-anchor": EQUIPERCENTILE_SPANS,
+    "equate-eqp-anchor-kernel": {**EQUIPERCENTILE_SPANS, "core.KernelCDF": 168},
+    "equate-eqp-ipw-kernel": {**PROPENSITY_SPANS, **EQUIPERCENTILE_SPANS,
+                              "equating.ipw_weights": 1, "core.KernelCDF": 168},
+    "diagnose": {**PROPENSITY_SPANS, "propensity.stratify_quantile": 3,
+                 "propensity.balance_report": 3},
+}
+
+
+def test_each_equate_csv_command_keeps_its_traced_calls(tmp_path, monkeypatch, capsys):
+    """A refactor that moves a traced call out of the module the tracer wraps
+    fails here, instead of silently zeroing a per-layer metric."""
+    monkeypatch.syspath_prepend(str(TRACING.parent))  # run.py imports checks, tracing
+    spec = importlib.util.spec_from_file_location("bench_run", TRACING.parent / "run.py")
+    bench_run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_run)
+    tracing = load_tracing()
+    golden = Path(__file__).resolve().parent / "golden"
+    got = {}
+    for name, base in bench_run.EQUATE_COMMANDS:
+        tracer = tracing.Tracer()
+        with tracer.installed(tracing.targets(localeq)):
+            rc = localeq.cli.main(
+                base + ["--data", str(golden / "scores.csv"),
+                        "--schema", "form:group,score:total,anchor:anch,num:c1,num:c2,cat:c3",
+                        "--out-dir", str(tmp_path / name)]
+            )
+        assert rc == 0, name
+        got[name] = dict(tracer.summary()[0])
+    assert got == {name: {"cli.parse_dataset": 1, **spans}
+                   for name, spans in EQUATE_CSV_SPANS.items()}
+
+
 def test_kernel_map_inverts_in_one_traced_call():
     """The traced names stay on the kernel path, and one map stays one batched
     inversion: a handful of kernel-CDF evaluations, not one bisection per score."""

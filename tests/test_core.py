@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
@@ -15,6 +15,7 @@ from localeq.core import (
     ScoreTable,
     TransformFamily,
     WeightedSample,
+    cell_form_order,
     inverse_cdf,
     sorted_quantiles,
     unweighted_moments,
@@ -221,6 +222,31 @@ class TestSortedQuantiles:
                 got = sorted_quantiles(values, np.cumsum(counts) - counts, counts, q)
                 expected = np.array([np.quantile(run, q) for run in runs])
             assert got.tobytes() == expected.tobytes()
+
+
+class TestCellFormOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(0, 300),
+        top=st.sampled_from([0, 1, 127, 128, 2**15, 2**31, 2**62, 2**63 - 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=0, top=2**63 - 1, seed=0)
+    @example(n=300, top=2**63 - 1, seed=1)
+    def test_matches_lexsort(self, n, top, seed):
+        # cells from a few values up to ``top`` give ties within and across
+        # forms; above 2**62 a key of 2 cell + form would wrap in int64, and
+        # from 128 and 2**15 on it needs a wider unsigned dtype
+        rng = np.random.default_rng(seed)
+        pool = np.append(rng.integers(0, top, 3, endpoint=True), top)
+        cells, forms = rng.choice(pool, n), rng.integers(0, 2, n)
+        got = cell_form_order(cells, forms)
+        assert got.tobytes() == np.lexsort((forms, cells)).tobytes()
+
+    @pytest.mark.parametrize("cells", [[3, -1], [-(2**63), 5], [2.0, 1.5]])
+    def test_rejects_a_cell_the_key_cannot_hold(self, cells):
+        with pytest.raises(ValueError, match="whole numbers"):
+            cell_form_order(np.array(cells), np.zeros(2, dtype=int))
 
 
 class TestWeightedSample:

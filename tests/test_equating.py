@@ -118,6 +118,10 @@ class TestAnchorFamily:
         with pytest.raises(EmptyFamilyError):
             anchor_family(table(records))
 
+    def test_empty_table_has_no_cell(self):
+        with pytest.raises(EmptyFamilyError):
+            anchor_family(ScoreTable(form=[], score=[], anchor=[]))
+
     def test_missing_anchor_rejected(self):
         with pytest.raises(InvalidWeightError):
             anchor_family(table([rec(0, 2), rec(1, 3)]))
@@ -278,6 +282,17 @@ class TestIPWFamily:
         fam = ipw_family(table(records), weights)
         assert fam.omitted == [1]
         assert fam.entries[2].slope == pytest.approx(1.0)
+
+    def test_hand_built_strata_outside_the_key_rejected(self):
+        # a negative or fractional stratum would wrap or truncate in the
+        # unsigned (cell, form) key and fall into another stratum's run
+        records = [rec(0, 2), rec(0, 4), rec(1, 1), rec(1, 3)] * 2
+        w = np.ones(8)
+        for bad in (-1, 1.5):
+            strata = np.array([bad] * 4 + [127] * 4)
+            weights = IPWWeights(raw=w, trimmed=w, strata=strata, trim_alpha=0.0)
+            with pytest.raises(ValueError, match="whole numbers"):
+                ipw_family(table(records), weights)
 
     def test_sd_convention_difference_shrinks_with_n(self):
         # all weights 1: ipw uses the weight-sum sd, strat the n-1 sd; the

@@ -376,10 +376,6 @@ class TestOmissionRule:
         mask = apply_omission_rule(np.full(41, 1.0 / 41.0))
         assert not mask.any()
 
-    def test_threshold_zero_keeps_everything(self):
-        mask = apply_omission_rule([0.0, 1e-9, 0.5], threshold=0.0)
-        assert not mask.any()
-
     def test_masks_thin_scores(self):
         mask = apply_omission_rule([5e-5, 2e-4, 0.9, 9.9e-5])
         np.testing.assert_array_equal(mask, [True, False, False, True])

@@ -311,7 +311,7 @@ class TestBalanceReport:
             cov = rng.integers(0, levels, (n, n_cov)).astype(float)
         table = table_from_matrix(cov, forms)
         assignment = stratify_quantile(rng.random(n), K)
-        report = balance_report(table, assignment)
+        report = balance_report(table, assignment, [f"c{j}" for j in range(n_cov)])
         want, violations = per_stratum_asmd(table, assignment)
         assert report.asmd.tobytes() == want.tobytes()
         assert report.overlap_violations == violations
@@ -333,7 +333,7 @@ class TestBalanceReport:
         # stratum 1 holds only form-X records
         recs = table_from_matrix([[1.0], [2.0], [3.0], [4.0]], [0, 0, 0, 1])
         a = stratify_quantile(np.array([0.1, 0.2, 0.8, 0.9]), 2)
-        report = balance_report(recs, a)
+        report = balance_report(recs, a, ["verbal"])
         assert report.overlap_violations == [1]
         assert math.isnan(report.asmd[0, 0])
 
@@ -344,5 +344,5 @@ class TestBalanceReport:
         forms = (rng.random(n) < 0.5).astype(int)
         recs = table_from_matrix(cov, forms)
         a = stratify_quantile(np.full(n, 0.5), 4)
-        report = balance_report(recs, a)
+        report = balance_report(recs, a, ["verbal", "math"])
         assert np.all(report.satisfactory_fraction == 1.0)
