@@ -24,7 +24,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -71,6 +71,9 @@ EQUATE_METHODS = (
 )
 
 _FORM_LABELS = {"X": 0, "x": 0, "0": 0, "Y": 1, "y": 1, "1": 1}
+# each form label's code at its byte, -1 at every other byte
+_FORM_BYTES = np.full(256, -1)
+_FORM_BYTES[[ord(label) for label in _FORM_LABELS]] = list(_FORM_LABELS.values())
 
 
 @dataclass(frozen=True)
@@ -127,15 +130,15 @@ class DatasetSchema:
 def parse_dataset(path, schema: DatasetSchema) -> ScoreTable:
     """Read and validate a delimited dataset against a schema, column by column.
 
-    The file is decoded once. ``_split_columns`` takes a file without quotes as
-    one flat field list; the reference row scan, ``_scan_rows``, takes every
-    other file and every file the split declines, and names the first bad
+    The file is decoded once. ``_parse_columns`` reads a file without quotes
+    from its bytes; the reference row scan, ``_scan_rows``, takes every other
+    file and every file the column parse declines, and names the first bad
     1-based file line (the header is line 1). Numeric covariates must be
     finite; categorical ones, arbitrary strings, are coded as positions in the
     column's sorted level list.
     """
     text = _read_text(path)
-    table = _split_columns(text, schema)
+    table = _parse_columns(text, schema)
     return _scan_rows(text, schema) if table is None else table
 
 
@@ -155,32 +158,83 @@ def _read_text(path):
         raise RowError(line, f"byte {bad:#04x} is not valid UTF-8") from None
 
 
-def _split_columns(text, schema):
-    """The table from one flat field list, or None where the row scan must decide.
+def _parse_columns(text, schema):
+    """The table read column by column, or None where the row scan must decide.
 
     It declines a file with a quote or a NUL, a line as long as csv's field
-    size limit, a blank header, a row of the wrong width and any invalid value,
-    so what it returns is what ``_scan_rows`` would.
+    size limit, a blank header, a row of the wrong width and any invalid
+    value, so what it returns is what ``_scan_rows`` would. A column the bytes
+    do not give (``_byte_columns``) is read from field texts, split once.
     """
     if '"' in text or "\0" in text:
         return None
-    # outside quotes, CRLF and a lone CR end a record as LF does
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if not lines[0] or max(map(len, lines)) >= csv.field_size_limit():
+    if "\r" in text:  # outside quotes, CRLF and a lone CR end a record as LF does
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    head_end = text.find("\n")
+    if head_end < 1:  # a blank header or no record
         return None
-    header = lines[0].split(",")
+    header = text[:head_end].split(",")
     positions = _column_positions(header, schema)
-    body = list(filter(None, lines[1:]))  # blank lines hold no record
-    del lines
-    width = len(header)
-    if not body or set(map(str.count, body, repeat(","))) != {width - 1}:
-        return None
-    joined = ",".join(body)
-    del body  # the line strings go before the field strings come
+    if "\n\n" in text:  # blank lines hold no record
+        text = "\n".join(filter(None, text.split("\n")))
+    if not text.endswith("\n"):
+        text += "\n"
+    width, fields = len(header), []
+    read = _byte_columns(text, width, positions, schema)
+
+    def column(name):
+        if not fields:
+            fields.extend(text[head_end + 1 : -1].replace("\n", ",").split(","))
+        return fields[positions[name] :: width]
+
     try:
-        return _table_from_values(joined.split(","), width, positions, schema)
-    except (KeyError, ValueError, OverflowError):
+        return None if read is None else _table_from_values(*read, schema, column)
+    except (ValueError, OverflowError):
         return None
+
+
+def _byte_columns(text, width, positions, schema):
+    """The form codes and each numeric column's ``_digits``, read off the bytes
+    of ``text``, lines ending in a newline; None unless every record has
+    ``width`` fields, every line is below csv's field size limit and every
+    form label is one byte."""
+    raw = np.frombuffer(text.encode(), np.uint8)
+    ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))  # every field's end
+    lines = ends[width - 1 :: width]
+    if lines.size < 2 or not np.array_equal(lines, np.flatnonzero(raw == ord("\n"))):
+        return None
+    if np.diff(lines, prepend=-1).max() > csv.field_size_limit():
+        return None
+    ends = ends[width - 1 :]  # the header's newline, then every record field's end
+
+    def span(name):
+        j = positions[name]
+        return ends[j:-1:width] + 1, ends[j + 1 :: width]
+
+    start, stop = span(schema.form)
+    if np.any(stop - start != 1):
+        return None
+    numeric = [schema.score, schema.anchor, *(c for c, k in schema.covariates if k == "numeric")]
+    digits = {name: _digits(raw, *span(name)) for name in numeric if name is not None}
+    return _FORM_BYTES[raw[start]], digits
+
+
+def _digits(raw, start, stop):
+    """The magnitudes and minus signs of the fields ``raw[start:stop]``, or None
+    unless every one matches ``-?[0-9]{1,18}`` (18 digits always fit int64)."""
+    minus = raw[start] == ord("-")
+    start = start + minus
+    count = stop - start
+    if count.min() < 1 or count.max() > 18:
+        return None
+    magnitude = np.zeros(count.size, np.int64)
+    for k in range(count.max()):
+        live = count > k
+        digit = raw[np.where(live, start + k, stop)] - ord("0")  # a uint8 past 9 unless a digit
+        if np.any(live & (digit > 9)):
+            return None
+        magnitude = np.where(live, magnitude * 10 + digit, magnitude)
+    return magnitude, minus
 
 
 def _column_positions(header, schema):
@@ -203,31 +257,32 @@ def _column_positions(header, schema):
     return positions
 
 
-def _table_from_values(values, width, positions, schema):
-    """The table of ``values``, the records' fields end to end, ``width`` per record.
-
-    Each column is taken as a slice; KeyError, ValueError or OverflowError on a
-    bad value.
+def _table_from_values(form, digits, schema, column):
+    """The table of the records coded ``form``. A numeric column is read from
+    ``digits[name]`` where that is not None, else from its field texts,
+    ``column(name)``, by int or float; ValueError or OverflowError on a bad value.
     """
-    n = len(values) // width
+    n = form.size
 
-    def column(name):
-        return values[positions[name] :: width]
+    def numbers(name, convert):
+        dtype = np.int64 if convert is int else float
+        read = digits.get(name)
+        if read is None:
+            return np.fromiter(map(convert, column(name)), dtype, n)
+        magnitude, minus = read
+        value = magnitude.astype(dtype)
+        return np.negative(value, out=value, where=minus)  # "-0" keeps its sign as a float
 
-    def integers(name):
-        return np.fromiter(map(int, column(name)), np.int64, n)
-
-    form = np.fromiter(map(_FORM_LABELS.__getitem__, column(schema.form)), np.int64, n)
-    anchor = None if schema.anchor is None else integers(schema.anchor)
+    anchor = None if schema.anchor is None else numbers(schema.anchor, int)
     covariates = np.empty((n, len(schema.covariates)))
     for j, (name, kind) in enumerate(schema.covariates):
-        texts = column(name)
         if kind == "numeric":
-            covariates[:, j] = np.fromiter(map(float, texts), float, n)
+            covariates[:, j] = numbers(name, float)
         else:
+            texts = column(name)
             code = {level: i for i, level in enumerate(sorted(set(texts)))}
             covariates[:, j] = np.fromiter(map(code.get, texts), float, n)
-    return ScoreTable(form, integers(schema.score), anchor, covariates)
+    return ScoreTable(form, numbers(schema.score, int), anchor, covariates)
 
 
 def _scan_rows(text, schema):
@@ -255,7 +310,13 @@ def _scan_rows(text, schema):
         raise RowError(reader.line_num, str(exc)) from None
     if not rows:
         raise RowError(2, "file contains no data rows")
-    return _table_from_values(list(chain.from_iterable(rows)), len(header), positions, schema)
+    values, width = list(chain.from_iterable(rows)), len(header)
+
+    def column(name):
+        return values[positions[name] :: width]
+
+    form = np.fromiter(map(_FORM_LABELS.__getitem__, column(schema.form)), np.int64, len(rows))
+    return _table_from_values(form, {}, schema, column)
 
 
 def _check_row(row, line, schema, width, positions):

@@ -67,6 +67,14 @@ class IPWWeights:
     trim_alpha: float
     overlap_violations: list[int] = field(default_factory=list)
 
+    def __post_init__(self):
+        strata = np.asarray(self.strata)
+        if not np.shape(self.raw) == np.shape(self.trimmed) == strata.shape == (strata.size,):
+            raise DimensionError("raw, trimmed and strata need one entry per record each")
+        bad = ~((strata >= 0) & (strata == np.floor(strata)))
+        if bad.any():
+            raise DimensionError(f"strata must be whole numbers >= 0, got {strata[bad][0]}")
+
 
 # one form's records in one cell: slices of the family's sorted columns,
 # ``weights`` None for unit-weight cells

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from localeq.cli import (
     DatasetSchema,
     _echo_config,
+    _parse_columns,
     _resolve_study,
     _scan_rows,
-    _split_columns,
     main,
     parse_dataset,
 )
@@ -71,6 +71,12 @@ SCHEMA = "form:group,score:total,anchor:anch,cat:gender"
 # texts put in place of any one field of a generated record
 SWAP_TEXTS = ["X", "y", "1", "Q", "", "3", "-2", "abc", "1.5", "nan", "-inf", "1e3",
               str(2**64), '"Y"', '"7"', '"3.25"', '"a,b"']
+
+
+# score and anchor texts the byte path must read exactly or leave to int:
+# a sign, leading zeros, spaces, an underscore, a non-ASCII digit, 2**63 and
+# the byte after "9"
+BYTE_PATH_INTEGERS = ["-0", "+4", "007", "4 ", "1_0", "\u0663", str(2**63), "1:2"]
 
 
 def write_lines(path, lines):
@@ -220,9 +226,11 @@ class TestParseDataset:
 
     def test_blank_lines_hold_no_record(self, tmp_path):
         path = tmp_path / "ok.csv"
-        write_lines(path, ["group,total,anch,gender", "X,12,3,f", "", "Y,10,1,m"])
-        table = parse_dataset(path, DatasetSchema.from_string(SCHEMA))
-        assert table.score.tolist() == [12, 10]
+        write_lines(path, ["group,total,anch,gender", "X,12,3,f", "", "Y,10,1,m", ""])
+        schema = DatasetSchema.from_string(SCHEMA)
+        assert parse_dataset(path, schema).score.tolist() == [12, 10]
+        # the column parse reads it too; it need not go to the row scan
+        assert _parse_columns(path.read_text(encoding="utf-8"), schema) is not None
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
     def test_non_finite_numeric_covariate(self, tmp_path, text):
@@ -263,9 +271,9 @@ class TestParseDataset:
         rows=st.lists(
             st.tuples(
                 st.sampled_from(["X", "y", "1", "0"]),
-                st.sampled_from(["3", "0", "12", " 4"]),
-                st.sampled_from(["1", "0", "7"]),
-                st.sampled_from(["1.5", "-0.0", "2", "1e3"]),
+                st.sampled_from(["3", "0", "12", " 4"] + BYTE_PATH_INTEGERS),
+                st.sampled_from(["1", "0", "7"] + BYTE_PATH_INTEGERS),
+                st.sampled_from(["1.5", "-0.0", "2", "1e3", "-0", "12", "+3", str(2**63)]),
                 st.sampled_from(["a", "b", "", "a b", 'a"b', '"a,b"', '"x""y"', '"b"']),
                 st.integers(0, 11),  # the field swapped, if below 5
                 st.sampled_from(SWAP_TEXTS),
@@ -282,7 +290,7 @@ class TestParseDataset:
     def test_column_parse_agrees_with_the_row_scan(
         self, tmp_path_factory, rows, line_end, quotes, final_newline
     ):
-        # parse_dataset, the column split and the reference row scan return
+        # parse_dataset, the column parse and the reference row scan return
         # the same table bit for bit, or raise the same RowError
         schema = DatasetSchema.from_string("form:group,score:total,anchor:anch,num:c1,cat:c2")
         lines = ["group,total,anch,c1,c2"]
@@ -308,9 +316,30 @@ class TestParseDataset:
 
         reference = outcome(_scan_rows, text)
         assert outcome(parse_dataset, path) == reference
-        split = _split_columns(text, schema)
-        if split is not None:
-            assert columns(split) == reference
+        parsed = _parse_columns(text, schema)
+        if parsed is not None:
+            assert columns(parsed) == reference
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["0,1", "1,1,1", "0,1"], "row 3: expected 2 fields, got 3"),
+            (["0,1", "1", "0,1"], "row 3: expected 2 fields, got 1"),
+            (["0,1", "10,1"], "row 3: unknown form label '10'"),
+            (["0,1", "1,-3"], "row 3: total score must be non-negative, got -3"),
+            (["0,1", f"1,{2**63}"], f"row 3: column 'total': '{2**63}' is out of range"),
+        ],
+    )
+    def test_all_digit_file_with_a_bad_record_takes_the_row_scan(self, tmp_path, rows, message):
+        # fields of digits only: a shifted column or a label's first byte
+        # would read as valid, so the column parse must decline the file
+        path = tmp_path / "bad.csv"
+        write_lines(path, ["group,total"] + rows)
+        schema = DatasetSchema.from_string("form:group,score:total")
+        assert _parse_columns(path.read_text(encoding="utf-8"), schema) is None
+        with pytest.raises(RowError) as exc:
+            parse_dataset(path, schema)
+        assert str(exc.value) == message
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -573,13 +602,13 @@ def write_bench_dataset(path, n=20000, seed=1):
 BENCH_SCHEMA = "form:form,score:score,anchor:anchor,num:c1,num:c2,num:c3"
 
 
-def test_column_split_reads_a_20k_row_file_within_its_memory_bound(tmp_path):
+def test_column_parse_reads_a_20k_row_file_within_its_memory_bound(tmp_path):
     # a Python list per record, as csv.reader makes, peaks at 6.4 MB on this
-    # file; one flat field list peaks at 4.4 MB
+    # file, one flat field list at 4.4 MB; the byte columns peak at 3.5 MB
     data = tmp_path / "scores.csv"
     write_bench_dataset(data)
     schema = DatasetSchema.from_string(BENCH_SCHEMA)
-    assert _split_columns(data.read_text(encoding="utf-8"), schema) is not None
+    assert _parse_columns(data.read_text(encoding="utf-8"), schema) is not None
     tracemalloc.start()
     try:
         table = parse_dataset(data, schema)
@@ -587,7 +616,36 @@ def test_column_split_reads_a_20k_row_file_within_its_memory_bound(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(table) == 20000
-    assert peak < 5.3e6, f"parse peaked at {peak / 1e6:.2f} MB"
+    assert peak < 4.0e6, f"parse peaked at {peak / 1e6:.2f} MB"
+
+
+def test_column_parse_reads_float_covariates_as_the_row_scan_does(tmp_path):
+    # repr-written floats of up to 17 significant digits, -0.0 among them,
+    # take the column parse's field texts, not the row scan
+    rng = np.random.default_rng(4)
+    covariates = rng.normal(size=(2000, 3)) * [1.0, 1e-5, 1e5]
+    covariates[::7, 1] = -0.0
+    lines = ["form,score,anchor,c1,c2,c3"] + [
+        f"{f},{s},{a},{c1!r},{c2!r},{c3!r}"
+        for f, s, a, (c1, c2, c3) in zip(
+            rng.integers(0, 2, 2000), rng.integers(0, 41, 2000), rng.integers(0, 16, 2000),
+            covariates.tolist(),
+        )
+    ]
+    significant = [len(repr(v).lstrip("-0.").replace(".", "")) for v in covariates[:, 0].tolist()]
+    assert max(significant) == 17
+    data = tmp_path / "floats.csv"
+    write_lines(data, lines)
+    schema = DatasetSchema.from_string(BENCH_SCHEMA)
+    text = data.read_text(encoding="utf-8")
+    parsed = _parse_columns(text, schema)
+    assert parsed is not None
+    reference = _scan_rows(text, schema)
+    for name in ("form", "score", "anchor", "covariates"):
+        got, want = getattr(parsed, name), getattr(reference, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert np.signbit(parsed.covariates[::7, 1]).all()
+    assert parsed.covariates[:, 0].tobytes() == covariates[:, 0].tobytes()
 
 
 @pytest.mark.parametrize(

@@ -283,16 +283,24 @@ class TestIPWFamily:
         assert fam.omitted == [1]
         assert fam.entries[2].slope == pytest.approx(1.0)
 
-    def test_hand_built_strata_outside_the_key_rejected(self):
+    @pytest.mark.parametrize("bad", [-1, -3, 1.5, math.nan])
+    def test_hand_built_strata_outside_the_key_rejected(self, bad):
         # a negative or fractional stratum would wrap or truncate in the
-        # unsigned (cell, form) key and fall into another stratum's run
-        records = [rec(0, 2), rec(0, 4), rec(1, 1), rec(1, 3)] * 2
+        # unsigned (cell, form) key and fall into another stratum's run, so
+        # it is rejected where the weights are built
         w = np.ones(8)
-        for bad in (-1, 1.5):
-            strata = np.array([bad] * 4 + [127] * 4)
-            weights = IPWWeights(raw=w, trimmed=w, strata=strata, trim_alpha=0.0)
-            with pytest.raises(ValueError, match="whole numbers"):
-                ipw_family(table(records), weights)
+        strata = np.array([bad] * 4 + [127] * 4)
+        with pytest.raises(DimensionError, match="whole numbers"):
+            IPWWeights(raw=w, trimmed=w, strata=strata, trim_alpha=0.0)
+
+    @pytest.mark.parametrize("column", ["raw", "trimmed", "strata"])
+    @pytest.mark.parametrize("size", [7, 9])
+    def test_hand_built_weights_need_one_entry_per_record(self, column, size):
+        # a short or long column once reached ipw_family as a bare IndexError
+        columns = {"raw": np.ones(8), "trimmed": np.ones(8), "strata": np.repeat([1, 2], 4)}
+        columns[column] = columns[column][:size] if size < 8 else np.resize(columns[column], size)
+        with pytest.raises(DimensionError, match="one entry per record"):
+            IPWWeights(**columns, trim_alpha=0.0)
 
     def test_sd_convention_difference_shrinks_with_n(self):
         # all weights 1: ipw uses the weight-sum sd, strat the n-1 sd; the
