@@ -23,6 +23,7 @@ import io
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import chain
 
@@ -76,6 +77,12 @@ _FORM_BYTES = np.full(256, -1)
 _FORM_BYTES[[ord(label) for label in _FORM_LABELS]] = list(_FORM_LABELS.values())
 
 
+def _first_repeat(names):
+    """The first of ``names`` that occurs more than once, or None."""
+    counts = Counter(names)
+    return next((name for name in names if counts[name] > 1), None)
+
+
 @dataclass(frozen=True)
 class DatasetSchema:
     """Column roles for a delimited dataset.
@@ -92,6 +99,11 @@ class DatasetSchema:
     anchor: str | None = None
     covariates: tuple = ()
     ignore: tuple = ()
+
+    def __post_init__(self):
+        column = _first_repeat(self.required_columns + list(self.ignore))
+        if column is not None:
+            raise SchemaError(column, f"column {column!r} takes more than one schema role")
 
     @classmethod
     def from_string(cls, text: str) -> "DatasetSchema":
@@ -117,6 +129,12 @@ class DatasetSchema:
             if single[role] is None:
                 raise SchemaError(role, f"schema must name a {role} column")
         return cls(**single, covariates=tuple(covariates), ignore=tuple(ignore))
+
+    @property
+    def required_columns(self) -> list:
+        """The columns the data file must hold: form, score, anchor, covariates."""
+        singles = [c for c in (self.form, self.score, self.anchor) if c is not None]
+        return singles + self.covariate_names
 
     @property
     def covariate_names(self) -> list:
@@ -238,23 +256,22 @@ def _digits(raw, start, stop):
 
 
 def _column_positions(header, schema):
-    """Each schema column's index in ``header``; SchemaError unless it covers it."""
-    required = [schema.form, schema.score]
-    if schema.anchor is not None:
-        required.append(schema.anchor)
-    required.extend(schema.covariate_names)
-    positions = {}
+    """Each schema column's index in ``header``; SchemaError unless the header
+    names each column once and the schema covers it."""
+    column = _first_repeat(header)
+    if column is not None:
+        raise SchemaError(column, f"header names column {column!r} more than once")
+    required = schema.required_columns
     for column in required:
         if column not in header:
             raise SchemaError(column, f"required column {column!r} missing from header")
-        positions[column] = header.index(column)
     untagged = [c for c in header if c not in required and c not in schema.ignore]
     if untagged:
         raise SchemaError(
             untagged[0],
             f"columns not covered by the schema or its ignore list: {untagged}",
         )
-    return positions
+    return {column: header.index(column) for column in required}
 
 
 def _table_from_values(form, digits, schema, column):
@@ -602,7 +619,7 @@ def cmd_simulate(args) -> int:
             summary_rows.append(
                 (name, method, int(usable.sum()))
                 + stats
-                + (result.failures, report.replications)
+                + (result.failures, report.config.replications)
             )
     header = "scenario,method,retained_cells,mean_bias,max_bias,mean_rmse,failures,replications"
     _write_table(out_dir, "summary.csv", header.split(","), summary_rows)

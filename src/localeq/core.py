@@ -34,8 +34,6 @@ __all__ = [
     "ECDF",
     "KernelCDF",
     "inverse_cdf",
-    "sorted_quantiles",
-    "cell_form_order",
 ]
 
 

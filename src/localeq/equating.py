@@ -58,22 +58,20 @@ class IPWWeights:
     over the record's assignment probability), ``trimmed`` its value after
     clipping to the within-stratum alpha/2 and 1-alpha/2 weight quantiles.
     Records in strata missing either form carry NaN and their strata are
-    listed under ``overlap_violations``.
+    listed under ``overlap_violations``. ``assignment`` is the stratification
+    the weights were built from; it holds each record's stratum.
     """
 
     raw: np.ndarray
     trimmed: np.ndarray
-    strata: np.ndarray
+    assignment: StratumAssignment
     trim_alpha: float
     overlap_violations: list[int] = field(default_factory=list)
 
     def __post_init__(self):
-        strata = np.asarray(self.strata)
-        if not np.shape(self.raw) == np.shape(self.trimmed) == strata.shape == (strata.size,):
-            raise DimensionError("raw, trimmed and strata need one entry per record each")
-        bad = ~((strata >= 0) & (strata == np.floor(strata)))
-        if bad.any():
-            raise DimensionError(f"strata must be whole numbers >= 0, got {strata[bad][0]}")
+        shape = np.shape(self.assignment.labels)
+        if len(shape) != 1 or not np.shape(self.raw) == np.shape(self.trimmed) == shape:
+            raise DimensionError("raw, trimmed and the labels need one entry per record each")
 
 
 # one form's records in one cell: slices of the family's sorted columns,
@@ -117,7 +115,7 @@ def _fit_cells(table: ScoreTable, by, fit) -> TransformFamily:
     """
     weights, bad_weight = None, ()
     if isinstance(by, IPWWeights):
-        kind, cells, weights = "stratum", by.strata, by.trimmed
+        kind, cells, weights = "stratum", by.assignment.labels, by.trimmed
         bad_weight = set(cells[~((weights > 0) & (weights < np.inf))].tolist())
     elif isinstance(by, StratumAssignment):
         kind, cells = "stratum", by.labels
@@ -226,7 +224,7 @@ def ipw_weights(
     return IPWWeights(
         raw=raw,
         trimmed=trimmed,
-        strata=assignment.labels.copy(),
+        assignment=assignment,
         trim_alpha=trim_alpha,
         overlap_violations=violations,
     )

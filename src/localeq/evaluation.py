@@ -199,7 +199,6 @@ class EvaluationReport:
     config: SimulationConfig
     methods: dict
     omitted: np.ndarray
-    replications: int
 
     columns = ("scenario", "method", "theta_bin", "score", "bias", "rmse", "signed_mean", "omitted")
 
@@ -392,10 +391,4 @@ def run_study(
         )
         for m in methods
     }
-    return EvaluationReport(
-        scenario=scenario,
-        config=config,
-        methods=results,
-        omitted=omitted,
-        replications=config.replications,
-    )
+    return EvaluationReport(scenario=scenario, config=config, methods=results, omitted=omitted)

@@ -21,7 +21,6 @@ from .propensity import sigmoid, sigmoid_inplace
 __all__ = [
     "STRENGTH_RANGES",
     "ItemParams",
-    "CovariateDesign",
     "SimulationConfig",
     "SimulationDesign",
     "SimulatedPopulation",
@@ -127,43 +126,29 @@ def draw_items(n_items: int, rng: np.random.Generator) -> ItemParams:
     return ItemParams(a=rng.uniform(0.5, 2.0, n_items), b=rng.standard_normal(n_items))
 
 
-@dataclass(frozen=True)
-class CovariateDesign:
-    """Indicator-item parameters behind each ordinal covariate.
-
-    Covariate c with m categories is the count of endorsed indicators among
-    m - 1 binary 2PL items sharing one discrimination, with sorted
-    difficulties, so higher ability pushes toward higher categories.
-    """
-
-    discriminations: tuple
-    difficulties: tuple
-
-    def __post_init__(self):
-        if len(self.discriminations) != len(self.difficulties):
-            raise ValueError("one discrimination per covariate required")
-
-
 def draw_covariate_design(
     categories: Sequence[int], discrimination_range, rng: np.random.Generator
-) -> CovariateDesign:
+) -> tuple[ItemParams, ...]:
+    """The indicator items behind each ordinal covariate, one ItemParams each.
+
+    Covariate c with m categories counts the endorsed indicators among m - 1
+    binary 2PL items sharing one discrimination, with sorted difficulties, so
+    higher ability pushes toward higher categories.
+    """
     lo, hi = discrimination_range
-    discs, diffs = [], []
+    design = []
     for m in categories:
         if m < 2:
             raise ValueError(f"covariate needs at least 2 categories, got {m}")
-        discs.append(float(rng.uniform(lo, hi)))
-        diffs.append(np.sort(rng.standard_normal(m - 1)))
-    return CovariateDesign(discriminations=tuple(discs), difficulties=tuple(diffs))
+        disc = rng.uniform(lo, hi)
+        design.append(ItemParams(a=np.full(m - 1, disc), b=np.sort(rng.standard_normal(m - 1))))
+    return tuple(design)
 
 
-def covariates_from_design(
-    theta, design: CovariateDesign, rng: np.random.Generator
-) -> np.ndarray:
+def covariates_from_design(theta, design: Sequence[ItemParams], rng: np.random.Generator):
     """Ordinal covariates (one column each) positively associated with theta."""
     theta = np.asarray(theta, dtype=float)
-    pairs = zip(design.discriminations, design.difficulties)
-    return np.column_stack([_draw_counts(theta, a_c, b_c, rng) for a_c, b_c in pairs])
+    return np.column_stack([_draw_counts(theta, c.a, c.b, rng) for c in design])
 
 
 @dataclass(frozen=True)
@@ -221,7 +206,7 @@ class SimulationDesign:
     form_x_items: ItemParams
     form_y_items: ItemParams
     anchor_items: ItemParams
-    covariates: CovariateDesign
+    covariates: tuple  # one ItemParams per covariate
 
 
 def draw_design(config: SimulationConfig, rng: np.random.Generator) -> SimulationDesign:

@@ -55,6 +55,29 @@ class TestDatasetSchema:
         with pytest.raises(SchemaError):
             DatasetSchema.from_string("form:group,score")
 
+    @pytest.mark.parametrize(
+        "text, repeated",
+        [
+            ("form:g,score:s,num:s,ignore:c", "s"),  # the score read as a covariate too
+            ("form:g,score:s,num:c,num:c", "c"),  # two identical covariates
+            ("form:g,score:s,ignore:s,ignore:c", "s"),
+            ("form:g,score:g,ignore:s,ignore:c", "g"),  # the 0/1 form labels read as scores
+            ("form:g,score:s,ignore:c,ignore:c", "c"),
+        ],
+    )
+    def test_a_column_takes_one_role(self, tmp_path, text, repeated):
+        path = tmp_path / "data.csv"
+        write_lines(path, ["g,s,c", "0,1,5", "0,2,6", "1,1,7", "1,2,8"])
+        message = f"column {repeated!r} takes more than one schema role"
+        with pytest.raises(SchemaError, match=message) as exc:
+            parse_dataset(path, DatasetSchema.from_string(text))
+        assert exc.value.column == repeated
+
+    def test_direct_construction_checks_the_roles_too(self):
+        with pytest.raises(SchemaError, match="'s' takes more than one") as exc:
+            DatasetSchema(form="g", score="s", covariates=(("s", "numeric"),))
+        assert exc.value.column == "s"
+
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -129,6 +152,20 @@ class TestParseDataset:
         with pytest.raises(SchemaError) as exc:
             parse_dataset(path, DatasetSchema.from_string(SCHEMA))
         assert exc.value.column == "anch"
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_header_names_a_column_once(self, tmp_path, quoted):
+        # the second s was once dropped silently; the unquoted file takes the
+        # column parse, the quoted copy the row scan, and both say the same
+        path = tmp_path / "dup.csv"
+        lines = ["g,s,s", "X,1,5", "X,2,6", "Y,1,7", "Y,2,8"]
+        if quoted:
+            lines = [",".join(f'"{f}"' for f in line.split(",")) for line in lines]
+        write_lines(path, lines)
+        with pytest.raises(SchemaError) as exc:
+            parse_dataset(path, DatasetSchema.from_string("form:g,score:s"))
+        assert exc.value.column == "s"
+        assert str(exc.value) == "header names column 's' more than once"
 
     def test_untagged_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

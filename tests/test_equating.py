@@ -276,9 +276,11 @@ class TestIPWFamily:
         # rounded weighted mean is 7 - 1 ulp, which once gave a slope near 1e15
         records = [rec(0, 2), rec(0, 4), rec(0, 6), rec(1, 7), rec(1, 7), rec(1, 7)]
         records += [rec(0, 2), rec(0, 4), rec(1, 1), rec(1, 3)]
-        strata = np.array([1] * 6 + [2] * 4)
+        strata = StratumAssignment(
+            K=2, labels=np.array([1] * 6 + [2] * 4), boundaries=np.empty(0)
+        )
         w = np.array([1.0, 1.0, 1.0, 0.4, 1.3, 2.2, 1.0, 1.0, 1.0, 1.0])
-        weights = IPWWeights(raw=w, trimmed=w, strata=strata, trim_alpha=0.0)
+        weights = IPWWeights(raw=w, trimmed=w, assignment=strata, trim_alpha=0.0)
         fam = ipw_family(table(records), weights)
         assert fam.omitted == [1]
         assert fam.entries[2].slope == pytest.approx(1.0)
@@ -287,11 +289,10 @@ class TestIPWFamily:
     def test_hand_built_strata_outside_the_key_rejected(self, bad):
         # a negative or fractional stratum would wrap or truncate in the
         # unsigned (cell, form) key and fall into another stratum's run, so
-        # it is rejected where the weights are built
-        w = np.ones(8)
+        # it is rejected where the stratification the weights take is built
         strata = np.array([bad] * 4 + [127] * 4)
         with pytest.raises(DimensionError, match="whole numbers"):
-            IPWWeights(raw=w, trimmed=w, strata=strata, trim_alpha=0.0)
+            StratumAssignment(K=127, labels=strata, boundaries=np.empty(0))
 
     @pytest.mark.parametrize("column", ["raw", "trimmed", "strata"])
     @pytest.mark.parametrize("size", [7, 9])
@@ -299,8 +300,9 @@ class TestIPWFamily:
         # a short or long column once reached ipw_family as a bare IndexError
         columns = {"raw": np.ones(8), "trimmed": np.ones(8), "strata": np.repeat([1, 2], 4)}
         columns[column] = columns[column][:size] if size < 8 else np.resize(columns[column], size)
+        strata = StratumAssignment(K=2, labels=columns.pop("strata"), boundaries=np.empty(0))
         with pytest.raises(DimensionError, match="one entry per record"):
-            IPWWeights(**columns, trim_alpha=0.0)
+            IPWWeights(**columns, assignment=strata, trim_alpha=0.0)
 
     def test_sd_convention_difference_shrinks_with_n(self):
         # all weights 1: ipw uses the weight-sum sd, strat the n-1 sd; the
@@ -611,7 +613,7 @@ def reference_fit_cells(t, by, fit):
     ``fit(x, y, weighted)`` maps the form-Y sample onto the form-X sample."""
     weights, skip, kind = None, (), "stratum"
     if isinstance(by, IPWWeights):
-        cells, weights, skip = by.strata, by.trimmed, by.overlap_violations
+        cells, weights, skip = by.assignment.labels, by.trimmed, by.overlap_violations
     elif isinstance(by, StratumAssignment):
         cells = by.labels
     else:
@@ -777,7 +779,7 @@ def reference_ipw_weights(table, assignment, propensities, trim_alpha=0.01):
     return IPWWeights(
         raw=raw,
         trimmed=trimmed,
-        strata=assignment.labels.copy(),
+        assignment=assignment,
         trim_alpha=trim_alpha,
         overlap_violations=violations,
     )
@@ -786,9 +788,10 @@ def reference_ipw_weights(table, assignment, propensities, trim_alpha=0.01):
 def assert_ipw_weights_match_reference(t, assignment, propensities, trim_alpha):
     got = ipw_weights(t, assignment, propensities, trim_alpha)
     want = reference_ipw_weights(t, assignment, propensities, trim_alpha)
-    for name in ("raw", "trimmed", "strata"):
+    for name in ("raw", "trimmed"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.assignment is assignment
     assert got.trim_alpha == want.trim_alpha
     assert got.overlap_violations == want.overlap_violations
     assert all(type(k) is int for k in got.overlap_violations)

@@ -15,7 +15,6 @@ from localeq.errors import OmittedBinError
 from localeq.propensity import sigmoid
 from localeq.simulation import (
     BLOCK_SIZE,
-    CovariateDesign,
     ItemParams,
     SimulationConfig,
     conditional_score_moments,
@@ -66,8 +65,8 @@ def reference_population(config, rng):
     p_anchor = p2pl(theta[:, None], design.anchor_items.a, design.anchor_items.b)
     anchor_score = (rng.random(p_anchor.shape) < p_anchor).sum(axis=1)
     columns = []
-    for a_c, b_c in zip(design.covariates.discriminations, design.covariates.difficulties):
-        p = p2pl(theta[:, None], a_c, b_c)
+    for c in design.covariates:
+        p = p2pl(theta[:, None], c.a, c.b)
         columns.append((rng.random(p.shape) < p).sum(axis=1))
     covariates = np.column_stack(columns).astype(int)
     beta = np.asarray(config.beta, dtype=float)
@@ -184,8 +183,8 @@ def row_major_covariates(theta, design, rng):
     """The covariate draw as it was before the items x rows evaluation, kept as
     a reference: p is rows x items, compared with the uniforms in row order."""
     columns = []
-    for a_c, b_c in zip(design.discriminations, design.difficulties):
-        p = masked_sigmoid((theta[:, None] - b_c) * a_c)
+    for c in design:
+        p = masked_sigmoid((theta[:, None] - c.b) * c.a)
         columns.append((rng.random(p.shape) < p).sum(axis=1))
     return np.column_stack(columns)
 
@@ -197,11 +196,10 @@ class TestCovariates:
         # the second covariate holds the other 7 - items indicators
         block = BLOCK_SIZE // items
         rng = np.random.default_rng(items)
-        design = CovariateDesign(
-            discriminations=(float(rng.uniform(0.1, 1.5)), 0.7),
-            difficulties=(
-                np.sort(rng.standard_normal(items)), np.sort(rng.standard_normal(7 - items))
-            ),
+        design = (
+            ItemParams(a=np.full(items, rng.uniform(0.1, 1.5)),
+                       b=np.sort(rng.standard_normal(items))),
+            ItemParams(a=np.full(7 - items, 0.7), b=np.sort(rng.standard_normal(7 - items))),
         )
         for n in (0, 1, 2, block - 1, block, block + 1, 2 * block + 1):
             theta = 2.0 * rng.standard_normal(n)
@@ -223,23 +221,19 @@ class TestCovariates:
 
     def test_difficulties_sorted(self):
         design = draw_covariate_design((5, 6), (0.5, 1.5), np.random.default_rng(3))
-        for diffs in design.difficulties:
-            assert np.all(np.diff(diffs) >= 0)
+        assert [c.n_items for c in design] == [4, 5]
+        for c in design:
+            assert np.all(np.diff(c.b) >= 0)
+            assert np.all(c.a == c.a[0])  # one discrimination per covariate
 
     def test_too_few_categories(self):
         with pytest.raises(ValueError):
             draw_covariate_design((3, 1), (0.5, 1.5), np.random.default_rng(0))
 
-    def test_design_arity_checked(self):
-        with pytest.raises(ValueError):
-            CovariateDesign(discriminations=(1.0,), difficulties=())
-
     def test_near_zero_discrimination_is_independent(self):
         rng = np.random.default_rng(11)
         theta = rng.standard_normal(100_000)
-        design = CovariateDesign(
-            discriminations=(1e-9,), difficulties=(np.array([0.0, 0.0]),)
-        )
+        design = (ItemParams(a=np.full(2, 1e-9), b=np.zeros(2)),)
         cov = covariates_from_design(theta, design, rng)
         assert abs(np.corrcoef(theta, cov[:, 0])[0, 1]) < 0.02
 
