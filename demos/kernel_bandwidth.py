@@ -3,7 +3,11 @@
 Discrete score distributions make the raw equipercentile map a staircase.
 Gaussian kernel continuization smooths each CDF; as the bandwidth grows
 the map straightens out, and in the infinite limit it IS the linear
-transform defined by the two means and standard deviations.
+transform defined by the two means and standard deviations. That holds
+here because both forms have 250 examinees: the kernel CDF takes the n sd
+and the linear strata map the n-1 sd, so with unequal form sizes the
+large-bandwidth slope is the linear slope times
+sqrt((n_x - 1) / n_x * n_y / (n_y - 1)).
 """
 
 import math

@@ -336,8 +336,9 @@ class KernelCDF:
 
     so the continuized distribution keeps mean mu and variance sigma^2 for
     every bandwidth h. As h -> 0 the step ECDF is recovered; as h -> inf the
-    CDF tends to the Gaussian with the sample's moments, which makes the
-    induced equipercentile map collapse to the linear transform. Tied sample
+    CDF tends to the Gaussian with the sample's moments, so the induced
+    equipercentile map tends to the linear map of the weight-sum sds (with
+    unit weights the n sd, not the n-1 sd of a linear strata cell). Tied sample
     values are pooled at construction (``centers`` holds one entry per
     distinct value v_j, ``fractions`` its weight share r_j), so an evaluation
     costs one ``ndtr`` per distinct value, not per record. With s = 0 (a

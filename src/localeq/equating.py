@@ -283,8 +283,10 @@ def equipercentile_family(
     ``"anchor"``. With ``bandwidth=None`` the raw step ECDFs are used; a
     finite bandwidth kernel-smooths them; ``bandwidth=math.inf`` returns the
     linear family of the same conditioning (:func:`anchor_family`,
-    :func:`strat_family` or :func:`ipw_family`), the limiting case of the
-    smoothed map.
+    :func:`strat_family` or :func:`ipw_family`). For IPW cells that is the
+    limit of the smoothed map as h -> inf. Anchor and strata cells take the
+    n-1 sd, where the kernel CDF takes the n sd, so there the large-h slope is
+    the linear slope times sqrt((n_x - 1) / n_x * n_y / (n_y - 1)).
     """
     if bandwidth is None:
         fit = _cdf_map(ECDF)

@@ -92,7 +92,9 @@ class StratumAssignment:
     boundaries: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels)
+        labels = self.labels = np.asarray(self.labels)
+        if labels.ndim != 1:
+            raise DimensionError(f"stratum labels must be 1-d, got shape {labels.shape}")
         bad = ~((labels >= 1) & (labels <= self.K) & (labels == np.floor(labels)))
         if bad.any():
             raise DimensionError(
@@ -245,11 +247,13 @@ def stratify_quantile(propensities, K: int) -> StratumAssignment:
     """Partition records into K strata at the j/K propensity quantiles.
 
     Records are assigned by rank, with ties broken by stable input order, so
-    stratum sizes are as equal as the ties permit. The cut points are the
-    linear quantiles of ``np.quantile``, read off the sorted propensities.
-    A propensity outside [0, 1], NaN included, raises InvalidProbabilityError.
+    stratum sizes are as equal as the ties permit. The cut points, read off
+    the sorted propensities, are bit for bit the linear ``np.quantile`` of the
+    propensities with -0.0 read as 0.0: no stable sort orders tied signed
+    zeros as that function's partition does. A propensity outside [0, 1], NaN
+    included, raises InvalidProbabilityError.
     """
-    p = _probabilities(propensities, "propensities").reshape(-1)
+    p = _probabilities(propensities, "propensities").reshape(-1) + 0.0  # -0.0 -> 0.0
     n = p.size
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")

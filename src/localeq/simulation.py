@@ -50,21 +50,22 @@ def prob_2pl(theta, a, b):
     return sigmoid(np.asarray(a, dtype=float) * (theta - np.asarray(b, dtype=float)))
 
 
-def _prob_2pl_blocks(theta, a, b, form=None):
+def _prob_2pl_blocks(theta, a, b, form=None, items_by_rows=False):
     """Per row block of about ``BLOCK_SIZE`` entries, yield ``(rows, p, scratch)``:
-    ``p`` is ``prob_2pl(theta[rows, None], a, b)`` bit for bit, with ``form[i]``
-    picking row i's ``a`` and ``b`` if given. The two buffers are allocated once, and
-    every ufunc runs on whole blocks: a broadcast would allocate iterator buffers."""
+    ``p`` is ``prob_2pl(theta[rows, None], a, b)`` bit for bit (its transpose if
+    ``items_by_rows``), ``form[i]`` picking row i's ``a`` and ``b`` if given. Both are
+    contiguous views of two buffers allocated once, and every ufunc runs on whole
+    blocks: a broadcast would allocate iterator buffers."""
     n, k = theta.shape[0], np.shape(b)[-1]
     block = max(1, BLOCK_SIZE // max(k, 1))
-    buffers = np.empty((2, min(n, block), k))
+    buffers = np.empty((2, min(n, block) * k))
     for start in range(0, n, block):
-        rows = slice(start, min(start + block, n))
-        p, scratch = buffers[:, : rows.stop - start]
-        np.copyto(p, theta[rows, None])
+        rows, m = slice(start, min(start + block, n)), min(block, n - start)
+        p, scratch = buffers[:, : m * k].reshape((2, k, m) if items_by_rows else (2, m, k))
+        np.copyto(p, theta[rows] if items_by_rows else theta[rows, None])
         for param, step in ((b, np.subtract), (a, np.multiply)):  # (theta - b) * a
             if form is None:
-                np.copyto(scratch, param)
+                np.copyto(scratch, np.reshape(param, (-1, 1)) if items_by_rows else param)
             else:  # one row of a and b per form; "clip" takes unbuffered
                 np.take(param, form[rows], axis=0, out=scratch, mode="clip")
             step(p, scratch, out=p)
@@ -73,27 +74,14 @@ def _prob_2pl_blocks(theta, a, b, form=None):
 
 def _draw_counts(theta, a, b, rng, form=None) -> np.ndarray:
     """Per row, ``(rng.random(p.shape) < p).sum(axis=1)``, p = prob_2pl(theta[:, None], a, b),
-    ``form[i]`` picking row i's ``a`` and ``b`` if given; uniforms in row order. Without
-    ``form``, each row block's p is items x rows, so every step runs along the rows, not
-    along as few as one item, and meets the block's row-major uniforms transposed."""
-    n, k = theta.shape[0], np.shape(b)[-1]
-    counts = np.empty(n, dtype=int)
-    if form is not None:  # per-row parameters: a row-major gather is the faster layout
-        for rows, p, u in _prob_2pl_blocks(theta, a, b, form):
-            counts[rows] = np.add.reduce(np.less(rng.random(out=u), p, out=u), axis=1)
-        return counts
-    block = BLOCK_SIZE // max(k, 1)
-    buffers = np.empty((2, min(n, block) * k))
-    for start in range(0, n, block):
-        rows, m = slice(start, min(start + block, n)), min(block, n - start)
-        p, u = buffers[:, : k * m].reshape(2, k, m)
-        np.copyto(p, theta[rows])
-        for param, step in ((b, np.subtract), (a, np.multiply)):  # (theta - b) * a
-            np.copyto(u, np.reshape(param, (-1, 1)))
-            step(p, u, out=p)
-        sigmoid_inplace(p, u)
-        u = rng.random(out=u.reshape(m, k))
-        counts[rows] = np.add.reduce(np.less(u.T, p, out=p), axis=0)
+    ``form[i]`` picking row i's ``a`` and ``b`` if given; uniforms in row order. A per-row
+    gather is faster rows x items; shared parameters run items x rows, so every step runs
+    along the rows, not along as few as one item, and meet the row-major uniforms transposed."""
+    counts = np.empty(theta.shape[0], dtype=int)
+    shared = form is None
+    for rows, p, u in _prob_2pl_blocks(theta, a, b, form, items_by_rows=shared):
+        u = rng.random(out=u.reshape(p.shape[::-1])).T if shared else rng.random(out=u)
+        counts[rows] = np.add.reduce(np.less(u, p, out=p), axis=0 if shared else 1)
     return counts
 
 
@@ -354,10 +342,10 @@ def true_transform(
 def score_distribution(items: ItemParams, nodes, weights) -> np.ndarray:
     """Sum-score distribution marginalized over an ability grid.
 
-    Runs the Lord-Wingersky recursion at every node at once, one item per
-    step over a nodes x scores array, then averages the rows with the grid
-    weights, which must sum to 1, in node order. A single node with weight
-    1 gives the conditional distribution at that ability.
+    Runs the Lord-Wingersky recursion at every node of a kernel block at once,
+    one item per step over a nodes x scores array, then averages the rows with
+    the grid weights, which must sum to 1, in node order. A single node with
+    weight 1 gives the conditional distribution at that ability.
     """
     nodes = np.asarray(nodes, dtype=float).reshape(-1)
     weights = np.asarray(weights, dtype=float).reshape(-1)
@@ -365,18 +353,18 @@ def score_distribution(items: ItemParams, nodes, weights) -> np.ndarray:
         raise ValueError("one weight per node required")
     if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError("grid weights must be non-negative and sum to 1")
-    p = prob_2pl(nodes[:, None], items.a, items.b)
-    dist = np.ones((nodes.size, 1))
-    for p_l in p.T[:, :, None]:  # one item's nodes x 1 column per step
-        q_l = 1.0 - p_l
-        nxt = np.empty((nodes.size, dist.shape[1] + 1))
-        nxt[:, :1] = dist[:, :1] * q_l
-        nxt[:, -1:] = dist[:, -1:] * p_l
-        nxt[:, 1:-1] = dist[:, 1:] * q_l + dist[:, :-1] * p_l
-        dist = nxt
     out = np.zeros(items.n_items + 1)
-    for w, row in zip(weights, dist):  # not weights @ dist: keep the sum order
-        out += w * row
+    for rows, p, _ in _prob_2pl_blocks(nodes, items.a, items.b, items_by_rows=True):
+        dist = np.ones((p.shape[1], 1))
+        for p_l in p[:, :, None]:  # one item's nodes x 1 column per step
+            q_l = 1.0 - p_l
+            nxt = np.empty((dist.shape[0], dist.shape[1] + 1))
+            nxt[:, :1] = dist[:, :1] * q_l
+            nxt[:, -1:] = dist[:, -1:] * p_l
+            nxt[:, 1:-1] = dist[:, 1:] * q_l + dist[:, :-1] * p_l
+            dist = nxt
+        for w, row in zip(weights[rows], dist):  # not weights @ dist: keep the sum order
+            out += w * row
     return out
 
 

@@ -294,6 +294,21 @@ class TestIPWFamily:
         with pytest.raises(DimensionError, match="whole numbers"):
             StratumAssignment(K=127, labels=strata, boundaries=np.empty(0))
 
+    def test_hand_built_list_labels_are_stored_as_an_array(self):
+        # a list once passed construction and failed later in both consumers
+        # with "'list' object has no attribute 'size'"
+        records = [rec(0, 2), rec(0, 4), rec(1, 1), rec(1, 3)]
+        strata = StratumAssignment(K=1, labels=[1, 1, 1, 1], boundaries=np.empty(0))
+        assert isinstance(strata.labels, np.ndarray)
+        assert strat_family(table(records), strata).entries[1].slope == pytest.approx(1.0)
+        weights = ipw_weights(table(records), strata, np.full(4, 0.5), trim_alpha=0.0)
+        np.testing.assert_array_equal(weights.trimmed, np.ones(4))
+
+    @pytest.mark.parametrize("labels", [np.ones((2, 2)), np.ones((4, 1)), np.array(1)])
+    def test_hand_built_labels_must_be_one_dimensional(self, labels):
+        with pytest.raises(DimensionError, match="1-d"):
+            StratumAssignment(K=1, labels=labels, boundaries=np.empty(0))
+
     @pytest.mark.parametrize("column", ["raw", "trimmed", "strata"])
     @pytest.mark.parametrize("size", [7, 9])
     def test_hand_built_weights_need_one_entry_per_record(self, column, size):
@@ -360,6 +375,32 @@ class TestEquipercentileFamily:
         lo, hi = np.quantile(y_vals, [0.05, 0.95])
         for y in np.linspace(lo, hi, 15):
             assert abs(smooth.entries[1](y) - linear.entries[1](y)) < 0.05
+
+    @pytest.mark.parametrize("conditioning", ["anchor", "strata", "ipw"])
+    def test_large_bandwidth_slope_against_the_linear_slope(self, conditioning):
+        # one cell with n_x = 4, n_y = 40: the kernel CDF takes the n sd, the
+        # linear anchor and strata maps the n-1 sd, the IPW map the weight-sum sd
+        rng = np.random.default_rng(29)
+        n_x, n_y = 4, 40
+        records = [rec(0, int(s), anchor=1) for s in rng.binomial(30, 0.55, n_x)]
+        records += [rec(1, int(s), anchor=1) for s in rng.binomial(30, 0.45, n_y)]
+        strata = stratify_quantile(np.full(n_x + n_y, 0.5), 1)
+        factor = math.sqrt((n_x - 1) / n_x * n_y / (n_y - 1))
+        if conditioning == "anchor":
+            by, linear = "anchor", anchor_family(table(records))
+        elif conditioning == "strata":
+            by, linear = strata, strat_family(table(records), strata)
+        else:
+            pi = rng.uniform(0.3, 0.7, n_x + n_y)
+            by = ipw_weights(table(records), strata, pi, trim_alpha=0.0)
+            linear, factor = ipw_family(table(records), by), 1.0
+        sd = np.std([r[1] for r in records if r[0] == 1])
+        smooth = equipercentile_family(table(records), by, bandwidth=1e4 * sd).entries[1]
+        mid, slope = linear.entries[1].mu_y, linear.entries[1].slope
+        assert factor == 1.0 or factor < 0.88
+        assert (smooth(mid + 1.0) - smooth(mid - 1.0)) / 2.0 == pytest.approx(
+            slope * factor, rel=1e-6
+        )
 
     def test_infinite_bandwidth_dispatches_to_linear(self):
         records = [rec(0, 2), rec(0, 4), rec(1, 1), rec(1, 3)]

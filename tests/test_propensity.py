@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -161,15 +161,19 @@ class TestStratifyQuantile:
         k=st.integers(1, 40),
     )
     @settings(max_examples=300, deadline=None)
+    @example(p=[0.0] * 4 + [-0.0] * 2 + [0.0] * 13, k=4)  # np.quantile: [0., 0., 0.]
     def test_boundaries_match_np_quantile_bit_for_bit(self, p, k):
-        # ties, signed zeros and both ends of [0, 1] included
+        # ties, signed zeros and both ends of [0, 1] included; np.quantile
+        # orders tied signed zeros its own way, so -0.0 is read as 0.0
         p = np.array(p)
         if k > p.size:
             return
-        expected = np.quantile(p, np.arange(1, k) / k) if k > 1 else np.empty(0)
+        q = np.arange(1, k) / k
+        expected = np.quantile(p + 0.0, q) if k > 1 else np.empty(0)
         got = stratify_quantile(p, k).boundaries
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
+        assert np.array_equal(got, np.quantile(p, q) if k > 1 else np.empty(0))
 
     def test_boundaries_match_np_quantile_on_spread_propensities(self):
         # untied draws, where the two branches of numpy's interpolation

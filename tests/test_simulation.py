@@ -29,7 +29,7 @@ from localeq.simulation import (
     score_distribution,
     true_transform,
 )
-from localeq.simulation import _legendre
+from localeq.simulation import _draw_counts, _legendre
 
 
 def masked_sigmoid(eta):
@@ -108,6 +108,24 @@ def per_node_score_distribution(items, nodes, weights):
             nxt[1:-1] = dist[1:] * (1.0 - p_l) + dist[:-1] * p_l
             dist = nxt
         out += w * dist
+    return out
+
+
+def broadcast_score_distribution(items, nodes, weights):
+    """The recursion over one broadcast nodes x items ``prob_2pl`` matrix, all
+    nodes at once, kept as a reference."""
+    p = prob_2pl(nodes[:, None], items.a, items.b)
+    dist = np.ones((nodes.size, 1))
+    for p_l in p.T[:, :, None]:
+        q_l = 1.0 - p_l
+        nxt = np.empty((nodes.size, dist.shape[1] + 1))
+        nxt[:, :1] = dist[:, :1] * q_l
+        nxt[:, -1:] = dist[:, -1:] * p_l
+        nxt[:, 1:-1] = dist[:, 1:] * q_l + dist[:, :-1] * p_l
+        dist = nxt
+    out = np.zeros(items.n_items + 1)
+    for w, row in zip(weights, dist):
+        out += w * row
     return out
 
 
@@ -208,6 +226,16 @@ class TestCovariates:
             want = row_major_covariates(theta, design, want_rng)
             assert same_bytes(got, want), n
             assert got_rng.random() == want_rng.random(), n
+
+    def test_an_item_set_larger_than_one_block(self):
+        # more shared items than a block holds probabilities: one row per block
+        rng = np.random.default_rng(21)
+        items, theta = draw_items(BLOCK_SIZE + 1, rng), rng.standard_normal(3)
+        got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = _draw_counts(theta, items.a, items.b, got_rng)
+        want = row_major_covariates(theta, (items,), want_rng)[:, 0]
+        assert same_bytes(got, want)
+        assert got_rng.random() == want_rng.random()
 
     def test_values_within_category_range(self):
         rng = np.random.default_rng(1)
@@ -665,6 +693,19 @@ class TestScoreDistribution:
             weights /= weights.sum()
             got = score_distribution(items, nodes, weights)
             assert np.array_equal(got, per_node_score_distribution(items, nodes, weights))
+
+    @pytest.mark.parametrize("n_items", [1, 40, 200])
+    def test_node_blocks_match_the_broadcast_recursion(self, n_items):
+        # 200 items leave 51 nodes per kernel block, so 61 nodes take two
+        rng = np.random.default_rng(n_items)
+        items = draw_items(n_items, rng)
+        grids = [normal_quadrature(m, 1.0) for m in (0.0, 0.5)]
+        nodes = np.concatenate([[-60.0, 800.0], rng.normal(0.0, 3.0, 59)])
+        grids.append((nodes, rng.dirichlet(np.ones(61))))
+        for nodes, weights in grids:
+            assert nodes.size == 61 and (n_items < 200 or BLOCK_SIZE // n_items < 61)
+            want = broadcast_score_distribution(items, nodes, weights)
+            assert same_bytes(score_distribution(items, nodes, weights), want)
 
     def test_weight_validation(self):
         items = draw_items(2, np.random.default_rng(0))
