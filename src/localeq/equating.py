@@ -50,7 +50,7 @@ __all__ = [
 MIN_CELL_SIZE = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class IPWWeights:
     """Stabilized inverse probability weights with symmetric trimming.
 

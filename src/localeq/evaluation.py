@@ -249,20 +249,12 @@ def _on_score_grid(map_of, cells, scores, items: int) -> np.ndarray:
 def _propensity_stage(pop, strata: int):
     """Propensity strata and scores, fitted once and shared by strat and ipw.
 
-    The design matrix is standardized, anchor score first, then covariates:
-    the anchor is the strongest ability proxy available to the assignment
-    model, so the stratification and weighting methods condition on it
-    alongside the background covariates. Constant columns are dropped.
+    The model is fitted on ``pop.proxies``, the very array whose logit assigned the
+    forms: the anchor score, the strongest ability proxy, then the covariates, all
+    standardized. So strat and ipw condition on the anchor alongside the covariates.
     """
-    raw = np.column_stack([pop.anchor_score, pop.covariates]).astype(float)
-    sds = raw.std(axis=0, ddof=1)
-    keep = sds > 0.0
-    # raw[:, keep], and so ``encoded``, is Fortran-ordered. fit_logistic's BLAS
-    # products round by memory layout: a C-ordered copy of the same values
-    # moves the coefficients in their last bits, and the report bytes with them.
-    encoded = (raw[:, keep] - raw[:, keep].mean(axis=0)) / sds[keep]
-    model = fit_logistic(encoded, pop.form)
-    propensities = estimate_propensity(model, encoded)
+    model = fit_logistic(pop.proxies, pop.form)
+    propensities = estimate_propensity(model, pop.proxies)
     return stratify_quantile(propensities, strata), propensities
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ScoreTable, _probabilities, cell_form_order, sorted_quantiles
+from .core import ScoreTable, _probabilities, _read_only, cell_form_order, sorted_quantiles
 from .errors import (
     DegenerateColumnWarning,
     DimensionError,
@@ -83,16 +83,17 @@ class PropensityModel:
         return self.coefficients.size - 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class StratumAssignment:
-    """Quantile stratification: per-record labels in 1..K plus cut points."""
+    """Quantile stratification: per-record labels in 1..K plus cut points, read-only."""
 
     K: int
     labels: np.ndarray
     boundaries: np.ndarray
 
     def __post_init__(self):
-        labels = self.labels = np.asarray(self.labels)
+        labels = _read_only(np.asarray(self.labels))
+        object.__setattr__(self, "labels", labels)
         if labels.ndim != 1:
             raise DimensionError(f"stratum labels must be 1-d, got shape {labels.shape}")
         bad = ~((labels >= 1) & (labels <= self.K) & (labels == np.floor(labels)))
@@ -294,6 +295,8 @@ def balance_report(
     Strata missing either form are flagged as overlap violations and carry
     NaN entries; they are excluded from the satisfactory-balance fractions.
     Each sample is a slice of one stable (stratum, form) sort: the same bits.
+    Columns are compared as given: a categorical one on its level codes, so past
+    two levels its ASMD depends on how the levels are labeled.
     """
     raw, forms = table.covariates, table.form
     if assignment.labels.size != len(table):

@@ -210,12 +210,13 @@ def draw_design(config: SimulationConfig, rng: np.random.Generator) -> Simulatio
 
 @dataclass(frozen=True)
 class SimulatedPopulation:
-    """One generated sample, carrying the latent truth for evaluation."""
+    """One generated sample with its latent truth and its assignment design, ``proxies``."""
 
     theta: np.ndarray
     group: np.ndarray
     anchor_score: np.ndarray
     covariates: np.ndarray
+    proxies: np.ndarray
     propensity: np.ndarray
     form: np.ndarray
     score: np.ndarray
@@ -234,13 +235,6 @@ class SimulatedPopulation:
         return self._table
 
 
-def _standardize(column: np.ndarray) -> np.ndarray:
-    sd = column.std(ddof=1) if column.size > 1 else 0.0
-    if sd == 0.0:
-        return np.zeros_like(column, dtype=float)
-    return (column - column.mean()) / sd
-
-
 def gen_population(
     config: SimulationConfig,
     rng: np.random.Generator,
@@ -250,9 +244,8 @@ def gen_population(
 
     Draw order is fixed (group, theta, anchor responses, covariates,
     assignment, operational responses) so a seeded generator reproduces the
-    sample bit for bit. Form assignment T=1 means form Y; its probability
-    comes from the logistic model on the sample-standardized anchor score
-    and covariates.
+    sample bit for bit. Form assignment T=1 means form Y, drawn from a logistic model on
+    ``proxies``: the sample-standardized anchor and covariates, constant columns dropped.
     """
     if design is None:
         design = draw_design(config, rng)
@@ -264,12 +257,14 @@ def gen_population(
     anchor_score = _draw_counts(theta, design.anchor_items.a, design.anchor_items.b, rng)
     covariates = covariates_from_design(theta, design.covariates, rng)
 
+    raw = np.column_stack([anchor_score, covariates]).astype(float)
+    sds = raw.std(axis=0, ddof=1) if n > 1 else np.zeros(raw.shape[1])
+    keep = sds > 0.0
+    # Fortran-ordered, as raw[:, keep] is: fit_logistic's BLAS products round by
+    # layout, so a C-ordered copy would move the fit, and the report, in the last bits
+    proxies = (raw[:, keep] - raw[:, keep].mean(axis=0)) / sds[keep]
     beta = np.asarray(config.beta, dtype=float)
-    proxies = np.column_stack(
-        [_standardize(anchor_score.astype(float))]
-        + [_standardize(covariates[:, j].astype(float)) for j in range(covariates.shape[1])]
-    )
-    propensity = sigmoid(beta[0] + proxies @ beta[1:])
+    propensity = sigmoid(beta[0] + proxies @ beta[1:][keep])  # a constant column adds 0
     form = (rng.random(n) < propensity).astype(int)
 
     x, y = design.form_x_items, design.form_y_items  # answered on the form taken
@@ -280,6 +275,7 @@ def gen_population(
         group=group,
         anchor_score=anchor_score,
         covariates=covariates,
+        proxies=proxies,
         propensity=propensity,
         form=form,
         score=score,

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import FrozenInstanceError
 from functools import partial
 
 import numpy as np
@@ -318,6 +319,16 @@ class TestIPWFamily:
         strata = StratumAssignment(K=2, labels=columns.pop("strata"), boundaries=np.empty(0))
         with pytest.raises(DimensionError, match="one entry per record"):
             IPWWeights(**columns, assignment=strata, trim_alpha=0.0)
+
+    def test_weights_cannot_be_reassigned(self):
+        # a reassigned column skipped the length check: a short trimmed
+        # column reached ipw_family as a bare IndexError
+        records = [rec(0, 2), rec(0, 4), rec(1, 1), rec(1, 3)]
+        assignment = stratify_quantile(np.full(4, 0.5), 1)
+        w = ipw_weights(table(records), assignment, np.full(4, 0.5))
+        with pytest.raises(FrozenInstanceError):
+            w.trimmed = np.ones(3)
+        assert ipw_family(table(records), w).entries[1].slope == pytest.approx(1.0)
 
     def test_sd_convention_difference_shrinks_with_n(self):
         # all weights 1: ipw uses the weight-sum sd, strat the n-1 sd; the

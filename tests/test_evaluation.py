@@ -18,7 +18,7 @@ from localeq.evaluation import (
     bin_by_theta,
     run_study,
 )
-from localeq.simulation import SimulationConfig, draw_design
+from localeq.simulation import SimulationConfig, draw_design, gen_population
 
 
 class TestBinByTheta:
@@ -426,6 +426,21 @@ class TestRunStudy:
         report = run_study(config, methods=("strat", "ipw"))
         assert report.methods["strat"].failures == 0
         assert len(calls) == config.replications
+
+    def test_propensity_model_is_fitted_on_the_assignment_design(self, monkeypatch):
+        import localeq.evaluation as evaluation
+
+        designs = []
+        fit = evaluation.fit_logistic
+
+        def recording_fit(design, labels):
+            designs.append(design)
+            return fit(design, labels)
+
+        monkeypatch.setattr(evaluation, "fit_logistic", recording_fit)
+        pop = gen_population(SimulationConfig(n=200), np.random.default_rng(5))
+        evaluation._propensity_stage(pop, 4)
+        assert len(designs) == 1 and designs[0] is pop.proxies
 
     def test_replication_path_calls_no_quantile_wrapper(self, monkeypatch):
         # the strata cut points and the IPW trimming bounds are read off

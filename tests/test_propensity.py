@@ -1,6 +1,7 @@
 """Tests for the logistic model, stratification, and balance diagnostics."""
 
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -197,6 +198,21 @@ class TestStratifyQuantile:
         with pytest.raises(DimensionError, match=f"got {bad}"):
             StratumAssignment(K=3, labels=labels, boundaries=np.empty(0))
         StratumAssignment(K=3, labels=np.array([1, 2, 3, 3]), boundaries=np.empty(0))
+
+    @pytest.mark.parametrize("labels", [[1, 1, 1, 1], np.array([0, 9, 1, 1])])
+    def test_assignment_fields_cannot_be_reassigned(self, labels):
+        # a reassignment skipped the label checks: a list reached strat_family
+        # as a bare AttributeError, labels outside 1..K as an EmptyFamilyError
+        a = stratify_quantile(np.full(4, 0.5), 1)
+        with pytest.raises(FrozenInstanceError):
+            a.labels = labels
+        np.testing.assert_array_equal(a.labels, [1, 1, 1, 1])
+
+    def test_assignment_labels_are_read_only(self):
+        a = stratify_quantile(np.full(4, 0.5), 1)
+        with pytest.raises(ValueError, match="read-only"):
+            a.labels[0] = 0
+        np.testing.assert_array_equal(a.labels, [1, 1, 1, 1])
 
     def test_members(self):
         a = stratify_quantile(np.array([0.9, 0.1, 0.5, 0.3]), 2)

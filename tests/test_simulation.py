@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -53,10 +54,6 @@ def reference_population(config, rng):
     def p2pl(theta, a, b):
         return masked_sigmoid(np.asarray(a, dtype=float) * (theta - np.asarray(b, dtype=float)))
 
-    def standardize(column):
-        sd = column.std(ddof=1) if column.size > 1 else 0.0
-        return np.zeros_like(column) if sd == 0.0 else (column - column.mean()) / sd
-
     design = draw_design(config, rng)
     n = config.n
     group = (rng.random(n) < 0.5).astype(int)
@@ -70,18 +67,18 @@ def reference_population(config, rng):
         columns.append((rng.random(p.shape) < p).sum(axis=1))
     covariates = np.column_stack(columns).astype(int)
     beta = np.asarray(config.beta, dtype=float)
-    proxies = np.column_stack(
-        [standardize(anchor_score.astype(float))]
-        + [standardize(covariates[:, j].astype(float)) for j in range(covariates.shape[1])]
-    )
-    propensity = masked_sigmoid(beta[0] + proxies @ beta[1:])
+    raw = np.column_stack([anchor_score, covariates]).astype(float)
+    sds = raw.std(axis=0, ddof=1) if n > 1 else np.zeros(raw.shape[1])
+    keep = sds > 0.0
+    proxies = (raw[:, keep] - raw[:, keep].mean(axis=0)) / sds[keep]
+    propensity = masked_sigmoid(beta[0] + proxies @ beta[1:][keep])
     form = (rng.random(n) < propensity).astype(int)
     p_x = p2pl(theta[:, None], design.form_x_items.a, design.form_x_items.b)
     p_y = p2pl(theta[:, None], design.form_y_items.a, design.form_y_items.b)
     p_taken = np.where(form[:, None] == 1, p_y, p_x)
     score = (rng.random(p_taken.shape) < p_taken).sum(axis=1)
     return dict(theta=theta, group=group, anchor_score=anchor_score, covariates=covariates,
-                propensity=propensity, form=form, score=score)
+                proxies=proxies, propensity=propensity, form=form, score=score)
 
 
 def unblocked_moments(items, theta):
@@ -419,6 +416,31 @@ class TestGenPopulation:
                               (table.anchor, pop.anchor_score)):
             assert np.shares_memory(column, array)
         np.testing.assert_array_equal(table.covariates, pop.covariates)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 30, 1000])
+    def test_proxies_are_the_per_column_standardized_design(self, n):
+        # each column standardized on its own, as the design once was built,
+        # agrees to rounding; constant columns (common at small n) are dropped
+        def standardize(column):
+            return (column - column.mean()) / column.std(ddof=1)
+
+        dropped = 0
+        for seed in range(20):
+            pop = gen_population(SimulationConfig(n=n, seed=seed), np.random.default_rng(seed))
+            columns = [pop.anchor_score, *pop.covariates.T]
+            kept = [standardize(c.astype(float)) for c in columns if np.ptp(c) > 0]
+            dropped += len(columns) - len(kept)
+            expected = np.column_stack(kept) if kept else np.empty((n, 0))
+            np.testing.assert_allclose(pop.proxies, expected, rtol=0, atol=1e-12)
+        assert dropped > 0 or n > 4
+
+    def test_one_examinee_is_assigned_by_the_intercept_alone(self):
+        config = SimulationConfig(n=1, beta=(0.7, -0.35, 0.1, -0.1, 0.1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pop = gen_population(config, np.random.default_rng(0))
+        assert pop.proxies.shape == (1, 0)
+        assert pop.propensity.tobytes() == np.array([sigmoid(0.7)]).tobytes()
 
 
 class TestConditionalScoreMoments:
