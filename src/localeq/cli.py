@@ -217,10 +217,12 @@ def _byte_columns(text, width, positions, schema):
     ``width`` fields, every line is below csv's field size limit and every
     form label is one byte."""
     raw = np.frombuffer(text.encode(), np.uint8)
-    ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))  # every field's end
-    lines = ends[width - 1 :: width]
-    if lines.size < 2 or not np.array_equal(lines, np.flatnonzero(raw == ord("\n"))):
+    newline = raw == ord("\n")
+    ends = np.flatnonzero((raw == ord(",")) | newline)  # every field's end
+    lines = ends[width - 1 :: width]  # increasing: all newlines iff as many as newlines
+    if lines.size < 2 or lines.size != np.count_nonzero(newline) or not newline[lines].all():
         return None
+    del newline  # before the digit pass, whose peak it would raise
     if np.diff(lines, prepend=-1).max() > csv.field_size_limit():
         return None
     ends = ends[width - 1 :]  # the header's newline, then every record field's end
@@ -653,17 +655,17 @@ def _number_list(kind):
 
 _percentiles_arg = _checked_arg(
     _number_list(float),
-    lambda ps: ps and all(0 <= p <= 100 for p in ps),
+    lambda ps: ps and all(0 <= p <= 100 for p in ps) and _first_repeat(ps) is None,
     "percentile list",
-    "must be non-empty and lie in [0, 100]",
+    "must be non-empty, lie in [0, 100] and repeat no value",
 )
 _bandwidth_arg = _checked_arg(float, lambda h: h > 0, "bandwidth", "must be positive")
 _strata_arg = _checked_arg(int, lambda k: k >= 1, "strata count", "must be positive")
 _strata_list_arg = _checked_arg(
     _number_list(int),
-    lambda ks: ks and all(k >= 1 for k in ks),
+    lambda ks: ks and all(k >= 1 for k in ks) and _first_repeat(ks) is None,
     "strata list",
-    "must be non-empty and positive",
+    "must be non-empty, positive and repeat no count",
 )
 _seed_arg = _checked_arg(int, lambda s: s >= 0, "seed", "must be non-negative")
 _trim_alpha_arg = _checked_arg(

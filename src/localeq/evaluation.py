@@ -238,8 +238,11 @@ def write_rows(path, header, rows):
 def _on_score_grid(map_of, cells, scores, items: int) -> np.ndarray:
     """Each record's score under its cell's :class:`LinearTransform`, ``map_of(cell)``:
     every distinct cell's map is evaluated on the score grid 0..items in one
-    array by ``LinearTransform.apply``, then gathered by (cell, score)."""
-    distinct, row = np.unique(cells, return_inverse=True)
+    array by ``LinearTransform.apply``, then gathered by (cell, score). Cells are
+    small non-negative ints (anchor scores, stratum or bin labels), so one count
+    per value sorts them."""
+    present = np.bincount(cells)
+    distinct, row = np.flatnonzero(present), (np.cumsum(present > 0) - 1)[cells]
     maps = map(map_of, distinct.tolist())
     slope, mu_y, mu_x = np.array([(m.slope, m.mu_y, m.mu_x) for m in maps]).T[..., None]
     grid = np.arange(items + 1, dtype=float)

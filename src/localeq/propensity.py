@@ -180,6 +180,8 @@ def fit_logistic(design: np.ndarray, labels) -> PropensityModel:
     ``STEP_TOLERANCE`` in a step, or the gradient max-norm is 1e-6, within
     ``MAX_ITERATIONS`` steps. Coefficients diverging past +-15 signal (quasi-)separation:
     they are clamped and a :class:`SeparationWarning` is raised, the model unconverged.
+    Per record a step holds the design with its intercept, its weighted copy, the
+    labels and the weights, which overwrite the fitted probabilities in place.
     """
     design = np.atleast_2d(np.asarray(design, dtype=float))
     labels = np.asarray(labels, dtype=float).reshape(-1)
@@ -193,13 +195,12 @@ def fit_logistic(design: np.ndarray, labels) -> PropensityModel:
     beta = np.zeros(X.shape[1])
     converged = False
     for iterations in range(1, MAX_ITERATIONS + 1):
-        eta = X @ beta
-        mu = sigmoid(eta)
+        mu = sigmoid(X @ beta)
         grad = X.T @ (labels - mu)
         if np.max(np.abs(grad)) <= 1e-6:
             converged = True
             break
-        w = np.clip(mu * (1.0 - mu), 1e-10, None)
+        w = np.clip(np.multiply(mu, 1.0 - mu, out=mu), 1e-10, None, out=mu)
         hessian = X.T @ (w[:, None] * X)
         try:
             step = np.linalg.solve(hessian, grad)

@@ -210,7 +210,8 @@ def draw_design(config: SimulationConfig, rng: np.random.Generator) -> Simulatio
 
 @dataclass(frozen=True)
 class SimulatedPopulation:
-    """One generated sample with its latent truth and its assignment design, ``proxies``."""
+    """One generated sample with its latent truth and its assignment design, ``proxies``;
+    its observed columns are its table's read-only arrays, the covariates float64."""
 
     theta: np.ndarray
     group: np.ndarray
@@ -225,9 +226,12 @@ class SimulatedPopulation:
     def __post_init__(self):
         table = ScoreTable(self.form, self.score, self.anchor_score, self.covariates)
         object.__setattr__(self, "_table", table)
+        for name, column in (("form", table.form), ("score", table.score),
+                             ("anchor_score", table.anchor), ("covariates", table.covariates)):
+            object.__setattr__(self, name, column)
 
     def to_records(self) -> ScoreTable:
-        """The observed columns as a :class:`ScoreTable` that views these arrays.
+        """The observed columns as one :class:`ScoreTable`, whose arrays they are.
 
         Built once, never copied. The name stays because the benchmark's
         tracer (``bench/tracing.py``) wraps this method by name.
@@ -246,6 +250,7 @@ def gen_population(
     assignment, operational responses) so a seeded generator reproduces the
     sample bit for bit. Form assignment T=1 means form Y, drawn from a logistic model on
     ``proxies``: the sample-standardized anchor and covariates, constant columns dropped.
+    The covariate counts are kept as float64 only, the array the table views.
     """
     if design is None:
         design = draw_design(config, rng)
@@ -255,9 +260,9 @@ def gen_population(
     theta = means[group] + config.theta_sd * rng.standard_normal(n)
 
     anchor_score = _draw_counts(theta, design.anchor_items.a, design.anchor_items.b, rng)
-    covariates = covariates_from_design(theta, design.covariates, rng)
+    covariates = covariates_from_design(theta, design.covariates, rng).astype(float)
 
-    raw = np.column_stack([anchor_score, covariates]).astype(float)
+    raw = np.column_stack([anchor_score, covariates])  # float64, C-ordered
     sds = raw.std(axis=0, ddof=1) if n > 1 else np.zeros(raw.shape[1])
     keep = sds > 0.0
     # Fortran-ordered, as raw[:, keep] is: fit_logistic's BLAS products round by

@@ -773,6 +773,27 @@ def test_one_form_file_is_rejected_before_any_fit(tmp_path, capsys, argv, presen
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["equate", "--method", "anchor", "--percentiles", "25,50,50"], "--percentiles"),
+        (["diagnose", "--strata", "3,5,3"], "--strata"),
+    ],
+    ids=["equate-percentiles", "diagnose-strata"],
+)
+def test_repeated_value_is_a_usage_error_before_the_file_is_read(tmp_path, capsys, argv, flag):
+    # a repeat once wrote the same curve or balance table twice, and doubled
+    # the repeated count's rows in balance_summary.csv
+    absent = tmp_path / "absent.csv"
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--data", str(absent), "--schema", SIM_SCHEMA, "--out-dir", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "repeat no" in err
+    assert not absent.exists() and not out.exists()
+
+
 class TestDiagnoseCommand:
     def test_balance_tables_per_strata_count(self, tmp_path):
         data = tmp_path / "sim.csv"

@@ -65,7 +65,7 @@ def reference_population(config, rng):
     for c in design.covariates:
         p = p2pl(theta[:, None], c.a, c.b)
         columns.append((rng.random(p.shape) < p).sum(axis=1))
-    covariates = np.column_stack(columns).astype(int)
+    covariates = np.column_stack(columns).astype(float)
     beta = np.asarray(config.beta, dtype=float)
     raw = np.column_stack([anchor_score, covariates]).astype(float)
     sds = raw.std(axis=0, ddof=1) if n > 1 else np.zeros(raw.shape[1])
@@ -416,6 +416,26 @@ class TestGenPopulation:
                               (table.anchor, pop.anchor_score)):
             assert np.shares_memory(column, array)
         np.testing.assert_array_equal(table.covariates, pop.covariates)
+
+    def test_covariates_are_the_table_float_column(self):
+        # one array per covariate column: no int draw kept beside the table's copy
+        pop = gen_population(SimulationConfig(n=50, seed=1), np.random.default_rng(0))
+        assert np.shares_memory(pop.covariates, pop.to_records().covariates)
+        assert pop.covariates.dtype == np.float64
+
+    def test_observed_columns_are_read_only(self):
+        pop = gen_population(SimulationConfig(n=50, seed=1), np.random.default_rng(0))
+        for name in ("form", "score", "anchor_score", "covariates"):
+            assert not getattr(pop, name).flags.writeable, name
+
+    @pytest.mark.parametrize("name, index, value", [("score", 0, -5), ("form", 1, 7)])
+    def test_a_write_cannot_break_the_validated_table(self, name, index, value):
+        # a write through the population once reached the table unchecked
+        pop = gen_population(SimulationConfig(n=50, seed=1), np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            getattr(pop, name)[index] = value
+        table = pop.to_records()
+        assert set(np.unique(table.form).tolist()) <= {0, 1} and table.score.min() >= 0
 
     @pytest.mark.parametrize("n", [2, 3, 4, 30, 1000])
     def test_proxies_are_the_per_column_standardized_design(self, n):
