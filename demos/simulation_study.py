@@ -8,8 +8,6 @@ against it. The study reports mean absolute error ("bias") and RMSE per
 (ability bin, score) cell, averaged over replications.
 """
 
-import numpy as np
-
 from localeq import SimulationConfig, run_study
 
 
@@ -27,8 +25,7 @@ def main():
     print("running 60 replications of N=800 (weak covariates, ability gap 0.5)")
     report = run_study(config, methods=("anchor", "strat", "ipw", "eg"))
 
-    retained = ~report.omitted
-    print(f"retained score points: {int(retained.sum())} of {retained.size}")
+    print(f"retained score points: {int((~report.omitted).sum())} of {report.omitted.size}")
 
     print("\nmean absolute error per ability bin (averaged over score cells):")
     print("  bin " + "".join(f"{m:>8s}" for m in ("anchor", "strat", "ipw", "eg")))
@@ -36,14 +33,13 @@ def main():
         row = ""
         for method in ("anchor", "strat", "ipw", "eg"):
             res = report.methods[method]
-            cells = retained & (res.reps_used[b] > 0)
-            row += f"{res.bias[b][cells].mean():8.2f}"
+            row += f"{res.bias[b][report.retained(method)[b]].mean():8.2f}"
         print(f"  {b + 1:3d} {row}")
 
     print("\noverall (all retained populated cells):")
     for method in ("anchor", "strat", "ipw", "eg"):
         res = report.methods[method]
-        cells = retained[np.newaxis, :] & (res.reps_used > 0)
+        cells = report.retained(method)
         print(f"  {method:7s} bias {res.bias[cells].mean():5.2f}   "
               f"rmse {res.rmse[cells].mean():5.2f}   "
               f"failed replications {res.failures}")

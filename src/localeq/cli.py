@@ -39,7 +39,7 @@ from .equating import (
     strat_family,
 )
 from .errors import ConfigError, LocalEqError, RowError, SchemaError, UsageError
-from .evaluation import METHODS, run_study, write_rows
+from .evaluation import METHODS, EvaluationReport, run_study, write_rows
 from .propensity import (
     balance_report,
     encode_covariates,
@@ -606,25 +606,8 @@ def cmd_simulate(args) -> int:
     for name in sorted(configs):
         report = run_study(configs[name], methods, scenario=name, workers=workers)
         _write_table(out_dir, f"report_{name}.csv", report.columns, report.to_rows())
-        retained = ~report.omitted
-        for method in sorted(report.methods):
-            result = report.methods[method]
-            usable = retained[np.newaxis, :] & (result.reps_used > 0)
-            if usable.any():
-                stats = (
-                    _fmt(result.bias[usable].mean()),
-                    _fmt(result.bias[usable].max()),
-                    _fmt(result.rmse[usable].mean()),
-                )
-            else:
-                stats = ("", "", "")
-            summary_rows.append(
-                (name, method, int(usable.sum()))
-                + stats
-                + (result.failures, report.config.replications)
-            )
-    header = "scenario,method,retained_cells,mean_bias,max_bias,mean_rmse,failures,replications"
-    _write_table(out_dir, "summary.csv", header.split(","), summary_rows)
+        summary_rows += report.summary_rows()
+    _write_table(out_dir, "summary.csv", EvaluationReport.summary_columns, summary_rows)
     return 0
 
 
@@ -655,9 +638,10 @@ def _number_list(kind):
 
 _percentiles_arg = _checked_arg(
     _number_list(float),
-    lambda ps: ps and all(0 <= p <= 100 for p in ps) and _first_repeat(ps) is None,
+    lambda ps: ps and all(0 <= p <= 100 for p in ps)
+    and _first_repeat([f"{p:g}" for p in ps]) is None,  # as curve files name them
     "percentile list",
-    "must be non-empty, lie in [0, 100] and repeat no value",
+    "must be non-empty, lie in [0, 100] and repeat no value to 6 significant digits",
 )
 _bandwidth_arg = _checked_arg(float, lambda h: h > 0, "bandwidth", "must be positive")
 _strata_arg = _checked_arg(int, lambda k: k >= 1, "strata count", "must be positive")

@@ -226,9 +226,16 @@ def unweighted_moments(values) -> tuple[float, float]:
         raise EmptyInputError("cannot compute moments of an empty sample")
     if v.size < 2:
         raise InsufficientDataError("sd needs at least 2 observations")
-    # numpy's own mean / std(ddof=1) steps, so the same bits, minus their wrappers
+    mean, var = _mean_var(v)
+    return float(mean), math.sqrt(var)
+
+
+def _mean_var(values):
+    """Mean and n-1 variance of a non-empty sample, the variance of one value 0.0:
+    numpy's own mean() / var(ddof=1) steps, so the same bits, minus their wrappers."""
+    v = np.asarray(values, dtype=float).reshape(-1)
     mean = np.add.reduce(v) / v.size
-    return float(mean), math.sqrt(np.add.reduce((v - mean) ** 2) / (v.size - 1))
+    return mean, np.add.reduce((v - mean) ** 2) / (v.size - 1) if v.size > 1 else 0.0
 
 
 def sorted_quantiles(values: np.ndarray, start, count, q) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -201,27 +201,37 @@ class EvaluationReport:
     omitted: np.ndarray
 
     columns = ("scenario", "method", "theta_bin", "score", "bias", "rmse", "signed_mean", "omitted")
+    summary_columns = ("scenario", "method", "retained_cells", "mean_bias", "max_bias",
+                       "mean_rmse", "failures", "replications")
+
+    def retained(self, method: str) -> np.ndarray:
+        """The (bin, score) cells ``method`` reports: score kept, populated by a replication."""
+        return ~self.omitted[None, :] & (self.methods[method].reps_used > 0)
 
     def to_rows(self) -> list:
         rows = []
         for method in sorted(self.methods):
             result = self.methods[method]
-            nbins, n_scores = result.bias.shape
-            for b in range(nbins):
-                for s in range(n_scores):
-                    if self.omitted[s] or result.reps_used[b, s] == 0:
-                        stats = ("", "", "")
-                    else:
-                        stats = (
-                            repr(float(result.bias[b, s])),
-                            repr(float(result.rmse[b, s])),
-                            repr(float(result.signed_mean[b, s])),
-                        )
-                    rows.append(
-                        (self.scenario, method, str(b + 1), str(s))
-                        + stats
-                        + ("1" if self.omitted[s] else "0",)
-                    )
+            stats = (result.bias, result.rmse, result.signed_mean)
+            for (b, s), kept in np.ndenumerate(self.retained(method)):
+                rows.append(
+                    (self.scenario, method, str(b + 1), str(s))
+                    + tuple(repr(float(stat[b, s])) if kept else "" for stat in stats)
+                    + ("1" if self.omitted[s] else "0",)
+                )
+        return rows
+
+    def summary_rows(self) -> list:
+        """One ``summary_columns`` row per method; its statistics read its retained cells."""
+        rows = []
+        for method in sorted(self.methods):
+            result, kept = self.methods[method], self.retained(method)
+            stats = ("", "", "")
+            if kept.any():
+                bias, rmse = result.bias[kept], result.rmse[kept]
+                stats = tuple(repr(float(v)) for v in (bias.mean(), bias.max(), rmse.mean()))
+            rows.append((self.scenario, method, int(kept.sum())) + stats
+                        + (result.failures, self.config.replications))
         return rows
 
     def write_csv(self, path):
@@ -262,15 +272,14 @@ def _propensity_stage(pop, strata: int):
 
 
 def _equate_target_scores(method, table, pop, config, target, stage):
-    """Equated form-Y scores for the target examinees under one method; an
-    examinee in an omitted cell takes the nearest fitted cell's transform."""
-    scores = pop.score[target]
+    """Equated form-Y scores of the target examinees under one method (an omitted cell
+    takes its nearest fitted cell's map), gathered after the fit, the replication's peak."""
     if method == "eg":
-        return pooled_transform(table)(scores.astype(float))
+        return pooled_transform(table)(pop.score[target].astype(float))
     if method == "anchor":
         family, cells = anchor_family(table), pop.anchor_score[target]
     elif method in ("strat", "ipw"):
-        assignment, propensities = stage
+        assignment, propensities = stage()
         if method == "strat":
             family = strat_family(table, assignment)
         else:
@@ -280,41 +289,38 @@ def _equate_target_scores(method, table, pop, config, target, stage):
     else:
         raise ValueError(f"unknown method {method!r}")
     return _on_score_grid(
-        lambda cell: family.entries[family.nearest(cell)], cells, scores, config.items
+        lambda cell: family.entries[family.nearest(cell)], cells, pop.score[target], config.items
     )
 
 
 def _run_replication(config, design, methods, seed_seq):
-    """One replication: generate, equate with each method, return cell-mean tallies."""
+    """One replication: generate, equate with each method, return cell-mean tallies.
+    None marks a failed method: a LocalEqError in its fit or the truth, or one form."""
     rng = np.random.default_rng(seed_seq)
     pop = gen_population(config, rng, design)
     table = pop.to_records()
     target = pop.form == 1
+    out = dict.fromkeys(methods)  # None where the method failed
     if not target.any() or target.all():
-        return {method: None for method in methods}
+        return out
     theta, scores = pop.theta[target], pop.score[target]
     labels, _ = bin_by_theta(theta, config.nbins)
-    true_eq = _on_score_grid(
-        true_transform(theta, labels, design.form_x_items, design.form_y_items).__getitem__,
-        labels, scores, config.items,
-    )
+    try:
+        truth = true_transform(theta, labels, design.form_x_items, design.form_y_items)
+    except LocalEqError:
+        return out
+    true_eq = _on_score_grid(truth.__getitem__, labels, scores, config.items)
     grid = ErrorAccumulator(config.nbins, config.items + 1)
     cells = grid.cells(labels, scores)
-
-    out, stage = {}, None
-    if "strat" in methods or "ipw" in methods:
-        try:
-            stage = _propensity_stage(pop, config.strata)
-        except LocalEqError:  # fails strat and ipw alike
-            out = {m: None for m in methods if m in ("strat", "ipw")}
+    # strat and ipw share one fit, made on first use; ipw retries one that raised
+    stage = cache(partial(_propensity_stage, pop, config.strata))
     for method in methods:
-        if method in out:
-            continue
         try:
-            estimated = _equate_target_scores(method, table, pop, config, target, stage)
+            out[method] = grid.tally(
+                cells, _equate_target_scores(method, table, pop, config, target, stage) - true_eq
+            )
         except LocalEqError:
-            estimated = None
-        out[method] = None if estimated is None else grid.tally(cells, estimated - true_eq)
+            pass
     return out
 
 
@@ -355,8 +361,9 @@ def run_study(
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
+        # the pool starts all its workers at the first submit: no more than there are replications
         with ProcessPoolExecutor(
-            max_workers=workers, mp_context=get_context("fork")
+            max_workers=min(workers, config.replications), mp_context=get_context("fork")
         ) as pool:
             collect(pool.map(replicate, seeds[1:]))
     else:

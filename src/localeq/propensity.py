@@ -16,7 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ScoreTable, _probabilities, _read_only, cell_form_order, sorted_quantiles
+from .core import (
+    ScoreTable, _mean_var, _probabilities, _read_only, cell_form_order, sorted_quantiles
+)
 from .errors import (
     DegenerateColumnWarning,
     DimensionError,
@@ -111,7 +113,7 @@ class BalanceReport:
     """Per-stratum, per-covariate ASMD table with overlap flags.
 
     ``asmd`` has shape (K, n_covariates); entries are NaN for strata missing
-    one of the forms (those strata are listed in ``overlap_violations``).
+    one of the forms, of which ``overlap_violations`` lists the non-empty ones.
     ``satisfactory_fraction`` gives, per covariate, the fraction of evaluable
     strata with ASMD below the 0.1 threshold.
     """
@@ -275,12 +277,7 @@ def asmd(group_x, group_y) -> float:
     Returns 0 for identical means, and inf when both variances vanish but
     the means differ.
     """
-    def mean_var(v):  # numpy's own mean() / var(ddof=1) steps: the same bits
-        v = np.asarray(v, dtype=float).reshape(-1)
-        mean = np.add.reduce(v) / v.size
-        return mean, np.add.reduce((v - mean) ** 2) / (v.size - 1) if v.size > 1 else 0.0
-
-    (mean_x, var_x), (mean_y, var_y) = mean_var(group_x), mean_var(group_y)
+    (mean_x, var_x), (mean_y, var_y) = _mean_var(group_x), _mean_var(group_y)
     diff = abs(float(mean_x) - float(mean_y))
     denom = math.sqrt((var_x + var_y) / 2.0)
     if denom == 0.0:
@@ -293,8 +290,8 @@ def balance_report(
 ) -> BalanceReport:
     """ASMD between form-X and form-Y members, per stratum and covariate.
 
-    Strata missing either form are flagged as overlap violations and carry
-    NaN entries; they are excluded from the satisfactory-balance fractions.
+    Strata missing either form carry NaN entries, excluded from the
+    satisfactory-balance fractions; those with records are overlap violations.
     Each sample is a slice of one stable (stratum, form) sort: the same bits.
     Columns are compared as given: a categorical one on its level codes, so past
     two levels its ASMD depends on how the levels are labeled.
@@ -311,7 +308,8 @@ def balance_report(
     for k in range(assignment.K):
         start, split, stop = edges[2 * k : 2 * k + 3]
         if start == split or split == stop:
-            violations.append(k + 1)
+            if start < stop:  # an empty stratum holds no record to lack overlap
+                violations.append(k + 1)
             continue
         for j, column in enumerate(columns):
             table[k, j] = asmd(column[start:split], column[split:stop])

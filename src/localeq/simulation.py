@@ -177,6 +177,9 @@ class SimulationConfig:
                 "beta needs an intercept, an anchor coefficient, and one "
                 "coefficient per covariate"
             )
+        for name in ("group_theta_means", "theta_sd", "beta"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if self.theta_sd <= 0.0:
             raise ValueError("theta_sd must be positive")
         if not 0.0 <= self.trim_alpha < 0.5:

@@ -131,11 +131,10 @@ def flag_systematic_bias(report, methods, threshold=0.5, alpha=0.05):
     five with the largest lower bound, as (method, bin, score, bias, mcse,
     reps_used, lower bound) tuples.
     """
-    retained = ~report.omitted
     pairs, unjudgeable = [], 0
     for method in methods:
         res = report.methods[method]
-        populated = retained[np.newaxis, :] & (res.reps_used > 0)
+        populated = report.retained(method)
         judged = populated & (res.reps_used >= 2)
         unjudgeable += int((populated & ~judged).sum())
         for b, s in zip(*np.nonzero(judged)):
@@ -220,10 +219,9 @@ def test_weak_covariate_scenario_ipw_orders_below_anchor():
     start = time.perf_counter()
     report = run_study(config, methods=("anchor", "strat", "ipw"))
     assert time.perf_counter() - start < 1800.0
-    retained = ~report.omitted
     anchor = report.methods["anchor"]
     ipw = report.methods["ipw"]
-    both = retained[np.newaxis, :] & (anchor.reps_used > 0) & (ipw.reps_used > 0)
+    both = report.retained("anchor") & report.retained("ipw")
     frac = float((ipw.bias[both] <= anchor.bias[both]).mean())
     assert frac >= 0.60, (
         f"IPW bias <= anchor bias at only {frac:.1%} of {int(both.sum())} cells"
@@ -235,7 +233,7 @@ def test_weak_covariate_scenario_ipw_orders_below_anchor():
     ratios = {}
     for method in ("anchor", "strat", "ipw"):
         res = report.methods[method]
-        cells = retained[np.newaxis, :] & (res.reps_used > 0)
+        cells = report.retained(method)
         ratio = res.rmse[cells] / np.maximum(res.bias[cells], 1e-12)
         excess = float((res.bias[cells] - res.rmse[cells]).max())
         ratios[method] = (float(np.median(ratio)), float(ratio.max()), excess)
@@ -266,7 +264,7 @@ def test_small_sample_cells_stay_within_the_score_range():
         report = run_study(config, methods)
     for method in methods:
         res = report.methods[method]
-        cells = ~report.omitted[np.newaxis, :] & (res.reps_used > 0)
+        cells = report.retained(method)
         assert cells.any()
         worst = float(res.bias[cells].max())
         assert worst <= config.items, (

@@ -22,7 +22,13 @@ from localeq.cli import (
     main,
     parse_dataset,
 )
-from localeq.errors import ConfigError, RowError, SchemaError
+from localeq.errors import (
+    ConfigError,
+    DegenerateColumnWarning,
+    RowError,
+    SchemaError,
+    StudyUnstableWarning,
+)
 from localeq.simulation import SimulationConfig, gen_population
 
 
@@ -777,13 +783,15 @@ def test_one_form_file_is_rejected_before_any_fit(tmp_path, capsys, argv, presen
     "argv, flag",
     [
         (["equate", "--method", "anchor", "--percentiles", "25,50,50"], "--percentiles"),
+        (["equate", "--method", "anchor", "--percentiles", "50,50.0000001"], "--percentiles"),
         (["diagnose", "--strata", "3,5,3"], "--strata"),
     ],
-    ids=["equate-percentiles", "diagnose-strata"],
+    ids=["equate-percentiles", "equate-percentile-names", "diagnose-strata"],
 )
 def test_repeated_value_is_a_usage_error_before_the_file_is_read(tmp_path, capsys, argv, flag):
     # a repeat once wrote the same curve or balance table twice, and doubled
-    # the repeated count's rows in balance_summary.csv
+    # the repeated count's rows in balance_summary.csv; two percentiles equal
+    # to 6 significant digits name one curve file, anchor_p50_index5.csv
     absent = tmp_path / "absent.csv"
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
@@ -792,6 +800,21 @@ def test_repeated_value_is_a_usage_error_before_the_file_is_read(tmp_path, capsy
     err = capsys.readouterr().err
     assert f"argument {flag}" in err and "repeat no" in err
     assert not absent.exists() and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["equate", "--method", "ipw"], ["diagnose"]], ids=["equate-ipw", "diagnose"]
+)
+def test_constant_covariate_leaves_no_column_to_fit(tmp_path, capsys, argv):
+    data = tmp_path / "constant.csv"
+    write_lines(data, ["group,total,anch,c1"] + [f"{'XY'[i % 2]},{i},{i % 3},7" for i in range(8)])
+    out = tmp_path / "out"
+    schema = "form:group,score:total,anchor:anch,num:c1"
+    with pytest.warns(DegenerateColumnWarning):
+        rc = main(argv + ["--data", str(data), "--schema", schema, "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: no usable covariate columns after encoding\n"
+    assert not out.exists()
 
 
 class TestDiagnoseCommand:
@@ -1009,6 +1032,47 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "scenario 'tiny': covariate_categories" in err and "Traceback" not in err
         assert not (out / "resolved_config.txt").exists()
+
+    @pytest.mark.parametrize(
+        "line, name",
+        [
+            ("scenario.tiny.theta_sd = nan", "theta_sd"),
+            ("scenario.tiny.theta_sd = inf", "theta_sd"),
+            ("scenario.tiny.beta = 0,nan,0,0,0", "beta"),
+            ("scenario.tiny.group_theta_means = inf,0", "group_theta_means"),
+        ],
+        ids=["theta_sd-nan", "theta_sd-inf", "beta-nan", "group_theta_means-inf"],
+    )
+    def test_non_finite_setting_is_a_config_error(self, tmp_path, capsys, line, name):
+        # once a traceback, a study of failed replications, or a degenerate bin
+        # reported after resolved_config.txt was written
+        config = tmp_path / "study.cfg"
+        config.write_text(TINY_CONFIG + line + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            _resolve_study(config)
+        assert exc.value.keys == ["scenario.tiny"]
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(config), "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: scenario 'tiny': {name} must be finite\n"
+        assert not out.exists()
+
+    def test_a_failed_truth_fails_its_replication(self, tmp_path, capsys):
+        # at theta_sd = 30 one replication's top ability bin answers every item
+        # right: its true score variance is 0, and the study once stopped there
+        config = tmp_path / "study.cfg"
+        config.write_text(
+            "scenario.a.theta_sd = 30\nscenario.a.replications = 3\n", encoding="utf-8"
+        )
+        out = tmp_path / "out"
+        with pytest.warns(StudyUnstableWarning):
+            rc = main(["simulate", "--config", str(config), "--out-dir", str(out)])
+        assert rc == 0
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["method"], r["failures"], r["replications"]) for r in rows] == [
+            ("anchor", "1", "3"), ("ipw", "1", "3"), ("strat", "1", "3")
+        ]
 
     def test_unknown_method_rejected(self, tmp_path):
         config = tmp_path / "study.cfg"

@@ -457,10 +457,11 @@ class TestRunStudy:
         assert all(out[method] is not None for method in METHODS)
 
     def test_large_replication_peak_memory_per_examinee(self):
-        # the peak is reached inside the propensity fit; measured 223.7 B per
-        # examinee at N = 10000, bound 240 B (7% margin); 264 B while the
-        # population kept an int copy of its covariates and the fit kept eta
-        # and a separate weight array
+        # the peak is reached inside the propensity fit; measured 226.6 B per
+        # examinee at N = 10000, bound 240 B (6% margin): the fit runs on
+        # first use, while the anchor tally is held (223.7 B when it ran
+        # first); 264 B while the population kept an int copy of its
+        # covariates and the fit kept eta and a separate weight array
         config = SimulationConfig(n=10_000, replications=1, seed=1)
         seeds = np.random.SeedSequence(config.seed).spawn(2)
         design = draw_design(config, np.random.default_rng(seeds[0]))
@@ -477,19 +478,48 @@ class TestRunStudy:
         parallel = run_study(tiny_config(), methods=("anchor", "ipw"), workers=2)
         assert serial.to_rows() == parallel.to_rows()
 
+    def test_pool_starts_no_more_workers_than_replications(self, monkeypatch):
+        # the process pool forks every worker at its first submit
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers, mp_context):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        config = tiny_config()
+        report = run_study(config, methods=("anchor",), workers=64)
+        assert sizes == [config.replications]
+        assert report.to_rows() == run_study(config, methods=("anchor",)).to_rows()
+
     def test_default_scenario_label(self):
         report = run_study(tiny_config(), methods=("eg",))
         assert report.scenario == "N200_medium"
 
     def test_stats_blank_for_untouched_or_omitted_cells(self):
         report = run_study(tiny_config(), methods=("anchor",))
+        retained = report.retained("anchor")
         for row in report.to_rows():
             omitted = row[7] == "1"
             blank = row[4] == ""
             if omitted:
                 assert blank
+            assert blank != retained[int(row[2]) - 1, int(row[3])]
             if not blank:
                 float(row[4]), float(row[5]), float(row[6])
+        [summary] = report.summary_rows()
+        assert summary[2] == retained.sum() > 0
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from localeq.core import ScoreTable
+from localeq.equating import ipw_weights
 from localeq.errors import (
     DegenerateColumnWarning,
     DimensionError,
@@ -113,6 +114,29 @@ class TestFitLogistic:
     def test_label_validation(self):
         with pytest.raises(ValueError):
             fit_logistic(np.zeros((3, 1)), np.array([0, 1, 2]))
+
+    def test_singular_hessian_falls_back_to_least_squares(self, monkeypatch):
+        # a repeated column makes every Hessian exactly singular: the step is
+        # the least-squares solution, and the fitted propensities are those of
+        # the fit without the repeat
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((500, 2))
+        y = (rng.random(500) < sigmoid(x @ np.array([0.8, -0.5]))).astype(int)
+        lstsq, calls = np.linalg.lstsq, []
+
+        def counting_lstsq(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        repeated = np.column_stack([x, x[:, 0]])
+        model = fit_logistic(repeated, y)
+        monkeypatch.undo()
+        reference = fit_logistic(x, y)
+        assert calls and model.converged
+        np.testing.assert_allclose(
+            estimate_propensity(model, repeated), estimate_propensity(reference, x), atol=1e-12
+        )
 
     def test_peak_memory_is_two_design_copies_plus_three_columns(self):
         # live at the Hessian step: the design with its intercept and its
@@ -323,7 +347,8 @@ def per_stratum_asmd(table, assignment):
         in_x = members[forms[members] == 0]
         in_y = members[forms[members] == 1]
         if in_x.size == 0 or in_y.size == 0:
-            violations.append(k)
+            if members.size:
+                violations.append(k)
             continue
         for j in range(raw.shape[1]):
             out[k - 1, j] = reference_asmd(raw[in_x, j], raw[in_y, j])
@@ -375,6 +400,17 @@ class TestBalanceReport:
         report = balance_report(recs, a, ["verbal"])
         assert report.overlap_violations == [1]
         assert math.isnan(report.asmd[0, 0])
+
+    def test_empty_stratum_is_no_overlap_violation(self):
+        # stratum 2 holds no record and stratum 3 only form Y: the balance
+        # table lists the strata ipw_weights lists
+        labels = np.array([1, 1, 1, 1, 3, 3])
+        recs = table_from_matrix([[1.0], [2.0], [3.0], [4.0], [5.0], [6.0]], [0, 1, 0, 1, 1, 1])
+        a = StratumAssignment(K=3, labels=labels, boundaries=np.empty(0))
+        report = balance_report(recs, a, ["verbal"])
+        weights = ipw_weights(recs, a, np.full(6, 0.5))
+        assert report.overlap_violations == weights.overlap_violations == [3]
+        assert np.isnan(report.asmd[1:, 0]).all() and not np.isnan(report.asmd[0, 0])
 
     def test_balanced_data_satisfies_threshold(self):
         rng = np.random.default_rng(11)
