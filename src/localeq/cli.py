@@ -380,6 +380,10 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _fmt_or_blank(value) -> str:  # NaN, a value the table lacks, as an empty field
+    return "" if math.isnan(value) else _fmt(value)
+
+
 def _write_table(out_dir, name, header, rows):
     path = os.path.join(out_dir, name)
     write_rows(path, header, rows)
@@ -470,24 +474,21 @@ def cmd_equate(args) -> int:
 def cmd_diagnose(args) -> int:
     schema, table = _load(args, "covariates", "diagnose needs covariate columns in the schema")
     propensities = _propensities(schema, table)
-    out_dir = _resolve_out_dir(args.out_dir)
     names = schema.covariate_names
+    # every count is stratified before the first write: one that fails writes nothing
+    reports = [
+        balance_report(table, stratify_quantile(propensities, strata), names)
+        for strata in args.strata_list
+    ]
+    out_dir = _resolve_out_dir(args.out_dir)
     summary_rows = []
-    for strata in args.strata_list:
-        report = balance_report(table, stratify_quantile(propensities, strata), names)
-        rows = []
-        for k in range(1, report.K + 1):
-            cells = [
-                "" if math.isnan(report.asmd[k - 1, j]) else _fmt(report.asmd[k - 1, j])
-                for j in range(len(names))
-            ]
-            rows.append([k] + cells)
-        _write_table(out_dir, f"balance_K{strata}.csv", ["stratum"] + names, rows)
-        for j, name in enumerate(names):
-            frac = report.satisfactory_fraction[j]
-            summary_rows.append(
-                (strata, name, "" if math.isnan(frac) else _fmt(frac))
-            )
+    for report in reports:
+        rows = [[k] + list(map(_fmt_or_blank, row)) for k, row in enumerate(report.asmd, 1)]
+        _write_table(out_dir, f"balance_K{report.K}.csv", ["stratum"] + names, rows)
+        summary_rows += [
+            (report.K, name, _fmt_or_blank(frac))
+            for name, frac in zip(names, report.satisfactory_fraction)
+        ]
     header = ("strata", "covariate", "satisfactory_fraction")
     _write_table(out_dir, "balance_summary.csv", header, summary_rows)
     return 0
@@ -553,7 +554,8 @@ def _resolve_study(path, seed_override=None):
     Unset keys take their defaults. A scenario's own seed beats the
     top-level ``seed``; ``seed_override`` (the --seed flag) beats both.
     A negative seed or a worker count below 1 in the file is a ConfigError
-    naming its key.
+    naming its key; an invalid scenario, one with more strata than examinees
+    included, is one naming ``scenario.<name>``.
     """
     top, scenarios = _read_config(path)
     seeds = [("seed", top.get("seed", 0))]
@@ -572,7 +574,9 @@ def _resolve_study(path, seed_override=None):
     for name, overrides in sorted((scenarios or {"default": {}}).items()):
         overrides = {"seed": settings["seed"], **overrides, **flag}
         try:
-            configs[name] = SimulationConfig(**overrides)
+            config = configs[name] = SimulationConfig(**overrides)
+            if config.strata > config.n:  # a stratum needs an examinee
+                raise ValueError(f"strata ({config.strata}) exceeds n ({config.n})")
         except ValueError as exc:
             raise ConfigError(
                 [f"scenario.{name}"], f"scenario {name!r}: {exc}"

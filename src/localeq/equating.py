@@ -25,7 +25,7 @@ from .core import (
     ScoreTable,
     TransformFamily,
     WeightedSample,
-    cell_form_order,
+    cell_runs,
     inverse_cdf,
     sorted_quantiles,
     unweighted_moments,
@@ -109,8 +109,8 @@ def _fit_cells(table: ScoreTable, by, fit) -> TransformFamily:
     sample onto its form-X sample, or returns None to omit it. A qualifying
     cell holding a weight that is not finite and > 0 raises InvalidWeightError.
 
-    The records are sorted once by :func:`cell_form_order`, so each sample is
-    a contiguous slice whose records keep their input order: its sums run in
+    The records are sorted once by :func:`cell_runs`, so each sample is a
+    contiguous slice whose records keep their input order: its sums run in
     the order a per-cell selection would give them, bit for bit.
     """
     weights, bad_weight = None, ()
@@ -125,24 +125,12 @@ def _fit_cells(table: ScoreTable, by, fit) -> TransformFamily:
         kind, cells = "anchor_score", table.anchor
     else:
         raise ValueError(f"cannot condition on {by!r}")
-    forms = table.form
-    if cells.size != forms.size:
-        raise DimensionError("conditioning does not cover the records")
-    order = cell_form_order(cells, forms)
-    cells = cells[order]
+    order, *runs = cell_runs(cells, table.form)
     scores = table.score[order].astype(float)
     if weights is not None:
         weights = weights[order]
-    # each cell is a run [start, stop) of the sorted records, form X first:
-    # [start, split) holds its form-X records, [split, stop) its form-Y ones
-    edges = np.flatnonzero(np.diff(cells, prepend=cells[:1] - 1, append=cells[-1:] + 1))
-    starts, stops = edges[:-1], edges[1:]
-    form_x_before = np.concatenate(([0], np.cumsum(forms[order] == 0)))
-    splits = starts + form_x_before[stops] - form_x_before[starts]
     entries, omitted = {}, []
-    for index, start, split, stop in zip(
-        cells[starts].tolist(), starts.tolist(), splits.tolist(), stops.tolist()
-    ):
+    for index, start, split, stop in zip(*(run.tolist() for run in runs)):
         transform = None
         if min(split - start, stop - split) >= MIN_CELL_SIZE:
             if index in bad_weight:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    ScoreTable, _mean_var, _probabilities, _read_only, cell_form_order, sorted_quantiles
+    ScoreTable, _mean_var, _probabilities, _read_only, cell_runs, sorted_quantiles
 )
 from .errors import (
     DegenerateColumnWarning,
@@ -296,23 +296,17 @@ def balance_report(
     Columns are compared as given: a categorical one on its level codes, so past
     two levels its ASMD depends on how the levels are labeled.
     """
-    raw, forms = table.covariates, table.form
-    if assignment.labels.size != len(table):
-        raise DimensionError("assignment does not cover the records")
-    order = cell_form_order(assignment.labels, forms)  # stratum k's form X, then its form Y
+    raw = table.covariates
+    order, *runs = cell_runs(assignment.labels, table.form)  # only the non-empty strata
     columns = raw.T.take(order, axis=1)  # one contiguous row per covariate
-    cells = 2 * assignment.labels.astype(int) - 2 + forms
-    edges = [0, *np.cumsum(np.bincount(cells, minlength=2 * assignment.K)).tolist()]
     table = np.full((assignment.K, raw.shape[1]), np.nan)
     violations = []
-    for k in range(assignment.K):
-        start, split, stop = edges[2 * k : 2 * k + 3]
+    for k, start, split, stop in zip(*(run.tolist() for run in runs)):
         if start == split or split == stop:
-            if start < stop:  # an empty stratum holds no record to lack overlap
-                violations.append(k + 1)
+            violations.append(k)
             continue
         for j, column in enumerate(columns):
-            table[k, j] = asmd(column[start:split], column[split:stop])
+            table[k - 1, j] = asmd(column[start:split], column[split:stop])
     evaluable = ~np.isnan(table)
     counts = evaluable.sum(axis=0)
     satisfactory = ((table < BALANCE_THRESHOLD) & evaluable).sum(axis=0)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LinearTransform, ScoreTable
+from .core import LinearTransform, ScoreTable, cell_runs
 from .errors import OmittedBinError
 from .propensity import sigmoid, sigmoid_inplace
 
@@ -311,7 +311,8 @@ def true_transform(
 ) -> dict:
     """True linear transform of every ability bin, ``{label: LinearTransform}``.
 
-    ``labels`` names each theta's bin, or is one label for all. Bin-level moments
+    ``labels`` names each theta's bin, or is one label for all; a label is a whole
+    number >= 0 (``bin_by_theta`` gives 1..nbins), else ValueError. Bin-level moments
     compose the per-theta analytic moments: the mean of conditional means, and
     the mean of conditional variances plus the variance of conditional means.
     One moment pass per form serves every bin: sorted stably by label, a bin's
@@ -320,13 +321,12 @@ def true_transform(
     thetas = np.asarray(thetas, dtype=float).reshape(-1)
     if thetas.size == 0:
         raise OmittedBinError("empty ability bin")
-    labels = np.broadcast_to(labels, thetas.shape)
-    order = np.argsort(labels, kind="stable")
-    bins, starts, counts = np.unique(labels[order], return_index=True, return_counts=True)
+    order, bins, starts, _, stops = cell_runs(np.broadcast_to(labels, thetas.shape), 0)
+    counts = stops - starts
     # rows mu_x, var_x, mu_y, var_y: of each theta in sorted order, then of each bin
     moments = np.stack([*conditional_score_moments(form_x_items, thetas[order]),
                         *conditional_score_moments(form_y_items, thetas[order])])
-    runs = [slice(start, start + n) for start, n in zip(starts.tolist(), counts.tolist())]
+    runs = [slice(start, stop) for start, stop in zip(starts.tolist(), stops.tolist())]
 
     def bin_sums(rows):  # each bin's pairwise sums, as a per-bin selection sums them
         return np.stack([np.add.reduce(rows[:, run], axis=1) for run in runs], axis=1)

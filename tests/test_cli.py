@@ -780,15 +780,26 @@ def test_one_form_file_is_rejected_before_any_fit(tmp_path, capsys, argv, presen
 
 
 @pytest.mark.parametrize(
-    "argv, flag",
+    "argv, flag, message",
     [
-        (["equate", "--method", "anchor", "--percentiles", "25,50,50"], "--percentiles"),
-        (["equate", "--method", "anchor", "--percentiles", "50,50.0000001"], "--percentiles"),
-        (["diagnose", "--strata", "3,5,3"], "--strata"),
+        (["equate", "--method", "anchor", "--percentiles", "25,50,50"], "--percentiles",
+         "repeat no"),
+        (["equate", "--method", "anchor", "--percentiles", "50,50.0000001"], "--percentiles",
+         "repeat no"),
+        (["diagnose", "--strata", "3,5,3"], "--strata", "repeat no"),
+        (["equate", "--method", "strat", "--strata", "abc"], "--strata",
+         "bad strata count 'abc'"),
+        (["equate", "--method", "anchor", "--percentiles", "50,ten"], "--percentiles",
+         "bad percentile list '50,ten'"),
+        (["diagnose", "--strata", "5,abc"], "--strata", "bad strata list '5,abc'"),
     ],
-    ids=["equate-percentiles", "equate-percentile-names", "diagnose-strata"],
+    ids=["equate-percentiles", "equate-percentile-names", "diagnose-strata",
+         "equate-strata-unparseable", "equate-percentiles-unparseable",
+         "diagnose-strata-unparseable"],
 )
-def test_repeated_value_is_a_usage_error_before_the_file_is_read(tmp_path, capsys, argv, flag):
+def test_bad_flag_value_is_a_usage_error_before_the_file_is_read(
+    tmp_path, capsys, argv, flag, message
+):
     # a repeat once wrote the same curve or balance table twice, and doubled
     # the repeated count's rows in balance_summary.csv; two percentiles equal
     # to 6 significant digits name one curve file, anchor_p50_index5.csv
@@ -798,7 +809,7 @@ def test_repeated_value_is_a_usage_error_before_the_file_is_read(tmp_path, capsy
         main(argv + ["--data", str(absent), "--schema", SIM_SCHEMA, "--out-dir", str(out)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument {flag}" in err and "repeat no" in err
+    assert f"argument {flag}: " in err and message in err
     assert not absent.exists() and not out.exists()
 
 
@@ -840,6 +851,24 @@ class TestDiagnoseCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == ["strata", "covariate", "satisfactory_fraction"]
         assert len(rows) == 1 + 2 * 3
+
+    def test_a_strata_count_that_fails_writes_nothing(self, tmp_path, capsys):
+        # the first count's balance table was once written before the second failed,
+        # and the command exited 2 without a balance_summary.csv
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(
+            [
+                "diagnose",
+                "--data", os.path.join(os.path.dirname(__file__), "golden", "scores.csv"),
+                "--schema", "form:group,score:total,anchor:anch,num:c1,num:c2,cat:c3",
+                "--strata", "5,100000",
+                "--out-dir", str(out),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == "error: K=100000 exceeds the 600 available records\n"
+        assert not any(out.iterdir())
 
     def test_requires_covariates(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
@@ -1055,6 +1084,22 @@ class TestSimulateCommand:
         rc = main(["simulate", "--config", str(config), "--out-dir", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == f"error: scenario 'tiny': {name} must be finite\n"
+        assert not out.exists()
+
+    def test_more_strata_than_examinees_is_a_config_error(self, tmp_path, capsys):
+        # every strat and ipw replication once failed, with empty report rows
+        config = tmp_path / "study.cfg"
+        config.write_text(
+            "scenario.a.n = 50\nscenario.a.strata = 60\nscenario.a.replications = 3\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigError) as exc:
+            _resolve_study(config)
+        assert exc.value.keys == ["scenario.a"]
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(config), "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: scenario 'a': strata (60) exceeds n (50)\n"
         assert not out.exists()
 
     def test_a_failed_truth_fails_its_replication(self, tmp_path, capsys):

@@ -533,6 +533,16 @@ class TestRunStudy:
         assert report.methods["strat"].failures == 4
         assert report.methods["ipw"].failures == 4
 
+    def test_a_one_form_sample_fails_every_method(self):
+        # an assignment intercept of 60 puts every examinee on form Y, so no
+        # replication has a form-X sample to equate to
+        config = tiny_config(beta=(60.0, 0.0, 0.0, 0.0, 0.0))
+        with pytest.warns(StudyUnstableWarning):
+            report = run_study(config, methods=METHODS)
+        for method in METHODS:
+            assert report.methods[method].failures == 3
+            assert not report.methods[method].reps_used.any()
+
     def test_write_csv_round_trips(self, tmp_path, capsys):
         config = tmp_path / "study.cfg"
         config.write_text(

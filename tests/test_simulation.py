@@ -670,6 +670,12 @@ class TestBatchedTruthOracle:
         want = per_bin_truth(thetas, [1, 1, 2, 2], x_items, y_items)
         assert_same_truth(true_transform(thetas, [1, 1, 2, 2], x_items, y_items), want)
 
+    @pytest.mark.parametrize("labels", [[1, -1], [2.0, 1.5], -3])
+    def test_a_label_must_be_a_whole_number_from_zero(self, labels):
+        items = draw_items(5, np.random.default_rng(15))
+        with pytest.raises(ValueError, match="whole numbers"):
+            true_transform([0.1, 0.2], labels, items, items)
+
     def test_peak_memory_is_the_two_block_buffers_plus_per_theta_arrays(self):
         # 500 target thetas fill the kernel's 256-row blocks; a ufunc that
         # broadcasts a row or a column would add 64 kB iterator buffers
