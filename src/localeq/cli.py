@@ -18,6 +18,7 @@ top-level and scenario defaults; `--seed` sets the seed of every scenario.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import io
 import math
@@ -148,61 +149,66 @@ class DatasetSchema:
 def parse_dataset(path, schema: DatasetSchema) -> ScoreTable:
     """Read and validate a delimited dataset against a schema, column by column.
 
-    The file is decoded once. ``_parse_columns`` reads a file without quotes
-    from its bytes; the reference row scan, ``_scan_rows``, takes every other
-    file and every file the column parse declines, and names the first bad
+    The file is read as bytes. ``_parse_columns`` reads a file without quotes
+    from them; the reference row scan, ``_scan_rows``, takes every other file
+    and every file the column parse declines, decoded, and names the first bad
     1-based file line (the header is line 1). Numeric covariates must be
     finite; categorical ones, arbitrary strings, are coded as positions in the
     column's sorted level list.
     """
-    text = _read_text(path)
-    table = _parse_columns(text, schema)
-    return _scan_rows(text, schema) if table is None else table
+    data = _read_bytes(path)
+    table = _parse_columns(data, schema)
+    return _scan_rows(data.decode(), schema) if table is None else table
 
 
-def _read_text(path):
-    """The file decoded as UTF-8 after an optional byte-order mark.
+def _read_bytes(path):
+    """The file's bytes after an optional byte-order mark, checked to be UTF-8.
 
-    An undecodable byte is a RowError naming its file line.
+    An ASCII file needs no decode; in any other, an undecodable byte is a
+    RowError naming its file line.
     """
     with open(path, "rb") as fh:
+        if fh.read(3) != codecs.BOM_UTF8:
+            fh.seek(0)
         data = fh.read()
-    try:
-        return data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        head = exc.object[: exc.start]  # the bytes after the mark
-        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        bad = exc.object[exc.start]
-        raise RowError(line, f"byte {bad:#04x} is not valid UTF-8") from None
+    if not data.isascii():
+        try:
+            data.decode()
+        except UnicodeDecodeError as exc:
+            line = 1 + data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n")
+            raise RowError(line, f"byte {data[exc.start]:#04x} is not valid UTF-8") from None
+    return data
 
 
-def _parse_columns(text, schema):
-    """The table read column by column, or None where the row scan must decide.
+def _parse_columns(data, schema):
+    """The table read column by column from ``data``, or None where the row scan must decide.
 
     It declines a file with a quote or a NUL, a line as long as csv's field
     size limit, a blank header, a row of the wrong width and any invalid
     value, so what it returns is what ``_scan_rows`` would. A column the bytes
-    do not give (``_byte_columns``) is read from field texts, split once.
+    do not give (``_byte_columns``) is read from field texts, decoded and split once.
     """
-    if '"' in text or "\0" in text:
+    if b'"' in data or b"\0" in data:
         return None
-    if "\r" in text:  # outside quotes, CRLF and a lone CR end a record as LF does
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    head_end = text.find("\n")
+    if b"\r" in data:  # outside quotes, CRLF and a lone CR end a record as LF does
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    head_end = data.find(b"\n")
     if head_end < 1:  # a blank header or no record
         return None
-    header = text[:head_end].split(",")
+    header = data[:head_end].decode().split(",")
     positions = _column_positions(header, schema)
-    if "\n\n" in text:  # blank lines hold no record
-        text = "\n".join(filter(None, text.split("\n")))
-    if not text.endswith("\n"):
-        text += "\n"
+    newline = np.frombuffer(data, np.uint8) == ord("\n")
+    if np.any(newline[1:] & newline[:-1]):  # blank lines hold no record
+        data = b"\n".join(filter(None, data.split(b"\n")))
+    del newline  # before the byte pass, whose peak it would raise
+    if not data.endswith(b"\n"):
+        data += b"\n"
     width, fields = len(header), []
-    read = _byte_columns(text, width, positions, schema)
+    read = _byte_columns(data, width, positions, schema)
 
     def column(name):
         if not fields:
-            fields.extend(text[head_end + 1 : -1].replace("\n", ",").split(","))
+            fields.extend(data[head_end + 1 : -1].decode().replace("\n", ",").split(","))
         return fields[positions[name] :: width]
 
     try:
@@ -211,12 +217,12 @@ def _parse_columns(text, schema):
         return None
 
 
-def _byte_columns(text, width, positions, schema):
-    """The form codes and each numeric column's ``_digits``, read off the bytes
-    of ``text``, lines ending in a newline; None unless every record has
-    ``width`` fields, every line is below csv's field size limit and every
-    form label is one byte."""
-    raw = np.frombuffer(text.encode(), np.uint8)
+def _byte_columns(data, width, positions, schema):
+    """The form codes and each numeric column's ``_digits``, read off ``data``,
+    lines ending in a newline; None unless every record has ``width`` fields,
+    every line is below csv's field size limit and every form label is one
+    byte."""
+    raw = np.frombuffer(data, np.uint8)
     newline = raw == ord("\n")
     ends = np.flatnonzero((raw == ord(",")) | newline)  # every field's end
     lines = ends[width - 1 :: width]  # increasing: all newlines iff as many as newlines
@@ -243,18 +249,20 @@ def _digits(raw, start, stop):
     """The magnitudes and minus signs of the fields ``raw[start:stop]``, or None
     unless every one matches ``-?[0-9]{1,18}`` (18 digits always fit int64)."""
     minus = raw[start] == ord("-")
-    start = start + minus
+    start += minus  # in place, as is every step: ``start`` is the caller's to spend
     count = stop - start
     if count.min() < 1 or count.max() > 18:
         return None
-    magnitude = np.zeros(count.size, np.int64)
+    value, index = np.zeros(count.size, np.int64), np.empty_like(start)
     for k in range(count.max()):
         live = count > k
-        digit = raw[np.where(live, start + k, stop)] - ord("0")  # a uint8 past 9 unless a digit
+        np.minimum(np.add(start, k, out=index), stop, out=index)  # past a field: its separator
+        digit = raw[index] - ord("0")  # a uint8 past 9 unless a digit
         if np.any(live & (digit > 9)):
             return None
-        magnitude = np.where(live, magnitude * 10 + digit, magnitude)
-    return magnitude, minus
+        np.multiply(value, 10, out=value, where=live)
+        np.add(value, digit, out=value, where=live)
+    return value, minus
 
 
 def _column_positions(header, schema):
@@ -289,7 +297,8 @@ def _table_from_values(form, digits, schema, column):
         if read is None:
             return np.fromiter(map(convert, column(name)), dtype, n)
         magnitude, minus = read
-        value = magnitude.astype(dtype)
+        value = magnitude.view(dtype)  # cast in place: int64 and float64 are one size
+        value[...] = magnitude
         return np.negative(value, out=value, where=minus)  # "-0" keeps its sign as a float
 
     anchor = None if schema.anchor is None else numbers(schema.anchor, int)

@@ -275,8 +275,12 @@ def cell_runs(cells, forms):
     """
     if np.ndim(forms) and np.shape(forms) != np.shape(cells):
         raise DimensionError("the cells do not cover the records")
-    key = np.asarray(cells).astype(np.min_scalar_type(2 * int(np.max(cells, initial=0)) + 1))
-    if key.dtype.kind != "u" or not np.array_equal(key, cells):  # negative, fractional, >= 2**63
+    cells = np.asarray(cells)
+    top = np.max(cells, initial=0)
+    if not (np.min(cells, initial=0) >= 0 and top < 2**63):  # negative, NaN, +-inf, too large
+        raise ValueError("cells must be whole numbers in 0..2**63 - 1")
+    key = cells.astype(np.min_scalar_type(2 * int(top) + 1))
+    if not np.array_equal(key, cells):  # fractional
         raise ValueError("cells must be whole numbers in 0..2**63 - 1")
     key <<= 1
     np.bitwise_or(key, forms, out=key, dtype=key.dtype, casting="unsafe")

@@ -141,8 +141,12 @@ def encode_covariates(table: ScoreTable, kinds: Sequence[str]) -> np.ndarray:
     columns = []
     for j, kind in enumerate(kinds):
         col = raw[:, j]
-        levels = np.unique(col)
-        if levels.size < 2:
+        if kind == "categorical":
+            levels = np.unique(col)
+            single = levels.size < 2
+        else:  # finite values (ScoreTable): one level iff min == max, with no sort
+            single = not col.size or col.min() == col.max()
+        if single:
             warnings.warn(
                 f"covariate {j} has a single observed level; dropped",
                 DegenerateColumnWarning,
@@ -170,8 +174,9 @@ def encode_covariates(table: ScoreTable, kinds: Sequence[str]) -> np.ndarray:
 
 
 def _log_likelihood(eta: np.ndarray, labels: np.ndarray) -> float:
-    # sum T*eta - log(1 + exp(eta)), computed stably
-    return float(np.sum(labels * eta - np.logaddexp(0.0, eta)))
+    # sum T*eta - log(1 + exp(eta)), computed stably, overwriting eta
+    fit = labels * eta
+    return float(np.sum(np.subtract(fit, np.logaddexp(0.0, eta, out=eta), out=fit)))
 
 
 def fit_logistic(design: np.ndarray, labels) -> PropensityModel:
@@ -182,11 +187,12 @@ def fit_logistic(design: np.ndarray, labels) -> PropensityModel:
     ``STEP_TOLERANCE`` in a step, or the gradient max-norm is 1e-6, within
     ``MAX_ITERATIONS`` steps. Coefficients diverging past +-15 signal (quasi-)separation:
     they are clamped and a :class:`SeparationWarning` is raised, the model unconverged.
-    Per record a step holds the design with its intercept, its weighted copy, the
-    labels and the weights, which overwrite the fitted probabilities in place.
+    Per record a step holds the design with its intercept, its weighted copy and the
+    weights, which overwrite the fitted probabilities in place; the labels are read
+    as given, with no float copy.
     """
     design = np.atleast_2d(np.asarray(design, dtype=float))
-    labels = np.asarray(labels, dtype=float).reshape(-1)
+    labels = np.asarray(labels).reshape(-1)  # 0/1 as given: an int minus a float is a float
     if design.shape[0] != labels.size:
         raise DimensionError(
             f"design has {design.shape[0]} rows but {labels.size} labels"
@@ -251,8 +257,10 @@ def stratify_quantile(propensities, K: int) -> StratumAssignment:
     """Partition records into K strata at the j/K propensity quantiles.
 
     Records are assigned by rank, with ties broken by stable input order, so
-    stratum sizes are as equal as the ties permit. The cut points, read off
-    the sorted propensities, are bit for bit the linear ``np.quantile`` of the
+    stratum sizes are as equal as the ties permit: one sort of the key tie
+    rank * n + index after numpy's default argsort gives
+    ``np.argsort(p, kind="stable")`` bit for bit. The cut points, read off the
+    sorted propensities, are bit for bit the linear ``np.quantile`` of the
     propensities with -0.0 read as 0.0: no stable sort orders tied signed
     zeros as that function's partition does. A propensity outside [0, 1], NaN
     included, raises InvalidProbabilityError.
@@ -263,10 +271,19 @@ def stratify_quantile(propensities, K: int) -> StratumAssignment:
         raise ValueError(f"K must be >= 1, got {K}")
     if K > n:
         raise TooManyStrataError(f"K={K} exceeds the {n} available records")
-    order = np.argsort(p, kind="stable")
+    order = np.argsort(p)  # ties in no set order
+    p = p[order]  # sorted, as in any tie order
+    key = np.zeros(n, dtype=np.int64)  # each tie's dense rank, then rank * n + index
+    np.cumsum(p[1:] != p[:-1], out=key[1:])
+    key *= n
+    key += order
+    key.sort()
     labels = np.empty(n, dtype=int)
-    labels[order] = np.arange(n) * K // n + 1
-    boundaries = sorted_quantiles(p[order], [0], [n], np.arange(1, K) / K)[0]
+    labels[np.remainder(key, n, out=key)] = np.arange(n)  # each record's stable rank
+    labels *= K
+    labels //= n
+    labels += 1
+    boundaries = sorted_quantiles(p, [0], [n], np.arange(1, K) / K)[0]
     return StratumAssignment(K=K, labels=labels, boundaries=boundaries)
 
 

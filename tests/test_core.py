@@ -243,7 +243,11 @@ class TestCellRuns:
         got = cell_runs(cells, forms)[0]
         assert got.tobytes() == np.lexsort((forms, cells)).tobytes()
 
-    @pytest.mark.parametrize("cells", [[3, -1], [-(2**63), 5], [2.0, 1.5], [1e30, 1.0]])
+    @pytest.mark.parametrize(
+        "cells",
+        [[3, -1], [-(2**63), 5], [2.0, 1.5], [1e30, 1.0], [np.inf, 1.0], [-np.inf, 1.0],
+         [np.nan, 1.0]],
+    )
     def test_rejects_a_cell_the_key_cannot_hold(self, cells):
         with pytest.raises(ValueError, match="whole numbers"):
             cell_runs(np.array(cells), np.zeros(2, dtype=int))

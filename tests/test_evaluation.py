@@ -457,11 +457,12 @@ class TestRunStudy:
         assert all(out[method] is not None for method in METHODS)
 
     def test_large_replication_peak_memory_per_examinee(self):
-        # the peak is reached inside the propensity fit; measured 226.6 B per
-        # examinee at N = 10000, bound 240 B (6% margin): the fit runs on
-        # first use, while the anchor tally is held (223.7 B when it ran
-        # first); 264 B while the population kept an int copy of its
-        # covariates and the fit kept eta and a separate weight array
+        # the peak is reached inside the propensity fit; measured 218.7 B per
+        # examinee at N = 10000, bound 240 B (10% margin): the fit runs on
+        # first use, while the anchor tally is held; 226.6 B while the fit
+        # kept a float copy of the labels, 264 B while the population kept an
+        # int copy of its covariates and the fit kept eta and a separate
+        # weight array
         config = SimulationConfig(n=10_000, replications=1, seed=1)
         seeds = np.random.SeedSequence(config.seed).spawn(2)
         design = draw_design(config, np.random.default_rng(seeds[0]))

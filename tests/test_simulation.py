@@ -670,7 +670,7 @@ class TestBatchedTruthOracle:
         want = per_bin_truth(thetas, [1, 1, 2, 2], x_items, y_items)
         assert_same_truth(true_transform(thetas, [1, 1, 2, 2], x_items, y_items), want)
 
-    @pytest.mark.parametrize("labels", [[1, -1], [2.0, 1.5], -3])
+    @pytest.mark.parametrize("labels", [[1, -1], [2.0, 1.5], -3, [1.0, np.inf]])
     def test_a_label_must_be_a_whole_number_from_zero(self, labels):
         items = draw_items(5, np.random.default_rng(15))
         with pytest.raises(ValueError, match="whole numbers"):
