@@ -2,7 +2,7 @@
 
 All input and output is comma-separated UTF-8 text with a header row; an
 input file may start with a byte-order mark.
-Floats are written with repr so identical runs produce identical bytes.
+Values are written with str, repr for every float, so identical runs match byte for byte.
 The default output directory comes from --out-dir, then the
 LOCALEQ_OUT_DIR environment variable, then the working directory.
 
@@ -385,12 +385,8 @@ def _parse_number(text, column, line, convert=int):
     return value
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
-def _fmt_or_blank(value) -> str:  # NaN, a value the table lacks, as an empty field
-    return "" if math.isnan(value) else _fmt(value)
+def _fmt_or_blank(value):  # NaN, a value the table lacks, as an empty field
+    return "" if math.isnan(value) else value
 
 
 def _write_table(out_dir, name, header, rows):
@@ -449,7 +445,7 @@ def _family_rows(family: TransformFamily):
     for index in sorted(set(family.entries) | set(family.omitted)):
         transform = family.entries.get(index)
         if isinstance(transform, LinearTransform):
-            stats = (_fmt(transform.slope), _fmt(transform.mu_y), _fmt(transform.mu_x))
+            stats = (transform.slope, transform.mu_y, transform.mu_x)
         else:
             stats = ("", "", "")
         rows.append((index,) + stats + (0 if index in family.entries else 1,))
@@ -475,7 +471,7 @@ def cmd_equate(args) -> int:
             out_dir,
             f"{args.method}_p{pick.percentile:g}_index{pick.index}.csv",
             ("raw_score", "equated", "equated_minus_raw"),
-            [(int(raw), _fmt(eq), _fmt(eq - raw)) for raw, eq in zip(grid, equated)],
+            [(int(raw), eq, eq - raw) for raw, eq in zip(grid, equated)],
         )
     return 0
 

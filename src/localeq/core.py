@@ -151,18 +151,13 @@ class TransformFamily:
         if overlap:
             raise ValueError(f"indices both fitted and omitted: {sorted(overlap)}")
 
-    @property
-    def indices(self):
-        return sorted(self.entries)
-
     def nearest(self, index):
         """The fitted index value closest to ``index`` (ties go low)."""
         if index in self.entries:
             return index
-        fitted = self.indices
-        if not fitted:
+        if not self.entries:
             raise KeyError(f"family has no fitted entries near {index!r}")
-        return min(fitted, key=lambda v: (abs(v - index), v))
+        return min(self.entries, key=lambda v: (abs(v - index), v))
 
     def __len__(self):
         return len(self.entries)

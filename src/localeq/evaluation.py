@@ -239,7 +239,7 @@ class EvaluationReport:
 
 
 def write_rows(path, header, rows):
-    """A header line, then one line per row; each value is written with str."""
+    """A header line, then one line per row; each value is written with str (repr for a float)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
@@ -278,7 +278,7 @@ def _equate_target_scores(method, table, pop, config, target, stage):
         return pooled_transform(table)(pop.score[target].astype(float))
     if method == "anchor":
         family, cells = anchor_family(table), pop.anchor_score[target]
-    elif method in ("strat", "ipw"):
+    else:  # strat or ipw: run_study admits only known methods
         assignment, propensities = stage()
         if method == "strat":
             family = strat_family(table, assignment)
@@ -286,8 +286,6 @@ def _equate_target_scores(method, table, pop, config, target, stage):
             weights = ipw_weights(table, assignment, propensities, config.trim_alpha)
             family = ipw_family(table, weights)
         cells = assignment.labels[target]
-    else:
-        raise ValueError(f"unknown method {method!r}")
     return _on_score_grid(
         lambda cell: family.entries[family.nearest(cell)], cells, pop.score[target], config.items
     )

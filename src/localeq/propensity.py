@@ -104,9 +104,6 @@ class StratumAssignment:
                 f"stratum labels must be whole numbers in 1..{self.K}, got {labels[bad][0]}"
             )
 
-    def members(self, k: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == k)
-
 
 @dataclass
 class BalanceReport:

@@ -9,6 +9,7 @@ true-transform oracle plus sum-score distributions for omission masking.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -158,10 +159,13 @@ class SimulationConfig:
     trim_alpha: float = 0.01
 
     def __post_init__(self):
-        for name in ("n", "items", "anchor_items", "strata", "replications", "nbins"):
-            if int(getattr(self, name)) < 1:
+        for name in ("n", "items", "anchor_items", "strata", "replications", "nbins", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):  # Python and numpy ints
+                raise ValueError(f"{name} must be a whole number, got {value!r}")
+            if value < 1 and name != "seed":
                 raise ValueError(f"{name} must be positive")
-        if int(self.seed) < 0:
+        if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.covariate_strength not in STRENGTH_RANGES:
             raise ValueError(

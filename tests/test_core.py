@@ -138,11 +138,10 @@ class TestTransformFamily:
         assert fam.nearest(4) == 2  # tie between 2 and 6 goes low
         assert fam.nearest(5) == 6
 
-    def test_len_and_indices(self):
+    def test_len(self):
         t = LinearTransform(1.0, 0.0, 0.0)
         fam = TransformFamily(index_kind="stratum", entries={3: t, 1: t})
         assert len(fam) == 2
-        assert fam.indices == [1, 3]
 
 
 class TestMoments:

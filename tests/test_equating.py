@@ -205,7 +205,7 @@ class TestIPWWeights:
         assignment = stratify_quantile(pi, 4)
         w = ipw_weights(table(records), assignment, pi, trim_alpha=0.1)
         for k in range(1, 5):
-            members = assignment.members(k)
+            members = np.flatnonzero(assignment.labels == k)
             raw = w.raw[members]
             lo, hi = np.quantile(raw, [0.05, 0.95])
             assert np.all(w.trimmed[members] >= lo - 1e-12)
@@ -815,7 +815,7 @@ def reference_ipw_weights(table, assignment, propensities, trim_alpha=0.01):
     trimmed = np.full(pi.size, np.nan)
     violations = []
     for k in range(1, assignment.K + 1):
-        members = assignment.members(k)
+        members = np.flatnonzero(assignment.labels == k)
         if members.size == 0:
             continue
         t = table.form[members]

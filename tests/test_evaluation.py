@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from localeq.cli import main
 from localeq.core import LinearTransform, TransformFamily
@@ -18,6 +20,7 @@ from localeq.evaluation import (
     apply_omission_rule,
     bin_by_theta,
     run_study,
+    write_rows,
 )
 from localeq.simulation import SimulationConfig, draw_design, gen_population
 
@@ -385,11 +388,34 @@ class TestOmissionRule:
 TINY_FIELDS = dict(n=200, items=12, anchor_items=8, strata=3, replications=3, nbins=4)
 
 
+class TestWriteRows:
+    @given(values=st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=20))
+    @example(values=[0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324])
+    @example(values=[1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 1.0, 0.1])
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_floats_are_written_as_their_repr(self, values, tmp_path):
+        # the CLI's curves and tables pass numpy and Python floats straight through
+        path = tmp_path / "rows.csv"
+        write_rows(path, ("f64", "float"), [(np.float64(v), v) for v in values])
+        lines = path.read_bytes().decode("utf-8").split("\n")
+        assert lines[0] == "f64,float" and lines[-1] == ""
+        assert lines[1:-1] == [f"{v!r},{v!r}" for v in values]
+
+
 def tiny_config(**overrides):
     return SimulationConfig(**{**TINY_FIELDS, "seed": 7, **overrides})
 
 
 class TestRunStudy:
+    def test_numpy_int_fields_give_the_same_report(self):
+        methods = ("anchor", "strat", "ipw", "eg")
+        fields = {name: np.int64(v) for name, v in {**TINY_FIELDS, "seed": 7}.items()}
+        reports = run_study(tiny_config(), methods), run_study(SimulationConfig(**fields), methods)
+        assert reports[0].scenario == reports[1].scenario
+        expected, got = ([list(map(str, row)) for row in r.to_rows()] for r in reports)
+        assert got == expected
+
     def test_report_shape_and_columns(self):
         report = run_study(tiny_config(), methods=("anchor", "strat", "ipw", "eg"))
         rows = report.to_rows()

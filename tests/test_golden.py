@@ -2,8 +2,9 @@
 
 ``tests/golden/SHA256SUMS`` pins the SHA-256 of every file that
 ``simulate`` (two small scenarios, all four methods, one worker; and one
-32-replication, 10-bin scenario on two worker processes), the six
-linear and step-equipercentile ``equate`` methods, the anchor and IPW
+32-replication, 10-bin scenario on two worker processes), every linear and
+step-equipercentile ``equate`` method the CLI offers (``cli.EQUATE_METHODS``,
+so a new one cannot ship without a digest), the anchor and IPW
 kernel-equipercentile ``equate`` methods (bandwidth 0.6) and ``diagnose``
 write for the inputs beside it. ``equate`` and ``diagnose`` must write the
 same bytes when ``scores.csv`` is rewritten with a byte-order mark, CRLF
@@ -20,20 +21,12 @@ from pathlib import Path
 
 import pytest
 
-from localeq.cli import main
+from localeq.cli import EQUATE_METHODS, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SUMS = GOLDEN / "SHA256SUMS"
 SCORES = str(GOLDEN / "scores.csv")
 SCHEMA = "form:group,score:total,anchor:anch,num:c1,num:c2,cat:c3"
-EQUATE_METHODS = (
-    "anchor",
-    "strat",
-    "ipw",
-    "equipercentile-anchor",
-    "equipercentile-strat",
-    "equipercentile-ipw",
-)
 # output subdirectory -> CLI arguments (without --out-dir)
 COMMANDS = {
     "simulate": ["simulate", "--config", str(GOLDEN / "study.cfg")],

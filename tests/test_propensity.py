@@ -281,11 +281,10 @@ class TestStratifyQuantile:
             a.labels[0] = 0
         np.testing.assert_array_equal(a.labels, [1, 1, 1, 1])
 
-    def test_members(self):
+    def test_labels_follow_rank(self):
         a = stratify_quantile(np.array([0.9, 0.1, 0.5, 0.3]), 2)
         # ranks: 0.1, 0.3 -> stratum 1; 0.5, 0.9 -> stratum 2
-        np.testing.assert_array_equal(a.members(1), [1, 3])
-        np.testing.assert_array_equal(a.members(2), [0, 2])
+        np.testing.assert_array_equal(a.labels, [2, 1, 2, 1])
 
     @given(
         p=st.lists(st.floats(0.01, 0.99), min_size=4, max_size=60),
@@ -296,7 +295,7 @@ class TestStratifyQuantile:
         if k > len(p):
             return
         a = stratify_quantile(np.array(p), k)
-        sizes = [a.members(j).size for j in range(1, k + 1)]
+        sizes = [np.count_nonzero(a.labels == j) for j in range(1, k + 1)]
         assert sum(sizes) == len(p)
         assert max(sizes) - min(sizes) <= 1
         # sorted by propensity rank, labels are non-decreasing
@@ -369,7 +368,7 @@ def per_stratum_asmd(table, assignment):
     out = np.full((assignment.K, raw.shape[1]), np.nan)
     violations = []
     for k in range(1, assignment.K + 1):
-        members = assignment.members(k)
+        members = np.flatnonzero(assignment.labels == k)
         in_x = members[forms[members] == 0]
         in_y = members[forms[members] == 1]
         if in_x.size == 0 or in_y.size == 0:

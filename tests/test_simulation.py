@@ -304,6 +304,20 @@ class TestSimulationConfig:
             SimulationConfig(seed=-1)
         assert SimulationConfig(seed=0).seed == 0
 
+    INT_FIELDS = ("n", "items", "anchor_items", "strata", "replications", "seed", "nbins")
+
+    @pytest.mark.parametrize("name", INT_FIELDS)
+    @pytest.mark.parametrize("value", [300.5, 3.9, 300.0, np.float64(3.0), "300", None])
+    def test_counts_and_seeds_must_be_whole_numbers(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
+            SimulationConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", INT_FIELDS)
+    @pytest.mark.parametrize("kind", [int, np.int64, np.int32, np.uint16])
+    def test_python_and_numpy_ints_accepted(self, name, kind):
+        value = kind(getattr(SimulationConfig(), name) + 1)
+        assert getattr(SimulationConfig(**{name: value}), name) == value
+
 
 class TestGenPopulation:
     def test_bit_reproducible(self):
