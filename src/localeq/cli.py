@@ -63,14 +63,13 @@ OUT_DIR_ENV = "LOCALEQ_OUT_DIR"
 
 DEFAULT_PERCENTILES = (10.0, 30.0, 50.0, 70.0, 90.0)
 
-EQUATE_METHODS = (
-    "anchor",
-    "strat",
-    "ipw",
-    "equipercentile-anchor",
-    "equipercentile-strat",
-    "equipercentile-ipw",
-)
+# conditioning -> (schema role, linear family of (table, by)); names resolve at call time
+_CONDITIONINGS = {
+    "anchor": ("anchor", lambda table, by: anchor_family(table)),
+    "strat": ("covariates", lambda table, by: strat_family(table, by)),
+    "ipw": ("covariates", lambda table, by: ipw_family(table, by)),
+}
+EQUATE_METHODS = (*_CONDITIONINGS, *(f"equipercentile-{c}" for c in _CONDITIONINGS))
 
 _FORM_LABELS = {"X": 0, "x": 0, "0": 0, "Y": 1, "y": 1, "1": 1}
 # each form label's code at its byte, -1 at every other byte
@@ -395,16 +394,17 @@ def _write_table(out_dir, name, header, rows):
     print(f"wrote {path}")
 
 
-def _load(args, role, usage):
+def _load(args, role, command):
     """The schema and table of ``args.data``, once the schema names ``role``.
 
-    ``role`` is ``anchor`` or ``covariates``. A schema without it is a usage
-    error, raised before the data file is opened. A file that holds only one
-    form is an error too, raised before any fit: both commands compare forms.
+    ``role`` is ``anchor`` or ``covariates``; a schema without it is a usage
+    error naming ``command``, raised before the data file opens. So is a file
+    that holds only one form, raised before any fit: both commands compare forms.
     """
     schema = DatasetSchema.from_string(args.schema)
     if not getattr(schema, role):
-        raise UsageError(usage)
+        columns = "an anchor column" if role == "anchor" else "covariate columns"
+        raise UsageError(f"{command} needs {columns} in the schema")
     table = parse_dataset(args.data, schema)
     for form, label in ((0, "X"), (1, "Y")):
         if not np.any(table.form == form):
@@ -420,24 +420,27 @@ def _propensities(schema, table):
     return estimate_propensity(fit_logistic(encoded, table.form), encoded)
 
 
-def _build_family(schema, table, args) -> tuple:
-    """Family plus the per-record conditioning values for percentile picks."""
-    method, bandwidth = args.method, args.bandwidth
-    if method == "anchor":
-        return anchor_family(table), table.anchor
-    if method == "equipercentile-anchor":
-        return equipercentile_family(table, "anchor", bandwidth), table.anchor
-    propensities = _propensities(schema, table)
-    assignment = stratify_quantile(propensities, args.strata)
-    index_values = assignment.labels
-    if method == "strat":
-        return strat_family(table, assignment), index_values
-    if method == "equipercentile-strat":
-        return equipercentile_family(table, assignment, bandwidth), index_values
-    weights = ipw_weights(table, assignment, propensities, args.trim_alpha)
-    if method == "ipw":
-        return ipw_family(table, weights), index_values
-    return equipercentile_family(table, weights, bandwidth), index_values
+def _build_family(args) -> tuple:
+    """The table of ``args.data``, its family and each record's conditioning value.
+
+    A method is a conditioning, alone for its linear family or after
+    ``equipercentile-``: the anchor column, or propensity strata, with IPW
+    weights on them for ipw. Only an equipercentile family takes --bandwidth.
+    """
+    eqp, _, conditioning = args.method.rpartition("-")  # eqp is "" for a linear method
+    if args.bandwidth is not None and not eqp:
+        raise UsageError(f"--bandwidth needs an equipercentile method, not {args.method!r}")
+    role, linear = _CONDITIONINGS[conditioning]
+    schema, table = _load(args, role, f"method {args.method!r}")
+    by, index_values = "anchor", table.anchor
+    if conditioning != "anchor":
+        propensities = _propensities(schema, table)
+        by = stratify_quantile(propensities, args.strata)
+        index_values = by.labels
+        if conditioning == "ipw":
+            by = ipw_weights(table, by, propensities, args.trim_alpha)
+    family = equipercentile_family(table, by, args.bandwidth) if eqp else linear(table, by)
+    return table, family, index_values
 
 
 def _family_rows(family: TransformFamily):
@@ -453,12 +456,7 @@ def _family_rows(family: TransformFamily):
 
 
 def cmd_equate(args) -> int:
-    if args.method in ("anchor", "equipercentile-anchor"):
-        need = ("anchor", "method needs an anchor column in the schema")
-    else:
-        need = ("covariates", "this method needs covariate columns in the schema")
-    schema, table = _load(args, *need)
-    family, index_values = _build_family(schema, table, args)
+    table, family, index_values = _build_family(args)
     out_dir = _resolve_out_dir(args.out_dir)
 
     header = ("index", "slope", "mu_y", "mu_x", "omitted")
@@ -477,7 +475,7 @@ def cmd_equate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    schema, table = _load(args, "covariates", "diagnose needs covariate columns in the schema")
+    schema, table = _load(args, "covariates", "diagnose")
     propensities = _propensities(schema, table)
     names = schema.covariate_names
     # every count is stratified before the first write: one that fails writes nothing

@@ -159,8 +159,9 @@ class SimulationConfig:
     trim_alpha: float = 0.01
 
     def __post_init__(self):
-        for name in ("n", "items", "anchor_items", "strata", "replications", "nbins", "seed"):
-            value = getattr(self, name)
+        names = ("n", "items", "anchor_items", "strata", "replications", "nbins", "seed")
+        categories = [("covariate_categories", m) for m in self.covariate_categories]
+        for name, value in [(name, getattr(self, name)) for name in names] + categories:
             if not isinstance(value, numbers.Integral):  # Python and numpy ints
                 raise ValueError(f"{name} must be a whole number, got {value!r}")
             if value < 1 and name != "seed":

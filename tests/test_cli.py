@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localeq.cli import (
+    EQUATE_METHODS,
     DatasetSchema,
     _echo_config,
     _parse_columns,
@@ -779,19 +780,32 @@ def test_non_finite_covariate_is_a_row_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+def _missing_role_case(method):
+    """equate ``method`` on a schema without the role its conditioning reads."""
+    if method.endswith("anchor"):
+        schema, columns = "form:group,score:total,num:c1", "an anchor column"
+    else:
+        schema, columns = "form:group,score:total,anchor:anch", "covariate columns"
+    argv = ["equate", "--method", method, "--schema", schema]
+    return pytest.param(argv, f"method {method!r} needs {columns} in the schema",
+                        id=f"equate-{method}")
+
+
+def _linear_bandwidth_case(method):
+    """A linear ``method`` with --bandwidth, on a schema that suits it."""
+    argv = ["equate", "--method", method, "--schema", SIM_SCHEMA, "--bandwidth", "0.6"]
+    return pytest.param(argv, f"--bandwidth needs an equipercentile method, not {method!r}",
+                        id=f"equate-{method}-bandwidth")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["equate", "--method", "anchor", "--schema", "form:group,score:total,num:c1"],
-         "method needs an anchor column in the schema"),
-        (["equate", "--method", "strat", "--schema", "form:group,score:total,anchor:anch"],
-         "this method needs covariate columns in the schema"),
-        (["equate", "--method", "ipw", "--schema", "form:group,score:total,anchor:anch"],
-         "this method needs covariate columns in the schema"),
-        (["diagnose", "--schema", "form:group,score:total,anchor:anch"],
-         "diagnose needs covariate columns in the schema"),
+        *map(_missing_role_case, EQUATE_METHODS),
+        *map(_linear_bandwidth_case, ("anchor", "strat", "ipw")),
+        pytest.param(["diagnose", "--schema", "form:group,score:total,anchor:anch"],
+                     "diagnose needs covariate columns in the schema", id="diagnose"),
     ],
-    ids=["equate-anchor", "equate-strat", "equate-ipw", "diagnose"],
 )
 def test_schema_usage_error_comes_before_the_file_is_read(tmp_path, capsys, argv, message):
     absent = tmp_path / "absent.csv"

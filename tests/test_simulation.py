@@ -299,6 +299,18 @@ class TestSimulationConfig:
         with pytest.raises(ValueError, match="covariate_categories"):
             SimulationConfig(covariate_categories=categories, beta=beta)
 
+    @pytest.mark.parametrize(
+        "categories", [(3.5, 4, 5), (3, 4.0, 5), (3, 4, np.float64(5.0)), ("3", 4, 5), (3, None, 5)]
+    )
+    def test_covariate_categories_must_be_whole_numbers(self, categories):
+        with pytest.raises(ValueError, match="^covariate_categories must be a whole number"):
+            SimulationConfig(n=200, covariate_categories=categories)
+
+    @pytest.mark.parametrize("kind", [int, np.int64, np.uint8])
+    def test_covariate_categories_take_python_and_numpy_ints(self, kind):
+        categories = tuple(map(kind, (3, 4, 5)))
+        assert SimulationConfig(covariate_categories=categories).covariate_categories == (3, 4, 5)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be non-negative"):
             SimulationConfig(seed=-1)
