@@ -1,11 +1,11 @@
 """Domain types and numerical primitives shared by all equating estimators.
 
-Two moment conventions coexist on purpose: ``unweighted_moments`` uses the
-n-1 denominator (anchor and stratification estimators), ``weighted_moments``
-divides by the weight sum (inverse-probability-weighted estimators). The
-equating cell engine picks the denominator from the conditioning: n-1 for
-unit-weight cells (anchor scores, strata), the weight sum for cells that
-carry IPW weights. No caller chooses it by flag.
+Two moment conventions coexist on purpose. The equating cell engine reads
+each cell's moments off its score histogram, and the conditioning picks the
+variance denominator: n-1 for unit-weight cells (anchor scores, strata), the
+weight sum for cells that carry IPW weights. No caller chooses it by flag.
+``weighted_moments`` gives the weight-sum moments of any weighted sample,
+the ones a kernel CDF preserves.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     DimensionError,
     EmptyInputError,
-    InsufficientDataError,
     InvalidBandwidthError,
     InvalidProbabilityError,
     InvalidWeightError,
@@ -30,7 +29,6 @@ __all__ = [
     "TransformFamily",
     "WeightedSample",
     "weighted_moments",
-    "unweighted_moments",
     "ECDF",
     "KernelCDF",
     "inverse_cdf",
@@ -195,34 +193,16 @@ def weighted_moments(sample: WeightedSample) -> tuple[float, float]:
     mean = sum(w v) / sum(w);  sd = sqrt(sum(w (v - mean)^2) / sum(w)).
     No n-1 correction: this matches the weighted-moment estimators used by
     the IPW transform. A sample of one distinct value has sd exactly 0.0,
-    even where the rounded mean misses that value by an ulp.
+    even where the rounded mean misses that value by an ulp. The sums are
+    ``np.add.reduce``, not BLAS dot products, whose bits follow the CPU.
     """
     v, w = sample.values, sample.weights
-    wsum = w.sum()
-    mean = float(np.dot(w, v) / wsum)
+    wsum = np.add.reduce(w)
+    mean = float(np.add.reduce(w * v) / wsum)
     if v.min() == v.max():
         return mean, 0.0
-    var = float(np.dot(w, (v - mean) ** 2) / wsum)
+    var = float(np.add.reduce(w * (v - mean) ** 2) / wsum)
     return mean, math.sqrt(max(var, 0.0))
-
-
-def unweighted_moments(values) -> tuple[float, float]:
-    """Sample mean and sd with the n-1 denominator.
-
-    Raises
-    ------
-    EmptyInputError
-        on an empty vector.
-    InsufficientDataError
-        when fewer than two observations are available for the sd.
-    """
-    v = np.asarray(values, dtype=float).reshape(-1)
-    if v.size == 0:
-        raise EmptyInputError("cannot compute moments of an empty sample")
-    if v.size < 2:
-        raise InsufficientDataError("sd needs at least 2 observations")
-    mean, var = _mean_var(v)
-    return float(mean), math.sqrt(var)
 
 
 def _mean_var(values):

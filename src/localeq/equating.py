@@ -25,11 +25,8 @@ from .core import (
     ScoreTable,
     TransformFamily,
     WeightedSample,
-    cell_runs,
     inverse_cdf,
     sorted_quantiles,
-    unweighted_moments,
-    weighted_moments,
 )
 from .errors import DimensionError, EmptyFamilyError, InvalidWeightError
 from .propensity import StratumAssignment
@@ -74,49 +71,58 @@ class IPWWeights:
             raise DimensionError("raw, trimmed and the labels need one entry per record each")
 
 
-# one form's records in one cell: slices of the family's sorted columns,
-# ``weights`` None for unit-weight cells
-_Slice = namedtuple("_Slice", ["values", "weights"])
+# a fit counts its bins on the dense (cell, form, score) grid while that has at most
+# this many bins per record; past it (say, anchors near 2**63) it ranks the occupied bins
+DENSE_BINS_PER_RECORD = 16
 
 
-def _linear_map(x: _Slice, y: _Slice) -> LinearTransform | None:
-    """Conditional-moment linear transform, or None if either sd is zero.
+def _linear_maps(value, mass, run, weighted):
+    """Conditional-moment linear transforms, None for a cell with a zero sd.
 
-    The moments follow from the conditioning: unit-weight cells (anchor
-    scores, strata) use the n-1 sd, IPW-weighted cells the weight-sum sd.
+    Each run's mean is S1 / n, S1 = sum c_s s; its variance the centred second pass
+    sum c_s (s - mean)^2 over n - 1 (unit weights: anchor scores, strata) or over the
+    weight sum (IPW). One distinct score has sd exactly 0, even where a rounded
+    weighted mean misses it by an ulp.
     """
-    (mu_x, sd_x), (mu_y, sd_y) = (
-        unweighted_moments(s.values) if s.weights is None else weighted_moments(s)
-        for s in (x, y)
-    )
-    if sd_x <= 0.0 or sd_y <= 0.0:
-        return None
-    return LinearTransform(slope=sd_x / sd_y, mu_y=mu_y, mu_x=mu_x)
+    total = np.bincount(run, mass)
+    mean = np.bincount(run, mass * value) / total
+    var = np.bincount(run, mass * (value - mean[run]) ** 2) / (total if weighted else total - 1)
+    sd = np.where(np.bincount(run) > 1, np.sqrt(var), 0.0)
+    (mu_x, mu_y), (sd_x, sd_y) = mean.reshape(-1, 2).T.tolist(), sd.reshape(-1, 2).T.tolist()
+    return [
+        LinearTransform(a / b, m_y, m_x) if a > 0.0 and b > 0.0 else None
+        for m_x, m_y, a, b in zip(mu_x, mu_y, sd_x, sd_y)
+    ]
 
 
-def _cdf_map(cdf):
-    """Per-cell fit: the equipercentile map between ``cdf`` of each form."""
-    return lambda x, y: EquipercentileMap(cdf(WeightedSample(*y)), cdf(WeightedSample(*x)))
+def _cdf_maps(cdf):
+    """Per cell, the equipercentile map between ``cdf`` of each form's histogram
+    row: a WeightedSample of its distinct scores and their mass."""
+    def fit(value, mass, run, weighted):
+        ends = np.cumsum(np.bincount(run)).tolist()
+        cdfs = [cdf(WeightedSample(value[a:b], mass[a:b])) for a, b in zip([0] + ends, ends)]
+        return [EquipercentileMap(cdf_y, cdf_x) for cdf_x, cdf_y in zip(cdfs[::2], cdfs[1::2])]
+
+    return fit
 
 
 def _fit_cells(table: ScoreTable, by, fit) -> TransformFamily:
-    """One transform per conditioning cell: the loop every family runs.
+    """One transform per conditioning cell, from one (cell, form, score) histogram.
 
-    ``by`` is the conditioning: ``"anchor"``, a :class:`StratumAssignment`,
-    or an :class:`IPWWeights` (trimmed weights; an overlap-violating stratum
-    lacks a form, so it never qualifies). A cell qualifies with at least
-    ``MIN_CELL_SIZE`` records of each form; then ``fit(x, y)`` maps its form-Y
-    sample onto its form-X sample, or returns None to omit it. A qualifying
-    cell holding a weight that is not finite and > 0 raises InvalidWeightError.
-
-    The records are sorted once by :func:`cell_runs`, so each sample is a
-    contiguous slice whose records keep their input order: its sums run in
-    the order a per-cell selection would give them, bit for bit.
+    ``by`` is the conditioning: ``"anchor"``, a :class:`StratumAssignment`, or an
+    :class:`IPWWeights` (trimmed weights; an overlap-violating stratum lacks a form,
+    so it never qualifies). A cell qualifies with ``MIN_CELL_SIZE`` records of each
+    form; one holding a weight that is not finite and > 0 raises InvalidWeightError.
+    One ``np.bincount`` counts each bin's records, a second totals IPW weights in
+    record order. ``fit(value, mass, run, weighted)`` then gives each qualifying cell
+    a transform, or None to omit it: run 2i is cell i's form-X histogram, 2i + 1 its
+    form-Y one, a bin per distinct score (``value``, ascending) with its record count
+    or weight total (``mass``). Sums over a run are ``np.bincount``s in score order,
+    so a plain per-cell loop gives the same bits.
     """
-    weights, bad_weight = None, ()
+    weights = None
     if isinstance(by, IPWWeights):
         kind, cells, weights = "stratum", by.assignment.labels, by.trimmed
-        bad_weight = set(cells[~((weights > 0) & (weights < np.inf))].tolist())
     elif isinstance(by, StratumAssignment):
         kind, cells = "stratum", by.labels
     elif by == "anchor":
@@ -125,27 +131,44 @@ def _fit_cells(table: ScoreTable, by, fit) -> TransformFamily:
         kind, cells = "anchor_score", table.anchor
     else:
         raise ValueError(f"cannot condition on {by!r}")
-    order, *runs = cell_runs(cells, table.form)
-    scores = table.score[order].astype(float)
+    if np.shape(cells) != np.shape(table.form):
+        raise DimensionError("the cells do not cover the records")
+    cells, form, score = cells.astype(np.int64, copy=False), table.form, table.score
+    top = int(score.max(initial=0)) + 1
+    if (int(cells.max(initial=0)) + 1) * 2 * top <= DENSE_BINS_PER_RECORD * len(table):
+        key = (2 * cells + form) * top + score
+    else:  # the same bin order, numbered by np.unique ranks: of cells and scores, then bins
+        # (scores as the doubles a fit reads: two that round alike share a bin)
+        c, s = (np.unique(col, return_inverse=True)[1] for col in (cells, score.astype(float)))
+        key = np.unique((2 * c + form) * (s.max(initial=0) + 1) + s, return_inverse=True)[1]
+    count = np.bincount(key)
+    bins = count.nonzero()[0]
+    first = np.empty(count.size, np.intp)
+    first[key] = np.arange(key.size)  # a record of each bin: they share its (cell, form, score)
+    record = first[bins]
+    cell, form, value = cells[record], form[record], score[record]
+    mass = count[bins] if weights is None else np.bincount(key, weights)[bins]
+    new_cell = np.ones(bins.size, bool)  # the first bin of each cell, and of each run
+    new_cell[1:] = cell[1:] != cell[:-1]
+    new_run = new_cell.copy()
+    new_run[1:] |= form[1:] != form[:-1]
+    run = new_run.cumsum() - 1
+    size, run_cell = np.bincount(run, count[bins]), cell[new_run]
+    # a cell's form-X run comes first: run x + 1 of the same cell is its form-Y run
+    x = np.flatnonzero(~new_cell[new_run][1:] & (np.minimum(size[:-1], size[1:]) >= MIN_CELL_SIZE))
     if weights is not None:
-        weights = weights[order]
-    entries, omitted = {}, []
-    for index, start, split, stop in zip(*(run.tolist() for run in runs)):
-        transform = None
-        if min(split - start, stop - split) >= MIN_CELL_SIZE:
-            if index in bad_weight:
-                raise InvalidWeightError("all weights must be finite and > 0")
-            x, y = (
-                _Slice(scores[a:b], None if weights is None else weights[a:b])
-                for a, b in ((start, split), (split, stop))
-            )
-            transform = fit(x, y)
-        if transform is None:
-            omitted.append(index)
-        else:
-            entries[index] = transform
+        bad = ~((weights > 0) & (weights < np.inf))  # NaN included
+        if bad.any() and np.isin(run_cell[x], cells[bad]).any():
+            raise InvalidWeightError("all weights must be finite and > 0")
+    qualifies = np.zeros(run_cell.size, bool)
+    qualifies[x] = qualifies[x + 1] = True
+    kept = qualifies[run]
+    transforms = fit(value[kept].astype(float), mass[kept].astype(float, copy=False),
+                     new_run[kept].cumsum() - 1, weights is not None)
+    entries = {c: t for c, t in zip(run_cell[x].tolist(), transforms) if t is not None}
     if not entries:
         raise EmptyFamilyError(f"no {kind} cell qualified for a transform")
+    omitted = [c for c in cell[new_cell].tolist() if c not in entries]
     return TransformFamily(index_kind=kind, entries=entries, omitted=omitted)
 
 
@@ -155,12 +178,12 @@ def anchor_family(table: ScoreTable) -> TransformFamily:
     Per anchor value observed in both forms with at least two records per
     form and positive sds, builds the conditional-moment linear transform.
     """
-    return _fit_cells(table, "anchor", _linear_map)
+    return _fit_cells(table, "anchor", _linear_maps)
 
 
 def strat_family(table: ScoreTable, assignment: StratumAssignment) -> TransformFamily:
     """Local equating family with one transform per propensity stratum."""
-    return _fit_cells(table, assignment, _linear_map)
+    return _fit_cells(table, assignment, _linear_maps)
 
 
 def ipw_weights(
@@ -226,7 +249,7 @@ def ipw_family(table: ScoreTable, weights: IPWWeights) -> TransformFamily:
     cells with fewer than two records per form or zero weighted sd are
     omitted.
     """
-    return _fit_cells(table, weights, _linear_map)
+    return _fit_cells(table, weights, _linear_maps)
 
 
 class EquipercentileMap:
@@ -277,11 +300,11 @@ def equipercentile_family(
     the linear slope times sqrt((n_x - 1) / n_x * n_y / (n_y - 1)).
     """
     if bandwidth is None:
-        fit = _cdf_map(ECDF)
+        fit = _cdf_maps(ECDF)
     elif math.isinf(bandwidth):
-        fit = _linear_map
+        fit = _linear_maps
     else:
-        fit = _cdf_map(lambda sample: KernelCDF(sample, bandwidth))
+        fit = _cdf_maps(lambda sample: KernelCDF(sample, bandwidth))
     return _fit_cells(table, by, fit)
 
 
@@ -330,4 +353,4 @@ def pooled_transform(table: ScoreTable) -> LinearTransform:
     everyone = StratumAssignment(
         K=1, labels=np.ones(len(table), dtype=int), boundaries=np.empty(0)
     )
-    return _fit_cells(table, everyone, _linear_map).entries[1]
+    return _fit_cells(table, everyone, _linear_maps).entries[1]

@@ -13,10 +13,6 @@ class InvalidWeightError(LocalEqError):
     """A weight vector contains non-positive entries or mismatched length."""
 
 
-class InsufficientDataError(LocalEqError):
-    """Too few observations for the requested estimate (e.g. an n-1 sd)."""
-
-
 class InvalidBandwidthError(LocalEqError):
     """Kernel bandwidth must be strictly positive."""
 

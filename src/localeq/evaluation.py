@@ -121,15 +121,16 @@ class ErrorAccumulator:
     def tally(self, cells, errors) -> "ErrorAccumulator":
         """One replication's accumulator: the cell means of the absolute,
         squared and signed ``errors``, 0.0 in the cells it left empty.
-        ``cells`` is :meth:`cells` of the errors' records."""
+        ``cells`` is :meth:`cells` of the errors' records. Nothing else is
+        allocated: ``count`` marks the cells touched, ``signed_m2`` is 0.0."""
         index, n = cells
         errors = np.asarray(errors, dtype=float).ravel()
-        out = ErrorAccumulator(*n.shape)
+        out = object.__new__(ErrorAccumulator)
         out.abs_sum, out.sq_sum, out.signed_sum = (
             np.bincount(index, values, n.size).reshape(n.shape) / np.maximum(n, 1)
             for values in (np.abs(errors), errors**2, errors)
         )
-        out.count = (n > 0).astype(int)
+        out.signed_m2, out.count = 0.0, n > 0
         return out
 
     def insert(self, other: "ErrorAccumulator"):

@@ -17,14 +17,13 @@ from localeq.core import (
     WeightedSample,
     cell_runs,
     inverse_cdf,
+    _mean_var,
     sorted_quantiles,
-    unweighted_moments,
     weighted_moments,
 )
 from localeq.errors import (
     DimensionError,
     EmptyInputError,
-    InsufficientDataError,
     InvalidBandwidthError,
     InvalidProbabilityError,
     InvalidWeightError,
@@ -169,12 +168,7 @@ class TestMoments:
             assert weighted_moments(sample)[1] == 0.0
         assert weighted_moments(WeightedSample([7.0] * 3, [0.4, 1.3, 2.2]))[1] == 0.0
 
-    def test_unweighted_moments_use_n_minus_1(self):
-        mean, sd = unweighted_moments([2.0, 4.0])
-        assert mean == pytest.approx(3.0)
-        assert sd == pytest.approx(math.sqrt(2.0))
-
-    def test_unweighted_moments_match_numpy_bit_for_bit(self):
+    def test_mean_var_matches_numpy_bit_for_bit(self):
         # every length from 2 to 3000, so both sides of numpy's 8-element
         # unrolled and 128-element pairwise-sum blocks, at three value scales
         rng = np.random.default_rng(13)
@@ -184,15 +178,20 @@ class TestMoments:
                 rng.normal(20.0, 5.0, n),
                 rng.uniform(0.0, 1e6, n),
             ):
-                assert unweighted_moments(v) == (float(v.mean()), float(v.std(ddof=1))), n
+                assert _mean_var(v) == (v.mean(), v.var(ddof=1)), n
 
-    def test_unweighted_empty_raises(self):
-        with pytest.raises(EmptyInputError):
-            unweighted_moments([])
+    def test_weighted_moments_take_no_blas_dot(self, monkeypatch):
+        # np.dot is BLAS ddot, whose bits follow the kernel OpenBLAS picks
+        # for the CPU; a kernel CDF's moments must not
+        def no_dot(*args, **kwargs):
+            raise AssertionError("np.dot called")
 
-    def test_unweighted_single_value_raises(self):
-        with pytest.raises(InsufficientDataError):
-            unweighted_moments([5.0])
+        monkeypatch.setattr(np, "dot", no_dot)
+        sample = WeightedSample([3.0, 5.0, 5.0, 9.0], [0.5, 1.5, 2.0, 1.0])
+        v, w = sample.values, sample.weights
+        mean = np.add.reduce(w * v) / np.add.reduce(w)
+        sd = math.sqrt(np.add.reduce(w * (v - mean) ** 2) / np.add.reduce(w))
+        assert weighted_moments(sample) == (mean, sd)
 
     def test_weight_replication_equivalence(self):
         # integer weights equal explicit replication

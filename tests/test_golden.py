@@ -8,18 +8,25 @@ so a new one cannot ship without a digest), the anchor and IPW
 kernel-equipercentile ``equate`` methods (bandwidth 0.6) and ``diagnose``
 write for the inputs beside it. ``equate`` and ``diagnose`` must write the
 same bytes when ``scores.csv`` is rewritten with a byte-order mark, CRLF
-line ends and every field quoted. A change that is meant to alter these bytes must say
-so and regenerate the digests explicitly:
+line ends and every field quoted, and, in a fresh process, under another OpenBLAS
+kernel, except the commands whose bytes still follow the CPU (``CPU_DEPENDENT``).
+A change that is meant to alter these bytes must say so and regenerate the digests
+explicitly:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import codecs
 import hashlib
+import json
+import os
+import platform
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from localeq.cli import EQUATE_METHODS, main
 
@@ -45,6 +52,22 @@ COMMANDS = {
     "diagnose": ["diagnose", "--strata", "3,6",
                  "--data", SCORES, "--schema", SCHEMA],
 }
+# every propensity, so every IPW weight, still moves with the CPU: fit_logistic's
+# BLAS products and numpy's exp dispatch (ROADMAP item 2)
+CPU_DEPENDENT = ("simulate", "simulate-parallel", "ipw", "equipercentile-ipw-kernel")
+# OpenBLAS x86 kernels to rerun under: Prescott (SSE3) runs on any x86-64 CPU,
+# Haswell needs AVX2
+CORETYPES = ["Prescott"] + (["Haswell"] if __cpu_features__.get("AVX2") else [])
+# a fresh process prints the digests of the commands argv names, into argv[1]
+PRINT_DIGESTS = """
+import contextlib, io, json, sys
+import test_golden
+with contextlib.redirect_stdout(io.StringIO()):
+    found = {}
+    for name in sys.argv[2:]:
+        found.update(test_golden.digests(name, sys.argv[1]))
+print(json.dumps(found))
+"""
 
 
 def digests(name, out_root, data=SCORES):
@@ -78,6 +101,24 @@ def test_quoted_crlf_file_with_a_byte_order_mark_matches(name, tmp_path, capsys)
     data = tmp_path / "scores.csv"
     data.write_bytes(codecs.BOM_UTF8 + quoted.encode("utf-8"))
     assert digests(name, tmp_path / "out", str(data)) == pinned(name)
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"), reason="OpenBLAS x86 kernels"
+)
+@pytest.mark.parametrize("coretype", CORETYPES)
+def test_digests_do_not_depend_on_the_openblas_kernel(coretype, tmp_path):
+    # OpenBLAS reads its kernel choice once, at load: each run needs a fresh process
+    names = [name for name in COMMANDS if name not in CPU_DEPENDENT]
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    run = subprocess.run(
+        [sys.executable, "-c", PRINT_DIGESTS, str(tmp_path), *names],
+        env={**os.environ, "OPENBLAS_CORETYPE": coretype, "PYTHONPATH": os.pathsep.join(path)},
+        capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == {k: v for name in names for k, v in pinned(name).items()}
 
 
 if __name__ == "__main__":
