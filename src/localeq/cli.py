@@ -62,6 +62,7 @@ __all__ = [
 OUT_DIR_ENV = "LOCALEQ_OUT_DIR"
 
 DEFAULT_PERCENTILES = (10.0, 30.0, 50.0, 70.0, 90.0)
+MAX_CURVE_SCORES = 10**6
 
 # conditioning -> (schema role, linear family of (table, by)); names resolve at call time
 _CONDITIONINGS = {
@@ -432,6 +433,11 @@ def _build_family(args) -> tuple:
         raise UsageError(f"--bandwidth needs an equipercentile method, not {args.method!r}")
     role, linear = _CONDITIONINGS[conditioning]
     schema, table = _load(args, role, f"method {args.method!r}")
+    if table.score.max() >= MAX_CURVE_SCORES:  # each curve lists the raw scores 0..max
+        raise UsageError(
+            f"scores run to {table.score.max()}; equate writes each curve over the raw "
+            f"scores 0..max, so the maximum score must be below {MAX_CURVE_SCORES}"
+        )
     by, index_values = "anchor", table.anchor
     if conditioning != "anchor":
         propensities = _propensities(schema, table)

@@ -332,7 +332,7 @@ class KernelCDF:
 
         F_h(x) = sum_j r_j * Phi((x - c_j) / s),  c_j = a v_j + (1 - a) mu,  s = a h,
 
-    so the continuized distribution keeps mean mu and variance sigma^2 for
+    so the continuized distribution keeps mean ``mu`` and sd ``sigma`` for
     every bandwidth h. As h -> 0 the step ECDF is recovered; as h -> inf the
     CDF tends to the Gaussian with the sample's moments, so the induced
     equipercentile map tends to the linear map of the weight-sum sds (with
@@ -340,13 +340,15 @@ class KernelCDF:
     values are pooled at construction (``centers`` holds one entry per
     distinct value v_j, ``fractions`` its weight share r_j), so an evaluation
     costs one ``ndtr`` per distinct value, not per record. With s = 0 (a
-    sample without spread) F_h is the step function at the centers.
+    sample without spread) F_h is the step function at the centers. F_h and
+    S_h sum each point's terms on their own, so neither its batch nor the BLAS
+    kernel moves a value's bits.
     """
 
     def __init__(self, sample: WeightedSample, bandwidth: float):
         if not bandwidth > 0:
             raise InvalidBandwidthError(f"bandwidth must be > 0, got {bandwidth}")
-        mu, sigma = weighted_moments(sample)
+        self.mu, self.sigma = mu, sigma = weighted_moments(sample)
         distinct, tie = np.unique(sample.values, return_inverse=True)
         self.fractions = np.bincount(tie, weights=sample.weights / sample.weights.sum())
         if math.isinf(bandwidth) or sigma == 0.0:
@@ -381,9 +383,17 @@ class KernelCDF:
             return self._mix(x[..., None] < self.centers)
         return self._mix(_ndtr((self.centers - x[..., None]) / self.scale))
 
+    def tail_density(self, x, upper):
+        """F_h(x), or S_h(x) where ``upper``, and the density f_h(x) from one pass
+        at positive scale, summed by BLAS: inverse_cdf's Newton steps read it."""
+        z = (np.asarray(x, dtype=float)[..., None] - self.centers) / self.scale
+        mass = _ndtr(np.where(np.asarray(upper)[..., None], -z, z)) @ self.fractions
+        return mass, np.exp(-0.5 * z * z) @ self.fractions / (self.scale * math.sqrt(2 * math.pi))
+
     def _mix(self, mass):
-        # the weighted sum can overshoot 1 by a few ulp; a probability cannot
-        out = np.minimum(mass @ self.fractions, 1.0)
+        # row by row in a fixed order, where a BLAS product's order follows the
+        # batch and the CPU; the sum can overshoot 1 by a few ulp, a probability cannot
+        out = np.minimum(np.add.reduce(mass * self.fractions, axis=-1), 1.0)
         return out if out.ndim else float(out)
 
 
@@ -392,16 +402,21 @@ def inverse_cdf(cdf, p, survival=None):
 
     ``p`` is a probability or an array of them, inverted all at once; a
     scalar returns a float. Step CDFs exposing an exact ``quantile`` method
-    are inverted exactly. Smooth CDFs are bisected over ``cdf.support`` to
-    absolute tolerance 1e-8: one evaluation at the support's midpoint sends
-    each entry to the lower or the upper half, and each half then bisects
-    all its entries in step, so answers from the two halves cannot cross.
+    are inverted exactly. A smooth CDF is inverted on the grid
+    x_k = min(lo + k step, hi) over its support [lo, hi], step 2**-27 (7.45e-9)
+    or, if coarser, four float spacings of the support's largest value. An entry's
+    answer is the first point of its half of the grid (set by one evaluation at
+    the midpoint) at which it qualifies, or the half's last point.
 
     ``survival`` optionally holds 1 - p computed directly (same shape as
-    ``p``), for a ``cdf`` with an ``sf`` method. The upper half then bisects
-    on ``cdf.sf(x) <= survival`` instead of ``cdf(x) >= p``: near p = 1 that
-    keeps the digits p lost by rounding toward 1, and the inverse stays
-    accurate to the tolerance in both tails.
+    ``p``), for a ``cdf`` with an ``sf`` method. The upper half then qualifies
+    by ``cdf.sf(x) <= survival`` instead of ``cdf(x) >= p``: near p = 1 that
+    keeps the digits p lost by rounding toward 1.
+
+    A :class:`KernelCDF` with positive scale predicts each index k by Newton
+    steps, accepted once one batch shows the entry failing at k - 1 and
+    qualifying at k. Other entries and CDFs bisect the index, which ends at any
+    finite magnitude. The answer rests on the rule at grid points only.
     """
     probs = _probabilities(p)
     q = None if survival is None else _probabilities(survival, "survival")
@@ -410,34 +425,65 @@ def inverse_cdf(cdf, p, survival=None):
     if hasattr(cdf, "quantile"):
         return cdf.quantile(probs)
     lo, hi = (float(v) for v in cdf.support)
-    half = 0.5 * (lo + hi)
-    out = np.empty(probs.shape)
-    upper = probs > cdf(half)
-    if not upper.all():
-        p_low = probs[~upper]
-        out[~upper] = _bisect(lambda x: cdf(x) >= p_low, lo, half, p_low.size)
-    if upper.any():
-        if q is None:
-            p_up = probs[upper]
-            out[upper] = _bisect(lambda x: cdf(x) >= p_up, half, hi, p_up.size)
-        else:
-            q_up = q[upper]
-            out[upper] = _bisect(lambda x: cdf.sf(x) <= q_up, half, hi, q_up.size)
+    step = max(2.0**-27, 4.0 * float(np.spacing(max(abs(lo), abs(hi)))))
+    mid = math.ceil((0.5 * (lo + hi) - lo) / step)  # the first grid index past the midpoint
+    p = probs.reshape(-1)
+    upper = p > cdf(0.5 * (lo + hi))
+    tail = upper & (q is not None)  # entries that qualify in survival form
+    target = p if q is None else np.where(tail, q.reshape(-1), p)
+    a, b = np.where(upper, mid, 0), np.where(upper, math.ceil((hi - lo) / step), mid)
+
+    def probe(entries, k):  # narrow each entry's answer range [a, b] by its rule at k
+        x = np.minimum(lo + k * step, hi)
+        ok, sf = np.empty(k.shape, dtype=bool), tail[entries]
+        if not sf.all():
+            ok[~sf] = cdf(x[~sf]) >= target[entries[~sf]]
+        if sf.any():
+            ok[sf] = cdf.sf(x[sf]) <= target[entries[sf]]
+        np.minimum.at(b, entries[ok], k[ok])
+        np.maximum.at(a, entries[~ok], k[~ok] + 1)
+
+    if isinstance(cdf, KernelCDF) and cdf.scale > 0.0:
+        k = _newton_index(cdf, lo, step, target, tail, a, b)
+        below = np.flatnonzero(k > a)  # one batch probes k - 1 and k
+        probe(np.concatenate([below, np.arange(k.size)]), np.concatenate([k[below] - 1, k]))
+    open_ = np.flatnonzero(a < b)
+    while open_.size:  # bisect the grid index of each entry left open
+        probe(open_, (a[open_] + b[open_]) // 2)
+        open_ = open_[a[open_] < b[open_]]
+    out = np.minimum(lo + b * step, hi).reshape(probs.shape)
     return out if out.ndim else float(out)
 
 
-def _bisect(qualifies, lo: float, hi: float, size: int) -> np.ndarray:
-    """For each of ``size`` entries, the smallest x in [lo, hi] where
-    ``qualifies`` holds, to absolute tolerance 1e-8.
-
-    ``qualifies`` maps one point per entry to one boolean per entry and is
-    non-decreasing in x. An entry qualifying at ``lo`` gets ``lo``; one that
-    never qualifies gets ``hi``.
-    """
-    a, b = np.full(size, lo), np.full(size, hi)
-    at_lo = qualifies(a)
-    while (b - a > 1e-8).any():
-        mid = 0.5 * (a + b)
-        ok = qualifies(mid)
-        a, b = np.where(ok, a, mid), np.where(ok, mid, b)
-    return np.where(at_lo, lo, b)
+def _newton_index(cdf, lo, step, target, tail, first, last):
+    """Each entry's grid index in [first, last] by bracketed Newton steps on
+    g(F_h) = g(p), or g(S_h) = g(q) where ``tail``, with g(t) = sqrt(-2 log t): about
+    linear in x in a normal tail. The bracket starts one step past either end of
+    the range, so a root beyond an end settles there."""
+    sign = np.where(tail, -1.0, 1.0)  # sign * (target - mass) > 0 below the root
+    start, stop = lo + first * step, np.minimum(lo + last * step, cdf.support[1])
+    a, b = start - step, stop + step
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # first guess: the centers' quantile, right as h -> 0, blended by
+        # w = s / sigma with the normal quantile at mu and sigma, right as h -> inf
+        # (Tukey's lambda approximation 4.91 (t^0.14 - (1 - t)^0.14))
+        t, w = np.where(tail, 1.0 - target, target), cdf.scale / cdf.sigma
+        step_quantile = np.interp(t, np.cumsum(cdf.fractions) - 0.5 * cdf.fractions, cdf.centers)
+        normal_quantile = cdf.mu + cdf.sigma * 4.91 * (t**0.14 - (1.0 - t) ** 0.14)
+        x = np.minimum(np.maximum((1.0 - w) * step_quantile + w * normal_quantile, start), stop)
+        g_target = np.sqrt(-2.0 * np.log(target))
+        for _ in range(64):
+            mass, density = cdf.tail_density(x, tail)
+            short = sign * (target - mass) > 0.0
+            a, b = np.where(short, x, a), np.where(short, b, x)
+            g = np.sqrt(-2.0 * np.log(mass))
+            newton = x + sign * (g - g_target) * mass * g / density
+            converged = np.abs(newton - x) <= 0.25 * step  # such an entry stays put
+            nxt = np.minimum(np.maximum(newton, start), stop)
+            inner_a, inner_b = np.maximum(a, start), np.minimum(b, stop)
+            mid = 0.5 * (inner_a + inner_b)
+            x = np.where(converged, x, np.where((nxt > a) & (nxt < b), nxt, mid))
+            if np.all(converged | (inner_b - inner_a <= 0.25 * step)):
+                break
+    k = first + np.ceil((np.where(converged, newton, b) - start) / step)
+    return np.clip(k, first, last)

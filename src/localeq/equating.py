@@ -271,9 +271,9 @@ class EquipercentileMap:
         q = None
         if hasattr(self.cdf_y, "sf") and hasattr(self.cdf_x, "sf"):
             q = self.cdf_y.sf(flat)
-        # a batched kernel CDF sums each point in its own order and can put a
-        # higher y one ulp lower (or S_Y one ulp higher); the inverse keeps
-        # the map monotone only for p non-decreasing and q non-increasing in y
+        # the inverse is non-decreasing in p and non-increasing in q; running
+        # bounds in score order keep p and q so even if F_Y or S_Y rounds a
+        # higher y one ulp the other way
         order = np.argsort(flat, kind="stable")
         p[order] = np.maximum.accumulate(p[order])
         if q is not None:

@@ -171,9 +171,13 @@ def encode_covariates(table: ScoreTable, kinds: Sequence[str]) -> np.ndarray:
 
 
 def _log_likelihood(eta: np.ndarray, labels: np.ndarray) -> float:
-    # sum T*eta - log(1 + exp(eta)), computed stably, overwriting eta
-    fit = labels * eta
-    return float(np.sum(np.subtract(fit, np.logaddexp(0.0, eta, out=eta), out=fit)))
+    # sum T*eta - log(1 + exp(eta)) = sum (T - 1/2) eta - |eta| / 2 - log1p(exp(-|eta|)),
+    # in place over eta and one buffer; halving, then doubling, |eta| is exact
+    fit = np.subtract(labels, 0.5)
+    fit *= eta
+    fit += np.multiply(np.abs(eta, out=eta), -0.5, out=eta)
+    np.log1p(np.exp(np.multiply(eta, 2.0, out=eta), out=eta), out=eta)
+    return float(np.sum(np.subtract(fit, eta, out=fit)))
 
 
 def fit_logistic(design: np.ndarray, labels) -> PropensityModel:

@@ -87,9 +87,9 @@ EQUATE_CSV_SPANS = {
     "equate-strat": {**PROPENSITY_SPANS, "equating.strat_family": 1},
     "equate-ipw": {**PROPENSITY_SPANS, "equating.ipw_weights": 1, "equating.ipw_family": 1},
     "equate-eqp-anchor": EQUIPERCENTILE_SPANS,
-    "equate-eqp-anchor-kernel": {**EQUIPERCENTILE_SPANS, "core.KernelCDF": 168},
+    "equate-eqp-anchor-kernel": {**EQUIPERCENTILE_SPANS, "core.KernelCDF": 15},
     "equate-eqp-ipw-kernel": {**PROPENSITY_SPANS, **EQUIPERCENTILE_SPANS,
-                              "equating.ipw_weights": 1, "core.KernelCDF": 168},
+                              "equating.ipw_weights": 1, "core.KernelCDF": 15},
     "diagnose": {**PROPENSITY_SPANS, "propensity.stratify_quantile": 3,
                  "propensity.balance_report": 3},
 }
@@ -121,7 +121,8 @@ def test_each_equate_csv_command_keeps_its_traced_calls(tmp_path, monkeypatch, c
 
 def test_kernel_map_inverts_in_one_traced_call():
     """The traced names stay on the kernel path, and one map stays one batched
-    inversion: a handful of kernel-CDF evaluations, not one bisection per score."""
+    inversion: F_Y, then F_X at the support's midpoint and at each predicted
+    grid point, while Newton's passes stay inside the inverse's span."""
     tracing = load_tracing()
     rng = np.random.default_rng(3)
 
@@ -137,7 +138,7 @@ def test_kernel_map_inverts_in_one_traced_call():
     calls, _ = tracer.summary()
     assert calls["equating.EquipercentileMap.call"] == 1
     assert calls["core.inverse_cdf"] == 1
-    assert 1 <= calls["core.KernelCDF"] <= 100
+    assert calls["core.KernelCDF"] == 3
 
 
 def test_traced_study_folds_each_replication_into_fixed_size_accumulators():

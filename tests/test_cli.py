@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from localeq.cli import (
     EQUATE_METHODS,
+    MAX_CURVE_SCORES,
     DatasetSchema,
     _echo_config,
     _parse_columns,
@@ -837,6 +838,26 @@ def test_one_form_file_is_rejected_before_any_fit(tmp_path, capsys, argv, presen
     assert rc == 2
     assert capsys.readouterr().err == (
         f"error: form column 'group' holds no form {missing} records\n"
+    )
+    assert not any(out.iterdir())
+
+
+def test_score_range_past_the_curve_bound_is_rejected_before_any_write(tmp_path, capsys):
+    # each curve lists every raw score 0..max: near 10**12 that once asked for
+    # 7.28 TiB after the family table was already written
+    data = tmp_path / "huge.csv"
+    write_lines(data, ["g,s,a"] + [
+        f"{form},{10**12 + score},{anchor}"
+        for form in "XY" for score, anchor in ((0, 1), (3, 1), (5, 2), (9, 2))
+    ])
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["equate", "--method", "anchor", "--data", str(data),
+               "--schema", "form:g,score:s,anchor:a", "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: scores run to {10**12 + 9}; equate writes each curve over the raw scores "
+        f"0..max, so the maximum score must be below {MAX_CURVE_SCORES}\n"
     )
     assert not any(out.iterdir())
 

@@ -1,6 +1,11 @@
 """Tests for domain types, moments, ECDFs, and kernel continuization."""
 
+import functools
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -504,3 +509,129 @@ class TestInverseCDF:
         lo, hi = f.support
         assert inverse_cdf(f, 0.0) == lo
         assert inverse_cdf(f, 1.0) <= hi
+
+    def test_matches_the_bisection_oracle(self):
+        for cdf, p, q in oracle_maps():
+            for survival in (q, None):
+                np.testing.assert_allclose(inverse_cdf(cdf, p, survival=survival),
+                                           reference_inverse(cdf, p, survival), rtol=0, atol=1e-8)
+
+    def test_each_answer_is_the_first_qualifying_grid_point(self):
+        for cdf, p, q in oracle_maps():
+            for survival in (q, None):
+                assert_first_qualifying(cdf, p, survival, inverse_cdf(cdf, p, survival=survival))
+
+    def test_curves_are_non_decreasing_in_the_score(self):
+        # p rises and q falls along each map's score grid, as bench/checks.py's
+        # check_curve requires of the equated scores
+        for cdf, p, q in oracle_maps():
+            assert np.all(np.diff(inverse_cdf(cdf, p, survival=q)) >= 0.0)
+
+    def test_zero_scale_kernel_bisects_the_grid(self):
+        f = KernelCDF(WeightedSample(np.array([3.0, 3.0])), 1.0)
+        p = np.array([0.0, 0.5, 1.0])
+        x = inverse_cdf(f, p, survival=1.0 - p)
+        assert x.tolist() == [f.support[0], f.support[1], f.support[1]]
+
+    def test_support_of_large_magnitude_is_inverted_in_bounded_time(self):
+        # a fixed 1e-8 bisection never ended once the support's float spacing
+        # passed 1e-8; a subprocess keeps such a regression from hanging the suite
+        probe = (
+            "import json, sys, numpy as np\n"
+            "from localeq.core import KernelCDF, WeightedSample, inverse_cdf\n"
+            "c = float(sys.argv[1])\n"
+            "f = KernelCDF(WeightedSample(np.array([c, c + 3, c + 5])), 0.6)\n"
+            "p = np.array(json.loads(sys.argv[2]))\n"
+            "print(json.dumps(inverse_cdf(f, p, survival=1.0 - p).tolist()))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        p = [0.0, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0]
+        for center in (1e8, 1e12):
+            run = subprocess.run(
+                [sys.executable, "-c", probe, repr(center), json.dumps(p)],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert run.returncode == 0, run.stderr
+            f = KernelCDF(WeightedSample(np.array([center, center + 3, center + 5])), 0.6)
+            x = np.array(json.loads(run.stdout))
+            assert_first_qualifying(f, np.array(p), 1.0 - np.array(p), x)
+            assert np.all(np.abs(x - inverse_cdf(f, 0.5)) < 20.0)
+
+
+def reference_inverse(cdf, p, survival=None):
+    """The batched bisection inverse_cdf once ran, kept as an oracle: one
+    evaluation at the support's midpoint splits the entries, and each half
+    bisects all its entries in step to absolute tolerance 1e-8."""
+
+    def bisect(qualifies, lo, hi, size):
+        a, b = np.full(size, lo), np.full(size, hi)
+        at_lo = qualifies(a)
+        while (b - a > 1e-8).any():
+            mid = 0.5 * (a + b)
+            ok = qualifies(mid)
+            a, b = np.where(ok, a, mid), np.where(ok, mid, b)
+        return np.where(at_lo, lo, b)
+
+    lo, hi = cdf.support
+    half = 0.5 * (lo + hi)
+    out = np.empty(p.shape)
+    upper = p > cdf(half)
+    p_low, p_up = p[~upper], p[upper]
+    out[~upper] = bisect(lambda x: cdf(x) >= p_low, lo, half, p_low.size)
+    if survival is None:
+        out[upper] = bisect(lambda x: cdf(x) >= p_up, half, hi, p_up.size)
+    else:
+        q_up = survival[upper]
+        out[upper] = bisect(lambda x: cdf.sf(x) <= q_up, half, hi, q_up.size)
+    return out
+
+
+def assert_first_qualifying(cdf, p, q, x):
+    """Each x is a point of inverse_cdf's grid at which its entry qualifies, and
+    the grid point below it does not, within the entry's half of the grid."""
+    lo, hi = cdf.support
+    step = max(2.0**-27, 4.0 * np.spacing(max(abs(lo), abs(hi))))
+    top = math.ceil((hi - lo) / step)  # the grid's last point is hi
+    k = np.where(x == hi, top, np.round((x - lo) / step))
+    assert np.array_equal(x, np.minimum(lo + k * step, hi))
+    mid = math.ceil((0.5 * (lo + hi) - lo) / step)
+    upper = p > cdf(0.5 * (lo + hi))
+    first, last = np.where(upper, mid, 0), np.where(upper, top, mid)
+
+    def qualifies(x):
+        if q is None:
+            return cdf(x) >= p
+        return np.where(upper, cdf.sf(x) <= q, cdf(x) >= p)
+
+    assert np.all(qualifies(x) | (k == last))
+    assert not np.any(qualifies(np.minimum(lo + (k - 1) * step, hi)) & (k > first))
+
+
+@functools.cache
+def oracle_maps(count=2000):
+    """(form-X kernel CDF, p, q) of ``count`` random equipercentile maps: binomial
+    scores on 1-40 items, 2-3000 records, bandwidths 0.05-2.5, weighted or not,
+    some with a gap mid-scale and some read on a score grid past the support.
+    p and q are the form-Y CDF and survival function, as EquipercentileMap
+    passes them."""
+    rng = np.random.default_rng(20240)
+    maps = []
+    for _ in range(count):
+        items, n = int(rng.integers(1, 41)), int(rng.integers(2, 3001))
+        bandwidth = rng.uniform(0.05, 2.5)
+
+        def sample():
+            scores = rng.binomial(items, rng.uniform(0.2, 0.8), n).astype(float)
+            if rng.random() < 0.3:
+                kept = scores[(scores < 0.3 * items) | (scores > 0.6 * items)]
+                scores = kept if kept.size else scores
+            weights = rng.uniform(0.2, 5.0, scores.size) if rng.random() < 0.5 else None
+            return WeightedSample(scores, weights)
+
+        cdf_y, cdf_x = KernelCDF(sample(), bandwidth), KernelCDF(sample(), bandwidth)
+        grid = np.arange(-3.0, items + 4.0) if rng.random() < 0.3 else np.arange(items + 1.0)
+        p = np.maximum.accumulate(cdf_y(grid))
+        maps.append((cdf_x, p, np.minimum.accumulate(cdf_y.sf(grid))))
+    return maps
