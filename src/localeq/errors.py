@@ -65,6 +65,10 @@ class ConfigError(LocalEqError):
         super().__init__(message or f"invalid config keys: {', '.join(self.keys)}")
 
 
+class WorkerLostError(LocalEqError):
+    """A study worker process ended before it sent all its replications."""
+
+
 class DegenerateColumnWarning(UserWarning):
     """A covariate column had a single observed level and was dropped."""
 

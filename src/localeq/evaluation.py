@@ -8,8 +8,8 @@ Carlo bias, mean of estimate - truth) rides along as a diagnostic column,
 and its Monte Carlo standard error is available as ``signed_mcse``.
 The accumulator keeps running sums of the per-replication cell means, so
 its size does not depend on the replication count. Statistics are folded
-in replication order, which keeps the report bytes the same for any
-worker count.
+in replication order, also from forked workers, so the report bytes are
+the same for any worker count.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .equating import (
     pooled_transform,
     strat_family,
 )
-from .errors import LocalEqError, StudyUnstableWarning
+from .errors import LocalEqError, StudyUnstableWarning, WorkerLostError
 from .propensity import (
     estimate_propensity,
     fit_logistic,
@@ -323,6 +323,54 @@ def _run_replication(config, design, methods, seed_seq):
     return out
 
 
+def _send_share(fn, share, conn):
+    """A worker's loop: each outcome of its share in order, then any exception, down conn."""
+    try:
+        for item in share:
+            conn.send((True, fn(item)))
+    except Exception as exc:
+        conn.send((False, exc))
+
+
+def _forked_map(fn, items, workers: int):
+    """fn over the sequence items, in order. Above one worker, worker j of w = min(workers,
+    len(items)) forked processes maps items j, j + w, ... and sends each outcome, or its
+    exception, down its own pipe; every exit path terminates and joins the workers."""
+    w = min(workers, len(items))
+    if w <= 1:
+        yield from map(fn, items)
+        return
+    # imported here so a one-worker study never loads multiprocessing
+    from multiprocessing import get_context
+
+    context = get_context("fork")
+    shares = []  # (worker, the read end of its pipe)
+    try:
+        for j in range(w):
+            reader, writer = context.Pipe(duplex=False)
+            proc = context.Process(target=_send_share, args=(fn, items[j::w], writer))
+            proc.start()
+            shares.append((proc, reader))
+            writer.close()  # the worker holds the only writer, so its exit ends the pipe
+        for i in range(len(items)):
+            proc, reader = shares[i % w]
+            try:
+                ok, outcome = reader.recv()
+            except EOFError:
+                proc.join()
+                raise WorkerLostError(
+                    f"study worker {i % w} exited with code {proc.exitcode} before sending its share"
+                ) from None
+            if not ok:
+                raise outcome
+            yield outcome
+    finally:
+        for proc, reader in shares:
+            proc.terminate()
+            proc.join()
+            reader.close()
+
+
 def run_study(
     config: SimulationConfig,
     methods: Sequence[str],
@@ -333,7 +381,9 @@ def run_study(
 
     Item and covariate parameters are drawn once per scenario; each
     replication redraws examinees and refits the propensity model from its
-    own seed stream, so reports are identical for any worker count.
+    own seed stream. On min(workers, replications) forked processes, each a
+    fixed share (`_forked_map`), they are folded in replication order, so
+    reports are identical for any worker count.
     """
     for method in methods:
         if method not in METHODS:
@@ -342,31 +392,21 @@ def run_study(
         scenario = f"N{config.n}_{config.covariate_strength}"
     seeds = np.random.SeedSequence(config.seed).spawn(config.replications + 1)
     design = draw_design(config, np.random.default_rng(seeds[0]))
+    # before the tallies exist, so its scratch arrays do not add to theirs at the study's peak
+    omitted = apply_omission_rule(
+        mixture_score_distribution(design.form_y_items, config.group_theta_means, config.theta_sd)
+    )
 
     accumulators = {m: ErrorAccumulator(config.nbins, config.items + 1) for m in methods}
     failures = {m: 0 for m in methods}
 
-    def collect(outcomes):
-        for rep_out in outcomes:  # in replication order, whatever the worker count
-            for method in methods:
-                if rep_out[method] is None:
-                    failures[method] += 1
-                else:
-                    accumulators[method].insert(rep_out[method])
-
     replicate = partial(_run_replication, config, design, methods)
-    if workers > 1:
-        # imported here so a one-worker study never loads the process-pool machinery
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        # the pool starts all its workers at the first submit: no more than there are replications
-        with ProcessPoolExecutor(
-            max_workers=min(workers, config.replications), mp_context=get_context("fork")
-        ) as pool:
-            collect(pool.map(replicate, seeds[1:]))
-    else:
-        collect(map(replicate, seeds[1:]))
+    for rep_out in _forked_map(replicate, seeds[1:], workers):  # in replication order
+        for method in methods:
+            if rep_out[method] is None:
+                failures[method] += 1
+            else:
+                accumulators[method].insert(rep_out[method])
 
     for method, n_failed in failures.items():
         if n_failed > 0.05 * config.replications:
@@ -375,11 +415,6 @@ def run_study(
                 StudyUnstableWarning,
                 stacklevel=2,
             )
-
-    probs = mixture_score_distribution(
-        design.form_y_items, config.group_theta_means, config.theta_sd
-    )
-    omitted = apply_omission_rule(probs)
 
     results = {
         m: MethodResult(

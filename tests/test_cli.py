@@ -1217,6 +1217,44 @@ class TestSimulateCommand:
         assert rc == 0
         assert (env_dir / "summary.csv").exists()
 
+    def test_a_dead_worker_is_one_error_line(self, tmp_path):
+        # in a subprocess, with a timeout, so a hung study fails the test
+        config = tmp_path / "study.cfg"
+        config.write_text(
+            TINY_CONFIG.replace("workers = 1", "workers = 2").replace(
+                "replications = 2", "replications = 6"
+            ),
+            encoding="utf-8",
+        )
+        argv = ["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]
+        proc = subprocess.run(
+            [sys.executable, "-c", DYING_WORKER_PROBE, *argv],
+            capture_output=True, text=True, cwd=tmp_path, env=src_env(), timeout=120,
+        )
+        assert proc.stderr == "error: study worker 1 exited with code 9 before sending its share\n"
+        # the exit code, then the child processes left behind
+        assert proc.stdout.splitlines()[-1] == "2 0"
+
+
+# worker 1 of 2 runs replications 1, 3, 5 and dies at 3; prints main()'s
+# exit code and the number of child processes left
+DYING_WORKER_PROBE = """
+import multiprocessing, os, sys
+from localeq import evaluation
+from localeq.cli import main
+
+replicate = evaluation._run_replication
+
+def dies_at_replication_3(config, design, methods, seed_seq):
+    if seed_seq.spawn_key == (4,):  # seeds[0] draws the design
+        os._exit(9)
+    return replicate(config, design, methods, seed_seq)
+
+evaluation._run_replication = dies_at_replication_3
+rc = main(sys.argv[1:])
+print(rc, len(multiprocessing.active_children()))
+"""
+
 
 class TestEntryPoint:
     def test_console_script_help(self):
@@ -1245,7 +1283,7 @@ print(rc, *[name for name in heavy if name in sys.modules])
 
 
 class TestColdStart:
-    """Only a kernel (--bandwidth) method loads scipy; no one-worker run loads the process pool."""
+    """Only a kernel (--bandwidth) method loads scipy; no one-worker run loads multiprocessing."""
 
     def probe(self, tmp_path, command):
         data = tmp_path / "sim.csv"
