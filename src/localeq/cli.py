@@ -450,15 +450,14 @@ def _build_family(args) -> tuple:
 
 
 def _family_rows(family: TransformFamily):
-    rows = []
-    for index in sorted(set(family.entries) | set(family.omitted)):
-        transform = family.entries.get(index)
-        if isinstance(transform, LinearTransform):
-            stats = (transform.slope, transform.mu_y, transform.mu_x)
-        else:
-            stats = ("", "", "")
-        rows.append((index,) + stats + (0 if index in family.entries else 1,))
-    return rows
+    maps = family.maps
+    if isinstance(maps, LinearTransform):
+        stats = zip(*(col.ravel().tolist() for col in (maps.slope, maps.mu_y, maps.mu_x)))
+    else:
+        stats = [("", "", "")] * len(family)
+    rows = [(index, *row, 0) for index, row in zip(family.cells.tolist(), stats)]
+    rows += [(index, "", "", "", 1) for index in family.omitted]
+    return sorted(rows, key=lambda row: row[0])
 
 
 def cmd_equate(args) -> int:

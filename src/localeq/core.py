@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     DimensionError,
+    EmptyFamilyError,
     EmptyInputError,
     InvalidBandwidthError,
     InvalidProbabilityError,
@@ -103,62 +105,69 @@ class LinearTransform:
 
     ``slope`` is the ratio of conditional standard deviations (X over Y),
     ``mu_y`` and ``mu_x`` the conditional means being matched. Maps ``mu_y``
-    exactly onto ``mu_x``.
+    exactly onto ``mu_x``. A family's map holds (cells, 1) columns: called on a
+    row of scores it maps them for every cell at once, and ``[i]`` is cell i's.
     """
 
-    slope: float
-    mu_y: float
-    mu_x: float
+    slope: float | np.ndarray
+    mu_y: float | np.ndarray
+    mu_x: float | np.ndarray
 
     def __post_init__(self):
-        if not self.slope > 0:
-            raise ValueError(f"slope must be positive, got {self.slope}")
+        positive = self.slope > 0  # a bool for one cell's map, an array for a family's
+        if not (positive if isinstance(positive, bool) else positive.all()):  # NaN included
+            raise ValueError(f"slope must be positive, got {np.min(self.slope)}")
 
     def __call__(self, y):
-        return self.apply(np.asarray(y, dtype=float), self.slope, self.mu_y, self.mu_x)
+        return self.slope * (np.asarray(y, dtype=float) - self.mu_y) + self.mu_x
 
-    @staticmethod
-    def apply(y, slope, mu_y, mu_x):
-        """The map's arithmetic on arrays that broadcast: with (cells, 1)
-        columns of parameters and a row of scores, every cell's map at once."""
-        return slope * (y - mu_y) + mu_x
-
-    def inverse(self) -> "LinearTransform":
-        """The reverse-direction map built from the same cell moments."""
-        return LinearTransform(1.0 / self.slope, self.mu_x, self.mu_y)
+    def __getitem__(self, i):
+        return LinearTransform(self.slope.item(i), self.mu_y.item(i), self.mu_x.item(i))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TransformFamily:
     """A family of equating maps indexed by a conditioning value.
 
-    ``index_kind`` is ``anchor_score`` or ``stratum``.
-    ``entries`` maps each qualifying index value to its transform (a
-    :class:`LinearTransform` or any monotone callable); ``omitted`` lists
-    index values observed in the data but with insufficient data to estimate
-    a transform. The two sets are disjoint and jointly cover every observed
-    index value.
+    ``index_kind`` is ``anchor_score``, ``stratum`` or ``theta_bin``. ``cells``
+    holds the fitted index values, ascending, read-only int64; ``maps[i]`` is the
+    map of ``cells[i]``: ``maps`` is a :class:`LinearTransform` of (cells, 1)
+    columns, or a list of monotone callables. ``omitted`` lists index values
+    observed but with insufficient data to estimate a transform. The two sets
+    are disjoint and jointly cover every observed index value.
     """
 
     index_kind: str
-    entries: dict = field(default_factory=dict)
+    cells: np.ndarray
+    maps: object
     omitted: list = field(default_factory=list)
 
     def __post_init__(self):
-        overlap = set(self.entries) & set(self.omitted)
+        cells = _read_only(np.asarray(self.cells, dtype=np.int64).reshape(-1))
+        if not cells.size:
+            raise EmptyFamilyError(f"no {self.index_kind} cell qualified for a transform")
+        listed = cells.tolist()
+        if listed != sorted(set(listed)):
+            raise ValueError("fitted cells must be distinct and ascending")
+        overlap = set(listed) & set(self.omitted)
         if overlap:
             raise ValueError(f"indices both fitted and omitted: {sorted(overlap)}")
+        object.__setattr__(self, "cells", cells)
+
+    @cached_property
+    def entries(self) -> dict:
+        """The per-cell view ``{cell: map}``, built once per family."""
+        return {cell: self.maps[i] for i, cell in enumerate(self.cells.tolist())}
 
     def nearest(self, index):
-        """The fitted index value closest to ``index`` (ties go low)."""
-        if index in self.entries:
-            return index
-        if not self.entries:
-            raise KeyError(f"family has no fitted entries near {index!r}")
-        return min(self.entries, key=lambda v: (abs(v - index), v))
+        """The fitted index value closest to ``index``, elementwise (ties go low)."""
+        cells = self.cells
+        above = np.minimum(np.searchsorted(cells, index), cells.size - 1)
+        below = np.maximum(above - 1, 0)
+        return cells[np.where(index - cells[below] <= cells[above] - index, below, above)]
 
     def __len__(self):
-        return len(self.entries)
+        return self.cells.size
 
 
 @dataclass(frozen=True)

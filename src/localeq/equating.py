@@ -28,7 +28,7 @@ from .core import (
     inverse_cdf,
     sorted_quantiles,
 )
-from .errors import DimensionError, EmptyFamilyError, InvalidWeightError
+from .errors import DimensionError, InvalidWeightError
 from .propensity import StratumAssignment
 
 __all__ = [
@@ -77,7 +77,8 @@ DENSE_BINS_PER_RECORD = 16
 
 
 def _linear_maps(value, mass, run, weighted):
-    """Conditional-moment linear transforms, None for a cell with a zero sd.
+    """The cells with a positive sd in both forms, and their conditional-moment
+    linear maps as one LinearTransform of (cells, 1) columns.
 
     Each run's mean is S1 / n, S1 = sum c_s s; its variance the centred second pass
     sum c_s (s - mean)^2 over n - 1 (unit weights: anchor scores, strata) or over the
@@ -87,21 +88,18 @@ def _linear_maps(value, mass, run, weighted):
     total = np.bincount(run, mass)
     mean = np.bincount(run, mass * value) / total
     var = np.bincount(run, mass * (value - mean[run]) ** 2) / (total if weighted else total - 1)
-    sd = np.where(np.bincount(run) > 1, np.sqrt(var), 0.0)
-    (mu_x, mu_y), (sd_x, sd_y) = mean.reshape(-1, 2).T.tolist(), sd.reshape(-1, 2).T.tolist()
-    return [
-        LinearTransform(a / b, m_y, m_x) if a > 0.0 and b > 0.0 else None
-        for m_x, m_y, a, b in zip(mu_x, mu_y, sd_x, sd_y)
-    ]
+    sd = np.where(np.bincount(run) > 1, np.sqrt(var), 0.0).reshape(-1, 2)  # per cell: X, Y
+    mean, f = mean.reshape(-1, 2), (np.minimum(sd[:, 0], sd[:, 1]) > 0.0).nonzero()[0]
+    return f, LinearTransform(sd[f, :1] / sd[f, 1:], mean[f, 1:], mean[f, :1])
 
 
 def _cdf_maps(cdf):
     """Per cell, the equipercentile map between ``cdf`` of each form's histogram
-    row: a WeightedSample of its distinct scores and their mass."""
+    row: a WeightedSample of its distinct scores and their mass. Every cell fits."""
     def fit(value, mass, run, weighted):
         ends = np.cumsum(np.bincount(run)).tolist()
         cdfs = [cdf(WeightedSample(value[a:b], mass[a:b])) for a, b in zip([0] + ends, ends)]
-        return [EquipercentileMap(cdf_y, cdf_x) for cdf_x, cdf_y in zip(cdfs[::2], cdfs[1::2])]
+        return slice(None), [EquipercentileMap(y, x) for x, y in zip(cdfs[::2], cdfs[1::2])]
 
     return fit
 
@@ -114,11 +112,11 @@ def _fit_cells(table: ScoreTable, by, fit) -> TransformFamily:
     so it never qualifies). A cell qualifies with ``MIN_CELL_SIZE`` records of each
     form; one holding a weight that is not finite and > 0 raises InvalidWeightError.
     One ``np.bincount`` counts each bin's records, a second totals IPW weights in
-    record order. ``fit(value, mass, run, weighted)`` then gives each qualifying cell
-    a transform, or None to omit it: run 2i is cell i's form-X histogram, 2i + 1 its
-    form-Y one, a bin per distinct score (``value``, ascending) with its record count
-    or weight total (``mass``). Sums over a run are ``np.bincount``s in score order,
-    so a plain per-cell loop gives the same bits.
+    record order. ``fit(value, mass, run, weighted)`` returns the qualifying cells it
+    fits (an index; the rest are omitted) and their ``maps``: run 2i is cell i's form-X
+    histogram, 2i + 1 its form-Y one, a bin per distinct score (``value``, ascending)
+    with its record count or weight total (``mass``). Sums over a run are
+    ``np.bincount``s in score order, so a plain per-cell loop gives the same bits.
     """
     weights = None
     if isinstance(by, IPWWeights):
@@ -163,13 +161,11 @@ def _fit_cells(table: ScoreTable, by, fit) -> TransformFamily:
     qualifies = np.zeros(run_cell.size, bool)
     qualifies[x] = qualifies[x + 1] = True
     kept = qualifies[run]
-    transforms = fit(value[kept].astype(float), mass[kept].astype(float, copy=False),
-                     new_run[kept].cumsum() - 1, weights is not None)
-    entries = {c: t for c, t in zip(run_cell[x].tolist(), transforms) if t is not None}
-    if not entries:
-        raise EmptyFamilyError(f"no {kind} cell qualified for a transform")
-    omitted = [c for c in cell[new_cell].tolist() if c not in entries]
-    return TransformFamily(index_kind=kind, entries=entries, omitted=omitted)
+    fitted, maps = fit(value[kept].astype(float), mass[kept].astype(float, copy=False),
+                       new_run[kept].cumsum() - 1, weights is not None)
+    cells = run_cell[x][fitted]
+    omitted = sorted(set(cell[new_cell].tolist()) - set(cells.tolist()))
+    return TransformFamily(index_kind=kind, cells=cells, maps=maps, omitted=omitted)
 
 
 def anchor_family(table: ScoreTable) -> TransformFamily:
@@ -319,29 +315,21 @@ def family_at_percentiles(
     """Pick the transforms at given percentiles of the conditioning variable.
 
     The index value at percentile p is the generalized-inverse empirical
-    quantile of ``index_values``. A percentile landing on an omitted index
-    resolves to the nearest fitted index, with a warning.
+    quantile of ``index_values``, and ``family.nearest`` resolves all at once: an
+    omitted index to the nearest fitted index, with a warning.
     """
-    if not family.entries:
-        raise EmptyFamilyError("family has no fitted entries")
-    values = np.asarray(index_values)
+    requested = np.quantile(index_values, np.divide(percentiles, 100.0), method="inverted_cdf")
     selections = []
-    for p in percentiles:
-        requested = np.quantile(values, p / 100.0, method="inverted_cdf")
-        requested = int(requested) if float(requested).is_integer() else float(requested)
-        if requested in family.entries:
-            resolved = requested
-        else:
-            resolved = family.nearest(requested)
+    for p, want, got in zip(percentiles, requested.tolist(), family.nearest(requested).tolist()):
+        want = int(want) if float(want).is_integer() else float(want)
+        if want != got:
             warnings.warn(
-                f"percentile {p} maps to omitted index {requested}; "
-                f"using nearest fitted index {resolved}",
+                f"percentile {p} maps to omitted index {want}; "
+                f"using nearest fitted index {got}",
                 UserWarning,
                 stacklevel=2,
             )
-        selections.append(
-            PercentileSelection(p, requested, resolved, family.entries[resolved])
-        )
+        selections.append(PercentileSelection(p, want, got, family.entries[got]))
     return selections
 
 
@@ -353,4 +341,4 @@ def pooled_transform(table: ScoreTable) -> LinearTransform:
     everyone = StratumAssignment(
         K=1, labels=np.ones(len(table), dtype=int), boundaries=np.empty(0)
     )
-    return _fit_cells(table, everyone, _linear_maps).entries[1]
+    return _fit_cells(table, everyone, _linear_maps).maps[0]

@@ -4,6 +4,10 @@
 class LocalEqError(Exception):
     """Base class for all errors raised by localeq."""
 
+    def __reduce__(self):
+        # without __init__: in SchemaError, RowError and ConfigError it takes other arguments
+        return Exception.__new__, (type(self), *self.args), self.__dict__
+
 
 class EmptyInputError(LocalEqError):
     """An operation received an empty sample."""

@@ -21,7 +21,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LinearTransform
 from .equating import (
     anchor_family,
     ipw_family,
@@ -37,7 +36,6 @@ from .propensity import (
 )
 from .simulation import (
     SimulationConfig,
-    SimulationDesign,
     draw_design,
     gen_population,
     mixture_score_distribution,
@@ -246,18 +244,12 @@ def write_rows(path, header, rows):
         fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
-def _on_score_grid(map_of, cells, scores, items: int) -> np.ndarray:
-    """Each record's score under its cell's :class:`LinearTransform`, ``map_of(cell)``:
-    every distinct cell's map is evaluated on the score grid 0..items in one
-    array by ``LinearTransform.apply``, then gathered by (cell, score). Cells are
-    small non-negative ints (anchor scores, stratum or bin labels), so one count
-    per value sorts them."""
-    present = np.bincount(cells)
-    distinct, row = np.flatnonzero(present), (np.cumsum(present > 0) - 1)[cells]
-    maps = map(map_of, distinct.tolist())
-    slope, mu_y, mu_x = np.array([(m.slope, m.mu_y, m.mu_x) for m in maps]).T[..., None]
-    grid = np.arange(items + 1, dtype=float)
-    return LinearTransform.apply(grid, slope, mu_y, mu_x)[row, scores]
+def _on_score_grid(family, cells, scores, items: int) -> np.ndarray:
+    """Each record's score under its cell's map in the linear ``family`` (an unfitted cell
+    takes its nearest fitted cell's): the maps on the score grid 0..items in one broadcast,
+    gathered by (cell, score). Cells are small non-negative ints, each value resolved once."""
+    position = np.searchsorted(family.cells, family.nearest(np.arange(cells.max() + 1)))
+    return family.maps(np.arange(items + 1.0))[position[cells], scores]
 
 
 def _propensity_stage(pop, strata: int):
@@ -287,9 +279,7 @@ def _equate_target_scores(method, table, pop, config, target, stage):
             weights = ipw_weights(table, assignment, propensities, config.trim_alpha)
             family = ipw_family(table, weights)
         cells = assignment.labels[target]
-    return _on_score_grid(
-        lambda cell: family.entries[family.nearest(cell)], cells, pop.score[target], config.items
-    )
+    return _on_score_grid(family, cells, pop.score[target], config.items)
 
 
 def _run_replication(config, design, methods, seed_seq):
@@ -308,7 +298,7 @@ def _run_replication(config, design, methods, seed_seq):
         truth = true_transform(theta, labels, design.form_x_items, design.form_y_items)
     except LocalEqError:
         return out
-    true_eq = _on_score_grid(truth.__getitem__, labels, scores, config.items)
+    true_eq = _on_score_grid(truth, labels, scores, config.items)
     grid = ErrorAccumulator(config.nbins, config.items + 1)
     cells = grid.cells(labels, scores)
     # strat and ipw share one fit, made on first use; ipw retries one that raised

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LinearTransform, ScoreTable, cell_runs
+from .core import LinearTransform, ScoreTable, TransformFamily, cell_runs
 from .errors import OmittedBinError
 from .propensity import sigmoid, sigmoid_inplace
 
@@ -313,8 +313,8 @@ def conditional_score_moments(items: ItemParams, theta):
 
 def true_transform(
     thetas, labels, form_x_items: ItemParams, form_y_items: ItemParams
-) -> dict:
-    """True linear transform of every ability bin, ``{label: LinearTransform}``.
+) -> TransformFamily:
+    """True linear transform of every ability bin: a ``theta_bin`` family of the labels.
 
     ``labels`` names each theta's bin, or is one label for all; a label is a whole
     number >= 0 (``bin_by_theta`` gives 1..nbins), else ValueError. Bin-level moments
@@ -340,12 +340,11 @@ def true_transform(
     stats = bin_sums(moments) / counts
     d = moments[::2] - np.repeat(stats[::2], counts, axis=1)
     stats[1::2] += bin_sums(d * d) / counts
-    mu_x, var_x, mu_y, var_y = stats
-    degenerate = (var_x <= 0.0) | (var_y <= 0.0)
+    degenerate = (stats[1::2] <= 0.0).any(axis=0)  # var_x or var_y
     if degenerate.any():
         raise OmittedBinError(f"degenerate score distribution in bin {bins[degenerate][0]}")
-    maps = map(LinearTransform, np.sqrt(var_x / var_y).tolist(), mu_y.tolist(), mu_x.tolist())
-    return dict(zip(bins.tolist(), maps))
+    mu_x, var_x, mu_y, var_y = stats[..., None]  # (bins, 1) columns
+    return TransformFamily("theta_bin", bins, LinearTransform(np.sqrt(var_x / var_y), mu_y, mu_x))
 
 
 def score_distribution(items: ItemParams, nodes, weights) -> np.ndarray:

@@ -93,6 +93,18 @@ EQUATE_CSV_SPANS = {
     "diagnose": {**PROPENSITY_SPANS, "propensity.stratify_quantile": 3,
                  "propensity.balance_report": 3},
 }
+# the cells each command's family fits and observes: the family observer's counts
+EQUATE_CSV_CELLS = {
+    "equate-anchor": {"cells_fitted.anchor": 10, "cells_observed.anchor": 11},
+    "equate-strat": {"cells_fitted.strat": 20, "cells_observed.strat": 20},
+    "equate-ipw": {"cells_fitted.ipw": 20, "cells_observed.ipw": 20},
+    "equate-eqp-anchor": {"cells_fitted.equipercentile": 10, "cells_observed.equipercentile": 11},
+    "equate-eqp-anchor-kernel": {"cells_fitted.equipercentile": 10,
+                                 "cells_observed.equipercentile": 11},
+    "equate-eqp-ipw-kernel": {"cells_fitted.equipercentile": 20,
+                              "cells_observed.equipercentile": 20},
+    "diagnose": {},
+}
 
 
 def test_each_equate_csv_command_keeps_its_traced_calls(tmp_path, monkeypatch, capsys):
@@ -104,7 +116,7 @@ def test_each_equate_csv_command_keeps_its_traced_calls(tmp_path, monkeypatch, c
     spec.loader.exec_module(bench_run)
     tracing = load_tracing()
     golden = Path(__file__).resolve().parent / "golden"
-    got = {}
+    got, cells = {}, {}
     for name, base in bench_run.EQUATE_COMMANDS:
         tracer = tracing.Tracer()
         with tracer.installed(tracing.targets(localeq)):
@@ -115,8 +127,10 @@ def test_each_equate_csv_command_keeps_its_traced_calls(tmp_path, monkeypatch, c
             )
         assert rc == 0, name
         got[name] = dict(tracer.summary()[0])
+        cells[name] = {key: n for key, n in tracer.counts.items() if key.startswith("cells_")}
     assert got == {name: {"cli.parse_dataset": 1, **spans}
                    for name, spans in EQUATE_CSV_SPANS.items()}
+    assert cells == EQUATE_CSV_CELLS
 
 
 def test_kernel_map_inverts_in_one_traced_call():

@@ -28,6 +28,7 @@ from localeq.core import (
 )
 from localeq.errors import (
     DimensionError,
+    EmptyFamilyError,
     EmptyInputError,
     InvalidBandwidthError,
     InvalidProbabilityError,
@@ -111,12 +112,6 @@ class TestLinearTransform:
         t = LinearTransform(slope=0.7, mu_y=23.0, mu_x=19.5)
         assert t(23.0) == pytest.approx(19.5, abs=1e-10)
 
-    def test_inverse_composition_is_identity(self):
-        t = LinearTransform(slope=1.3, mu_y=8.0, mu_x=11.0)
-        back = t.inverse()
-        for y in (0.0, 4.5, 8.0, 40.0):
-            assert back(t(y)) == pytest.approx(y, abs=1e-10)
-
     def test_slope_must_be_positive(self):
         with pytest.raises(ValueError):
             LinearTransform(slope=0.0, mu_y=0.0, mu_x=0.0)
@@ -130,12 +125,12 @@ class TestTransformFamily:
     def test_disjoint_entries_and_omitted(self):
         t = LinearTransform(1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            TransformFamily(index_kind="stratum", entries={1: t}, omitted=[1])
+            TransformFamily(index_kind="stratum", cells=[1], maps=[t], omitted=[1])
 
     def test_nearest_prefers_exact_then_low(self):
         t = LinearTransform(1.0, 0.0, 0.0)
         fam = TransformFamily(
-            index_kind="anchor_score", entries={2: t, 6: t}, omitted=[4]
+            index_kind="anchor_score", cells=[2, 6], maps=[t, t], omitted=[4]
         )
         assert fam.nearest(6) == 6
         assert fam.nearest(3) == 2
@@ -144,8 +139,47 @@ class TestTransformFamily:
 
     def test_len(self):
         t = LinearTransform(1.0, 0.0, 0.0)
-        fam = TransformFamily(index_kind="stratum", entries={3: t, 1: t})
+        fam = TransformFamily(index_kind="stratum", cells=[1, 3], maps=[t, t])
         assert len(fam) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cells=st.lists(st.integers(0, 2**62), min_size=1, max_size=30, unique=True),
+        extra=st.lists(st.integers(0, 2**62), max_size=10),
+    )
+    @example(cells=[2, 6], extra=[4])
+    @example(cells=[0, 2**62], extra=[2**61])
+    def test_nearest_matches_the_scalar_rule(self, cells, extra):
+        cells = sorted(cells)
+        t = LinearTransform(1.0, 0.0, 0.0)
+        fam = TransformFamily("anchor_score", cells, [t] * len(cells))
+        # exact hits and their neighbours, beyond either end too; each midpoint
+        # between neighbours, a tie where their gap is even, and the next value
+        mids = [(a + b) // 2 for a, b in zip(cells, cells[1:])]
+        queries = cells + [c - 1 for c in cells] + [c + 1 for c in cells] + mids
+        queries += [m + 1 for m in mids] + extra
+        want = [min(cells, key=lambda v: (abs(v - i), v)) for i in queries]
+        assert fam.nearest(np.array(queries)).tolist() == want
+
+    def test_cells_are_ascending_and_at_least_one(self):
+        t = LinearTransform(1.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="ascending"):
+            TransformFamily("stratum", [3, 1], [t, t])
+        with pytest.raises(EmptyFamilyError, match="no stratum cell qualified"):
+            TransformFamily("stratum", [], [], omitted=[2])
+
+    def test_columns_broadcast_and_index_per_cell(self):
+        slope, mu_y, mu_x = np.array([[0.5, 1.0, 4.0], [2.0, 3.0, 0.0]]).T[..., None]
+        fam = TransformFamily("stratum", [1, 3], LinearTransform(slope, mu_y, mu_x))
+        table = fam.maps(np.arange(5.0))
+        assert table.shape == (2, 5)
+        assert fam.entries is fam.entries  # built once per family
+        for i, (cell, t) in enumerate(fam.entries.items()):
+            assert type(t.slope) is float and t == fam.maps[i]
+            assert table[i].tobytes() == t(np.arange(5.0)).tobytes()
+        assert list(fam.entries) == [1, 3]
+        with pytest.raises(ValueError, match="positive"):
+            LinearTransform(np.array([[1.0], [np.nan]]), mu_y, mu_x)
 
 
 class TestMoments:

@@ -12,20 +12,22 @@ from hypothesis import strategies as st
 
 from localeq.cli import main
 from localeq.core import LinearTransform, TransformFamily
-from localeq.errors import StudyUnstableWarning, WorkerLostError
+from localeq.equating import anchor_family, ipw_family, ipw_weights, strat_family
+from localeq.errors import RowError, StudyUnstableWarning, WorkerLostError
 from localeq.evaluation import (
     METHODS,
     ErrorAccumulator,
     EvaluationReport,
     _forked_map,
     _on_score_grid,
+    _propensity_stage,
     _run_replication,
     apply_omission_rule,
     bin_by_theta,
     run_study,
     write_rows,
 )
-from localeq.simulation import SimulationConfig, draw_design, gen_population
+from localeq.simulation import SimulationConfig, draw_design, gen_population, true_transform
 
 
 class TestBinByTheta:
@@ -361,7 +363,10 @@ class TestOnScoreGrid:
                 )
                 for cell in (1, 3, 6)
             }
-            family = TransformFamily("stratum", entries, omitted=[0, 2, 4, 9])
+            columns = np.array([(t.slope, t.mu_y, t.mu_x) for t in entries.values()]).T
+            family = TransformFamily(
+                "stratum", list(entries), LinearTransform(*columns[..., None]), omitted=[0, 2, 4, 9]
+            )
             cells = rng.choice([0, 1, 2, 3, 4, 6, 9], 500)
             scores = rng.integers(0, items + 1, 500)
 
@@ -371,11 +376,57 @@ class TestOnScoreGrid:
             grid = np.arange(items + 1, dtype=float)
             distinct, row = np.unique(cells, return_inverse=True)
             expected = np.stack([map_of(int(c))(grid) for c in distinct])[row, scores]
-            got = _on_score_grid(map_of, cells, scores, items)
+            got = _on_score_grid(family, cells, scores, items)
             assert got.tobytes() == expected.tobytes()
             for cell, nearest in ((0, 1), (2, 1), (4, 3), (9, 6)):
                 at = cells == cell
                 assert got[at].tobytes() == entries[nearest](scores[at]).tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_each_study_family_equals_the_per_record_map(self, seed):
+        # the families of one replication and its truth; some anchor values
+        # of the target group have no fitted cell and take their nearest one
+        config = SimulationConfig(n=1000, seed=seed)
+        design = draw_design(config, np.random.default_rng(seed))
+        pop = gen_population(config, np.random.default_rng(seed + 100), design)
+        table, target = pop.to_records(), pop.form == 1
+        assignment, propensities = _propensity_stage(pop, config.strata)
+        weights = ipw_weights(table, assignment, propensities, config.trim_alpha)
+        labels, _ = bin_by_theta(pop.theta[target], config.nbins)
+        truth = true_transform(pop.theta[target], labels, design.form_x_items, design.form_y_items)
+        strata = assignment.labels[target]
+        families = {
+            "anchor": (anchor_family(table), pop.anchor_score[target]),
+            "strat": (strat_family(table, assignment), strata),
+            "ipw": (ipw_family(table, weights), strata),
+            "truth": (truth, labels),
+        }
+        scores = pop.score[target]
+        anchor, anchors = families["anchor"]
+        assert not np.isin(anchors, anchor.cells).all()
+        for name, (family, cells) in families.items():
+            pairs = zip(cells.tolist(), scores.tolist())
+            want = np.array([family.entries[family.nearest(c)](s) for c, s in pairs])
+            got = _on_score_grid(family, cells, scores, config.items)
+            assert got.tobytes() == want.tobytes(), name
+
+
+def test_a_replication_builds_no_map_per_cell(monkeypatch):
+    # one linear map per family and the truth, one more for the pooled
+    # baseline's cell: as many with 4 strata and 10 anchor items as with 16 and 30
+    built = []
+    check = LinearTransform.__post_init__
+    monkeypatch.setattr(LinearTransform, "__post_init__", lambda t: built.append(t) or check(t))
+    counts = []
+    for strata, anchor_items in ((4, 10), (16, 30)):
+        config = SimulationConfig(n=1000, strata=strata, anchor_items=anchor_items, nbins=strata)
+        seeds = np.random.SeedSequence(config.seed).spawn(2)
+        design = draw_design(config, np.random.default_rng(seeds[0]))
+        built.clear()
+        out = _run_replication(config, design, METHODS, seeds[1])
+        assert all(tally is not None for tally in out.values())
+        counts.append(len(built))
+    assert counts == [6, 6]
 
 
 class TestOmissionRule:
@@ -629,6 +680,18 @@ class TestForkedMap:
             for outcome in _forked_map(square_unless_three, range(8), 2):
                 got.append(outcome)
         assert got == [0, 1, 4]
+
+    def test_a_localeq_error_reaches_the_caller_whole(self):
+        # a worker's exception crosses its pipe pickled
+        def bad_row_at_three(i):
+            if i == 3:
+                raise RowError(i, "bad")
+            return i
+
+        with pytest.raises(RowError) as exc:
+            list(_forked_map(bad_row_at_three, range(8), workers=2))
+        assert type(exc.value) is RowError
+        assert (exc.value.row, str(exc.value)) == (3, "row 3: bad")
 
     def test_closing_the_map_early_leaves_no_worker(self):
         outcomes = _forked_map(lambda i: i * i, range(10), 2)

@@ -536,7 +536,7 @@ class TestTrueTransform:
     def test_identical_forms_identity(self):
         items = draw_items(10, np.random.default_rng(1))
         thetas = np.random.default_rng(2).standard_normal(50)
-        t = true_transform(thetas, 0, items, items)[0]
+        t = true_transform(thetas, 0, items, items).entries[0]
         assert t.slope == pytest.approx(1.0)
         for y in (2.0, 5.0, 8.0):
             assert t(y) == pytest.approx(y, abs=1e-10)
@@ -546,7 +546,7 @@ class TestTrueTransform:
         # Y has 8 (mu 4, var 2) -> slope .5 and t(4) = 1
         x_items = ItemParams(a=np.ones(2), b=np.zeros(2))
         y_items = ItemParams(a=np.ones(8), b=np.zeros(8))
-        t = true_transform([0.0], 0, x_items, y_items)[0]
+        t = true_transform([0.0], 0, x_items, y_items).entries[0]
         assert t.slope == pytest.approx(0.5)
         assert t(4.0) == pytest.approx(1.0)
 
@@ -558,7 +558,7 @@ class TestTrueTransform:
         gaps = []
         for step in np.linspace(1.0, 0.0, 5):
             y_items = ItemParams(a=x_items.a, b=x_items.b + step * (b_far - x_items.b))
-            t = true_transform(thetas, 0, x_items, y_items)[0]
+            t = true_transform(thetas, 0, x_items, y_items).entries[0]
             gaps.append(abs(t.slope - 1.0) + abs(t(10.0) - 10.0))
         assert gaps[-1] < 1e-10
         assert gaps[0] > gaps[-1]
@@ -595,7 +595,7 @@ class TestTrueTransform:
             mu_x, var_x = conditional_score_moments(x_items, thetas)
             mu_y, var_y = conditional_score_moments(y_items, thetas)
             slope = math.sqrt((var_x.mean() + mu_x.var()) / (var_y.mean() + mu_y.var()))
-            t = true_transform(thetas, 0, x_items, y_items)[0]
+            t = true_transform(thetas, 0, x_items, y_items).entries[0]
             assert same_bytes(t.slope, slope)
             assert same_bytes(t.mu_y, float(mu_y.mean()))
             assert same_bytes(t.mu_x, float(mu_x.mean()))
@@ -628,7 +628,9 @@ def per_bin_truth(thetas, labels, x_items, y_items):
     }
 
 
-def assert_same_truth(got, want):
+def assert_same_truth(family, want):
+    assert family.index_kind == "theta_bin"
+    got = family.entries
     assert list(got) == list(want)
     for label, t in want.items():
         for name in ("slope", "mu_y", "mu_x"):
