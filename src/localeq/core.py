@@ -118,6 +118,12 @@ class LinearTransform:
         if not (positive if isinstance(positive, bool) else positive.all()):  # NaN included
             raise ValueError(f"slope must be positive, got {np.min(self.slope)}")
 
+    def __eq__(self, other):  # field by field, so maps of equal columns compare too
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
     def __call__(self, y):
         return self.slope * (np.asarray(y, dtype=float) - self.mu_y) + self.mu_x
 

@@ -7,9 +7,10 @@ mean absolute error as displayed in the study; the signed mean (the Monte
 Carlo bias, mean of estimate - truth) rides along as a diagnostic column,
 and its Monte Carlo standard error is available as ``signed_mcse``.
 The accumulator keeps running sums of the per-replication cell means, so
-its size does not depend on the replication count. Statistics are folded
-in replication order, also from forked workers, so the report bytes are
-the same for any worker count.
+its size does not depend on the replication count; a replication's tally
+holds only the cells it touched, and the report is yielded row by row.
+Statistics are folded in replication order, also from forked workers, so
+the report bytes are the same for any worker count.
 """
 
 from __future__ import annotations
@@ -79,23 +80,23 @@ def bin_by_theta(theta, nbins: int):
 class ErrorAccumulator:
     """Running per-(bin, score) sums of the per-replication cell means.
 
-    A replication's :meth:`tally` holds the means of its absolute, squared
-    and signed errors in every cell it touched; :meth:`insert` merges it
-    once. ``count`` tallies the replications that touched each cell, so a
-    finalized statistic is one division and every replication weighs the
-    same. ``signed_m2`` is the sum of squared deviations of the
-    per-replication signed means from their mean, merged pairwise (Chan,
-    Golub & LeVeque 1979). The last bits of every sum depend on the order
-    replications are merged in; ``run_study`` merges them in replication order.
+    The sums are flat over the cells, (bin - 1) * n_scores + score. ``held``
+    names the cells an accumulator holds: all (``slice(None)``) for a constructed one,
+    only the touched ones for a :meth:`tally`; :meth:`insert` folds in at them.
+    ``count`` tallies the replications that touched each cell, so a finalized
+    statistic is one division and every replication weighs the same. ``signed_m2``
+    is the sum of squared deviations of the per-replication signed means from
+    their mean, merged pairwise (Chan, Golub & LeVeque 1979). The last bits of
+    every sum depend on the merge order; ``run_study`` merges in replication order.
     """
 
     def __init__(self, nbins: int, n_scores: int):
-        shape = (nbins, n_scores)
-        self.abs_sum = np.zeros(shape)
-        self.sq_sum = np.zeros(shape)
-        self.signed_sum = np.zeros(shape)
-        self.signed_m2 = np.zeros(shape)
-        self.count = np.zeros(shape, dtype=int)
+        self.shape = (nbins, n_scores)
+        self.held = slice(None)
+        self.abs_sum, self.sq_sum, self.signed_sum, self.signed_m2 = (
+            np.zeros(nbins * n_scores) for _ in range(4)
+        )
+        self.count = np.zeros(nbins * n_scores, dtype=int)
 
     def add(self, bins, scores, errors):
         """Tally one replication and insert it; bins run 1..nbins, scores 0..n_scores - 1."""
@@ -104,45 +105,49 @@ class ErrorAccumulator:
         self.insert(self.tally(self.cells(bins, scores), errors))
 
     def cells(self, bins, scores):
-        """Each record's flat (bin, score) cell index, and the records per cell."""
+        """Each record's flat cell index, the touched cells, ascending, and their record counts."""
         bins, scores = np.asarray(bins, dtype=int), np.asarray(scores, dtype=int)
-        shape = self.count.shape
         for what, values, low, high in (
-            ("bin label", bins, 1, shape[0]), ("score", scores, 0, shape[1] - 1)
+            ("bin label", bins, 1, self.shape[0]), ("score", scores, 0, self.shape[1] - 1)
         ):
             bad = values[(values < low) | (values > high)]
             if bad.size:
                 raise ValueError(f"{what} {bad[0]} is outside {low}..{high}")
-        index = np.ravel_multi_index((bins.ravel() - 1, scores.ravel()), shape)
-        return index, np.bincount(index, minlength=self.count.size).reshape(shape)
+        index = np.ravel_multi_index((bins.ravel() - 1, scores.ravel()), self.shape)
+        n = np.bincount(index, minlength=self.count.size)
+        touched = np.flatnonzero(n)
+        return index, touched, n[touched]
 
     def tally(self, cells, errors) -> "ErrorAccumulator":
-        """One replication's accumulator: the cell means of the absolute,
-        squared and signed ``errors``, 0.0 in the cells it left empty.
-        ``cells`` is :meth:`cells` of the errors' records. Nothing else is
-        allocated: ``count`` marks the cells touched, ``signed_m2`` is 0.0."""
-        index, n = cells
+        """One replication's accumulator over only the cells it touched: ``cells`` is
+        :meth:`cells` of the errors' records, and the sums are the cell means of the
+        absolute, squared and signed ``errors``. Each cell counts one replication and no
+        spread, so ``count`` is 1 and ``signed_m2`` 0.0. Only :meth:`insert` reads it."""
+        index, touched, n = cells
         errors = np.asarray(errors, dtype=float).ravel()
         out = object.__new__(ErrorAccumulator)
+        out.held, out.signed_m2, out.count = touched, 0.0, 1
         out.abs_sum, out.sq_sum, out.signed_sum = (
-            np.bincount(index, values, n.size).reshape(n.shape) / np.maximum(n, 1)
+            np.bincount(index, values, self.count.size)[touched] / n
             for values in (np.abs(errors), errors**2, errors)
         )
-        out.signed_m2, out.count = 0.0, n > 0
         return out
 
     def insert(self, other: "ErrorAccumulator"):
-        """Fold in another accumulator's replications, after this one's."""
-        n_a, n_b = self.count, other.count
-        delta = other.signed_sum / np.maximum(n_b, 1) - self.signed_sum / np.maximum(n_a, 1)
-        self.signed_m2 += other.signed_m2 + delta**2 * (n_a * n_b / np.maximum(n_a + n_b, 1))
-        self.abs_sum += other.abs_sum
-        self.sq_sum += other.sq_sum
-        self.signed_sum += other.signed_sum
-        self.count += n_b
+        """Fold in another accumulator's replications, after this one's, at its cells. The
+        rest would only gain +0.0 (no sum is -0.0: each starts at +0.0) and delta**2 * 0."""
+        at, n_b = other.held, other.count
+        n_a = self.count[at]
+        delta = other.signed_sum / np.maximum(n_b, 1) - self.signed_sum[at] / np.maximum(n_a, 1)
+        self.signed_m2[at] += other.signed_m2 + delta**2 * (n_a * n_b / np.maximum(n_a + n_b, 1))
+        self.abs_sum[at] += other.abs_sum
+        self.sq_sum[at] += other.sq_sum
+        self.signed_sum[at] += other.signed_sum
+        self.count[at] += n_b
 
     def _mean(self, sums):
-        return np.where(self.count > 0, sums / np.maximum(self.count, 1), np.nan)
+        means = np.where(self.count > 0, sums / np.maximum(self.count, 1), np.nan)
+        return means.reshape(self.shape)
 
     def bias(self) -> np.ndarray:
         return self._mean(self.abs_sum)
@@ -154,7 +159,7 @@ class ErrorAccumulator:
         return self._mean(self.signed_sum)
 
     def reps_used(self) -> np.ndarray:
-        return self.count.copy()
+        return self.count.reshape(self.shape).copy()
 
     def signed_mcse(self) -> np.ndarray:
         """Monte Carlo standard error of ``signed_mean`` per cell.
@@ -165,7 +170,7 @@ class ErrorAccumulator:
         """
         n = self.count
         var = self.signed_m2 / np.maximum(n - 1, 1)
-        return np.where(n >= 2, np.sqrt(var / np.maximum(n, 1)), np.nan)
+        return np.where(n >= 2, np.sqrt(var / np.maximum(n, 1)), np.nan).reshape(self.shape)
 
 
 def apply_omission_rule(score_probabilities):
@@ -207,18 +212,15 @@ class EvaluationReport:
         """The (bin, score) cells ``method`` reports: score kept, populated by a replication."""
         return ~self.omitted[None, :] & (self.methods[method].reps_used > 0)
 
-    def to_rows(self) -> list:
-        rows = []
+    def to_rows(self):
+        """Yield one ``columns`` row per method and (bin, score) cell; no list is built."""
         for method in sorted(self.methods):
             result = self.methods[method]
             stats = (result.bias, result.rmse, result.signed_mean)
             for (b, s), kept in np.ndenumerate(self.retained(method)):
-                rows.append(
-                    (self.scenario, method, str(b + 1), str(s))
-                    + tuple(repr(float(stat[b, s])) if kept else "" for stat in stats)
-                    + ("1" if self.omitted[s] else "0",)
-                )
-        return rows
+                yield (self.scenario, method, str(b + 1), str(s),
+                       *(repr(float(stat[b, s])) if kept else "" for stat in stats),
+                       "1" if self.omitted[s] else "0")
 
     def summary_rows(self) -> list:
         """One ``summary_columns`` row per method; its statistics read its retained cells."""

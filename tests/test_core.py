@@ -120,6 +120,25 @@ class TestLinearTransform:
         t = LinearTransform(slope=2.0, mu_y=1.0, mu_x=0.0)
         np.testing.assert_allclose(t(np.array([1.0, 2.0])), [0.0, 2.0])
 
+    def test_columnar_maps_compare_by_their_arrays(self):
+        def columns(mu_x):
+            return LinearTransform(np.ones((2, 1)), np.array([[1.0], [2.0]]), np.array(mu_x))
+
+        assert columns([[0.0], [3.0]]) == columns([[0.0], [3.0]])
+        assert columns([[0.0], [3.0]]) != columns([[0.0], [4.0]])
+        assert columns([[0.0], [3.0]]) != columns([[0.0], [3.0]])[0]
+
+    def test_one_cell_maps_compare_and_hash_by_value(self):
+        t = LinearTransform(1.5, 10.0, 12.0)
+        assert t == LinearTransform(1.5, 10.0, 12.0) and t != LinearTransform(1.5, 10.0, 12.5)
+        assert t != (1.5, 10.0, 12.0)
+        assert hash(t) == hash(LinearTransform(1.5, 10.0, 12.0))
+        assert len({t, LinearTransform(1.5, 10.0, 12.0), LinearTransform(2.0, 10.0, 12.0)}) == 2
+
+    def test_a_columnar_map_is_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(LinearTransform(np.ones((2, 1)), np.zeros((2, 1)), np.zeros((2, 1))))
+
 
 class TestTransformFamily:
     def test_disjoint_entries_and_omitted(self):
