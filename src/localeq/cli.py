@@ -561,9 +561,9 @@ def _resolve_study(path, seed_override=None):
 
     Unset keys take their defaults. A scenario's own seed beats the
     top-level ``seed``; ``seed_override`` (the --seed flag) beats both.
-    A negative seed or a worker count below 1 in the file is a ConfigError
-    naming its key; an invalid scenario, one with more strata than examinees
-    included, is one naming ``scenario.<name>``.
+    A negative seed, a worker count below 1, or an unknown or repeated method
+    in the file is a ConfigError naming its key; an invalid scenario, one with
+    more strata than examinees included, is one naming ``scenario.<name>``.
     """
     top, scenarios = _read_config(path)
     seeds = [("seed", top.get("seed", 0))]
@@ -578,6 +578,9 @@ def _resolve_study(path, seed_override=None):
     for method in settings["methods"]:
         if method not in METHODS:
             raise ConfigError(["methods"], f"unknown study method {method!r}")
+    repeat = _first_repeat(settings["methods"])
+    if repeat is not None:
+        raise ConfigError(["methods"], f"study method {repeat!r} is listed more than once")
     configs = {}
     for name, overrides in sorted((scenarios or {"default": {}}).items()):
         overrides = {"seed": settings["seed"], **overrides, **flag}

@@ -252,37 +252,6 @@ def sorted_quantiles(values: np.ndarray, start, count, q) -> np.ndarray:
     return out
 
 
-def cell_runs(cells, forms):
-    """Records grouped by cell, form X before Y: ``order, cell, start, split, stop``.
-
-    ``order`` sorts the records stably by cell, then form, ties in input order.
-    The other four hold one entry per cell present, in cell order: the cell's
-    form-X records are ``order[start:split]``, its form-Y ones ``order[split:stop]``.
-    Cells must be whole numbers in 0..2**63 - 1, forms 0 or 1 per record, or one
-    form for all. The key 2 cell + form is built in place in the smallest unsigned
-    dtype that holds it: as int64 it would wrap near 2**63, and a stable sort of an
-    8- or 16-bit key is a radix sort.
-    """
-    if np.ndim(forms) and np.shape(forms) != np.shape(cells):
-        raise DimensionError("the cells do not cover the records")
-    cells = np.asarray(cells)
-    top = np.max(cells, initial=0)
-    if not (np.min(cells, initial=0) >= 0 and top < 2**63):  # negative, NaN, +-inf, too large
-        raise ValueError("cells must be whole numbers in 0..2**63 - 1")
-    key = cells.astype(np.min_scalar_type(2 * int(top) + 1))
-    if not np.array_equal(key, cells):  # fractional
-        raise ValueError("cells must be whole numbers in 0..2**63 - 1")
-    key <<= 1
-    np.bitwise_or(key, forms, out=key, dtype=key.dtype, casting="unsafe")
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    cell = key >> 1
-    start = np.flatnonzero(np.diff(cell, prepend=cell[:1] + 1))  # unsigned: != 0 iff changed
-    cell = cell[start]
-    form_y = cell << 1 | 1  # each cell's form-Y key
-    return order, cell, start, np.searchsorted(key, form_y), np.searchsorted(key, form_y, "right")
-
-
 def _probabilities(values, what: str = "p") -> np.ndarray:
     """``values`` as a float array; InvalidProbabilityError names the first
     entry outside [0, 1], NaN included."""

@@ -380,6 +380,8 @@ def run_study(
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
+    if len(set(methods)) < len(methods):  # a repeat would fold each replication in twice
+        raise ValueError(f"methods {list(methods)} repeat a name")
     if scenario is None:
         scenario = f"N{config.n}_{config.covariate_strength}"
     seeds = np.random.SeedSequence(config.seed).spawn(config.replications + 1)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    ScoreTable, _mean_var, _probabilities, _read_only, cell_runs, sorted_quantiles
+    ScoreTable, _mean_var, _probabilities, _read_only, sorted_quantiles
 )
 from .errors import (
     DegenerateColumnWarning,
@@ -314,17 +314,25 @@ def balance_report(
     Columns are compared as given: a categorical one on its level codes, so past
     two levels its ASMD depends on how the levels are labeled.
     """
-    raw = table.covariates
-    order, *runs = cell_runs(assignment.labels, table.form)  # only the non-empty strata
-    columns = raw.T.take(order, axis=1)  # one contiguous row per covariate
-    table = np.full((assignment.K, raw.shape[1]), np.nan)
+    raw, K = table.covariates, assignment.K
+    if assignment.labels.size != raw.shape[0]:
+        raise DimensionError("the stratum labels do not cover the records")
+    if len(covariate_names) != raw.shape[1]:
+        raise DimensionError(f"{len(covariate_names)} covariate names for {raw.shape[1]} columns")
+    key = np.left_shift(assignment.labels, 1, dtype=np.min_scalar_type(2 * K + 1), casting="unsafe")
+    np.bitwise_or(key, table.form, out=key, casting="unsafe")  # 2 k + form: 8 or 16 bits
+    ends = np.cumsum(np.bincount(key, minlength=2 * K + 2))  # labels are >= 1: ends[1] = 0
+    # one contiguous row per covariate; a stable sort of 8 or 16 bits is a radix sort
+    columns = raw.take(np.argsort(key, kind="stable"), axis=0).T.copy()
+    table = np.full((K, raw.shape[1]), np.nan)
     violations = []
-    for k, start, split, stop in zip(*(run.tolist() for run in runs)):
-        if start == split or split == stop:
+    for k in range(1, K + 1):
+        start, split, stop = ends[2 * k - 1:2 * k + 2]  # stratum k's form-X, form-Y runs
+        if start < split < stop:
+            for j, column in enumerate(columns):
+                table[k - 1, j] = asmd(column[start:split], column[split:stop])
+        elif start < stop:
             violations.append(k)
-            continue
-        for j, column in enumerate(columns):
-            table[k - 1, j] = asmd(column[start:split], column[split:stop])
     evaluable = ~np.isnan(table)
     counts = evaluable.sum(axis=0)
     satisfactory = ((table < BALANCE_THRESHOLD) & evaluable).sum(axis=0)

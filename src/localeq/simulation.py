@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LinearTransform, ScoreTable, TransformFamily, cell_runs
+from .core import LinearTransform, ScoreTable, TransformFamily
 from .errors import OmittedBinError
 from .propensity import sigmoid, sigmoid_inplace
 
@@ -326,12 +326,18 @@ def true_transform(
     thetas = np.asarray(thetas, dtype=float).reshape(-1)
     if thetas.size == 0:
         raise OmittedBinError("empty ability bin")
-    order, bins, starts, _, stops = cell_runs(np.broadcast_to(labels, thetas.shape), 0)
-    counts = stops - starts
+    labels = np.broadcast_to(labels, thetas.shape)
+    if not (labels.min() >= 0 and labels.max() < 2**63 and (labels % 1 == 0).all()):  # NaN fails
+        raise ValueError("labels must be whole numbers in 0..2**63 - 1")
+    key = labels.astype(np.min_scalar_type(int(labels.max())))  # 8 or 16 bits: a radix sort
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    bounds = np.flatnonzero(np.r_[True, key[1:] != key[:-1], True])  # each bin's start, then n
+    bins, counts = key[bounds[:-1]], np.diff(bounds)
     # rows mu_x, var_x, mu_y, var_y: of each theta in sorted order, then of each bin
     moments = np.stack([*conditional_score_moments(form_x_items, thetas[order]),
                         *conditional_score_moments(form_y_items, thetas[order])])
-    runs = [slice(start, stop) for start, stop in zip(starts.tolist(), stops.tolist())]
+    runs = [slice(start, stop) for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
     def bin_sums(rows):  # each bin's pairwise sums, as a per-bin selection sums them
         return np.stack([np.add.reduce(rows[:, run], axis=1) for run in runs], axis=1)

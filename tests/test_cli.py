@@ -1208,6 +1208,22 @@ class TestSimulateCommand:
         with pytest.raises(ConfigError):
             _resolve_study(config)
 
+    def test_repeated_method_rejected(self, tmp_path, capsys):
+        # a repeat once folded each replication into one tally twice, and the
+        # study exited 0 with reps_used twice the replications
+        config = tmp_path / "study.cfg"
+        config.write_text(TINY_CONFIG + "methods = anchor,strat,anchor\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            _resolve_study(config)
+        assert exc.value.keys == ["methods"]
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(config), "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: study method 'anchor' is listed more than once\n"
+        )
+        assert not out.exists()
+
     def test_out_dir_env_fallback(self, tmp_path, monkeypatch):
         config = tmp_path / "study.cfg"
         config.write_text(TINY_CONFIG, encoding="utf-8")

@@ -20,7 +20,6 @@ from localeq.core import (
     ScoreTable,
     TransformFamily,
     WeightedSample,
-    cell_runs,
     inverse_cdf,
     _mean_var,
     sorted_quantiles,
@@ -278,58 +277,6 @@ class TestSortedQuantiles:
                 got = sorted_quantiles(values, np.cumsum(counts) - counts, counts, q)
                 expected = np.array([np.quantile(run, q) for run in runs])
             assert got.tobytes() == expected.tobytes()
-
-
-class TestCellRuns:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        n=st.integers(0, 300),
-        top=st.sampled_from([0, 1, 127, 128, 2**15, 2**31, 2**62, 2**63 - 1]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @example(n=0, top=2**63 - 1, seed=0)
-    @example(n=300, top=2**63 - 1, seed=1)
-    def test_matches_lexsort(self, n, top, seed):
-        # cells from a few values up to ``top`` give ties within and across
-        # forms; above 2**62 a key of 2 cell + form would wrap in int64, and
-        # from 128 and 2**15 on it needs a wider unsigned dtype
-        rng = np.random.default_rng(seed)
-        pool = np.append(rng.integers(0, top, 3, endpoint=True), top)
-        cells, forms = rng.choice(pool, n), rng.integers(0, 2, n)
-        got = cell_runs(cells, forms)[0]
-        assert got.tobytes() == np.lexsort((forms, cells)).tobytes()
-
-    @pytest.mark.parametrize(
-        "cells",
-        [[3, -1], [-(2**63), 5], [2.0, 1.5], [1e30, 1.0], [np.inf, 1.0], [-np.inf, 1.0],
-         [np.nan, 1.0]],
-    )
-    def test_rejects_a_cell_the_key_cannot_hold(self, cells):
-        with pytest.raises(ValueError, match="whole numbers"):
-            cell_runs(np.array(cells), np.zeros(2, dtype=int))
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        n=st.integers(0, 200),
-        top=st.sampled_from([0, 3, 200, 2**40]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_each_run_holds_its_cells_records_of_one_form(self, n, top, seed):
-        rng = np.random.default_rng(seed)
-        cells, forms = rng.integers(0, top, n, endpoint=True), rng.integers(0, 2, n)
-        order, cell, start, split, stop = cell_runs(cells, forms)
-        assert cell.tolist() == np.unique(cells).tolist()
-        assert (start[1:] == stop[:-1]).all() and stop[-1:].tolist() == [n] * bool(n)
-        for c, a, b, e in zip(cell.tolist(), start, split, stop):
-            assert order[a:b].tolist() == np.flatnonzero((cells == c) & (forms == 0)).tolist()
-            assert order[b:e].tolist() == np.flatnonzero((cells == c) & (forms == 1)).tolist()
-
-    def test_one_form_for_all_records(self):
-        order, cell, start, split, stop = cell_runs([4, 1, 4, 4], 0)
-        assert order.tolist() == [1, 0, 2, 3]
-        assert (cell.tolist(), start.tolist(), split.tolist(), stop.tolist()) == (
-            [1, 4], [0, 1], [1, 4], [1, 4]
-        )
 
 
 class TestWeightedSample:

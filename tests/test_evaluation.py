@@ -703,6 +703,11 @@ class TestRunStudy:
         with pytest.raises(ValueError):
             run_study(tiny_config(), methods=("bogus",))
 
+    def test_repeated_method(self):
+        # a repeat once folded each replication into one tally twice
+        with pytest.raises(ValueError, match="repeat"):
+            run_study(tiny_config(), methods=["anchor", "anchor"])
+
     @pytest.mark.filterwarnings("ignore::localeq.errors.SeparationWarning")
     def test_too_few_examinees_marks_failures(self):
         config = tiny_config(n=6, strata=8, nbins=2, replications=4)

@@ -1,5 +1,6 @@
 """The package re-exports each module's public names, as the same objects; its
-errors survive pickling, and no module imports a name it never uses."""
+errors survive pickling, no module imports a name it never uses, and no module
+defines a private function or class that nothing in the package names."""
 
 import ast
 import importlib
@@ -58,6 +59,16 @@ def test_every_error_survives_pickling(cls):
     assert vars(back) == vars(error)
 
 
+def exported_names(tree):
+    """The names a module's ``__all__`` lists, empty without one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
 def unused_imports(path):
     """Names a module imports but neither uses nor lists in ``__all__``."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -70,15 +81,33 @@ def unused_imports(path):
         if alias.name != "*"  # __init__.py's re-exports
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    exported = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported = set(ast.literal_eval(node.value))
-    return sorted(name for name in imported if name not in used | exported)
+    return sorted(name for name in imported if name not in used | exported_names(tree))
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path) == []
+
+
+def unnamed_definitions(path):
+    """A module's top-level functions and classes that its ``__all__`` does not
+    list and no code in the package names, as a bare name or an attribute."""
+    named = set()
+    for module in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in named | exported_names(tree)
+    )
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_definition_is_public_or_named_in_the_package(path):
+    # a helper whose last caller moved away is dead code
+    assert unnamed_definitions(path) == []

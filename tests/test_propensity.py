@@ -384,14 +384,20 @@ class TestBalanceReport:
     @settings(max_examples=150, deadline=None)
     @given(
         n=st.integers(1, 400),
-        K=st.integers(1, 12),
+        K=st.one_of(st.integers(1, 12), st.integers(120, 300)),
         n_cov=st.integers(1, 4),
         share_y=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
         levels=st.sampled_from([2, 5, None]),
+        float_labels=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_sorted_slices_match_the_per_stratum_loop(self, n, K, n_cov, share_y, levels, seed):
-        # few form-Y records or few levels give one-form strata and constant samples
+    @example(n=400, K=128, n_cov=2, share_y=0.5, levels=None, float_labels=False, seed=1)
+    @example(n=400, K=300, n_cov=1, share_y=0.5, levels=2, float_labels=True, seed=2)
+    def test_sorted_slices_match_the_per_stratum_loop(
+        self, n, K, n_cov, share_y, levels, float_labels, seed
+    ):
+        # few form-Y records or few levels give one-form strata and constant samples;
+        # from K = 128 on, the (stratum, form) key 2 k + form needs 16 bits
         rng = np.random.default_rng(seed)
         K = min(K, n)
         forms = (rng.random(n) < share_y).astype(int)
@@ -400,6 +406,8 @@ class TestBalanceReport:
             cov = rng.integers(0, levels, (n, n_cov)).astype(float)
         table = table_from_matrix(cov, forms)
         assignment = stratify_quantile(rng.random(n), K)
+        if float_labels:  # whole numbers as floats, as a hand-built assignment may hold them
+            assignment = StratumAssignment(K, assignment.labels.astype(float), np.empty(0))
         report = balance_report(table, assignment, [f"c{j}" for j in range(n_cov)])
         want, violations = per_stratum_asmd(table, assignment)
         assert report.asmd.tobytes() == want.tobytes()
@@ -436,6 +444,20 @@ class TestBalanceReport:
         weights = ipw_weights(recs, a, np.full(6, 0.5))
         assert report.overlap_violations == weights.overlap_violations == [3]
         assert np.isnan(report.asmd[1:, 0]).all() and not np.isnan(report.asmd[0, 0])
+
+    def test_labels_must_cover_the_records(self):
+        # one label for four records: it must not broadcast over them
+        recs = table_from_matrix([[1.0], [2.0], [3.0], [4.0]], [0, 1, 0, 1])
+        a = StratumAssignment(K=1, labels=np.array([1]), boundaries=np.empty(0))
+        with pytest.raises(DimensionError, match="do not cover the records"):
+            balance_report(recs, a, ["verbal"])
+
+    @pytest.mark.parametrize("names", [[], ["verbal"], ["verbal", "math", "age"]])
+    def test_one_name_per_covariate_column(self, names):
+        recs = table_from_matrix([[1.0, 5.0], [2.0, 6.0], [3.0, 7.0], [4.0, 8.0]], [0, 1, 0, 1])
+        a = stratify_quantile(np.array([0.1, 0.2, 0.8, 0.9]), 2)
+        with pytest.raises(DimensionError, match=f"{len(names)} covariate names for 2 columns"):
+            balance_report(recs, a, names)
 
     def test_balanced_data_satisfies_threshold(self):
         rng = np.random.default_rng(11)

@@ -670,6 +670,8 @@ class TestBatchedTruthOracle:
         [7, 7, 7, 7, 7],  # one bin
         [3, 1, 3, 2, 1],  # interleaved, out of order
         [9, 2, 2, 9, 9],  # a single-theta bin and gaps between labels
+        [3.0, 1.0, 3.0, 2.0, 1.0],  # whole numbers as floats
+        [2**63 - 1, 0, 2**40, 2**63 - 1, 0],  # the widest labels: a 64-bit sort key
     ])
     def test_pinned_bin_layouts(self, labels):
         rng = np.random.default_rng(11)
@@ -698,7 +700,10 @@ class TestBatchedTruthOracle:
         want = per_bin_truth(thetas, [1, 1, 2, 2], x_items, y_items)
         assert_same_truth(true_transform(thetas, [1, 1, 2, 2], x_items, y_items), want)
 
-    @pytest.mark.parametrize("labels", [[1, -1], [2.0, 1.5], -3, [1.0, np.inf]])
+    @pytest.mark.parametrize("labels", [
+        [1, -1], [2.0, 1.5], -3, [1.0, np.inf], [-np.inf, 1.0], [np.nan, 1.0], [1e30, 1.0],
+        [-(2**63), 5], np.array([2**63, 1], dtype=np.uint64),
+    ])
     def test_a_label_must_be_a_whole_number_from_zero(self, labels):
         items = draw_items(5, np.random.default_rng(15))
         with pytest.raises(ValueError, match="whole numbers"):
