@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import ScoreTable
 from .equating import (
     anchor_family,
     ipw_family,
@@ -254,25 +255,25 @@ def _on_score_grid(family, cells, scores, items: int) -> np.ndarray:
     return family.maps(np.arange(items + 1.0))[position[cells], scores]
 
 
-def _propensity_stage(pop, strata: int):
+def _propensity_stage(proxies, form, strata: int):
     """Propensity strata and scores, fitted once and shared by strat and ipw.
 
-    The model is fitted on ``pop.proxies``, the very array whose logit assigned the
-    forms: the anchor score, the strongest ability proxy, then the covariates, all
+    The model is fitted on ``proxies``, the very array whose logit assigned ``form``:
+    the anchor score, the strongest ability proxy, then the covariates, all
     standardized. So strat and ipw condition on the anchor alongside the covariates.
     """
-    model = fit_logistic(pop.proxies, pop.form)
-    propensities = estimate_propensity(model, pop.proxies)
+    model = fit_logistic(proxies, form)
+    propensities = estimate_propensity(model, proxies)
     return stratify_quantile(propensities, strata), propensities
 
 
-def _equate_target_scores(method, table, pop, config, target, stage):
+def _equate_target_scores(method, table, config, target, stage):
     """Equated form-Y scores of the target examinees under one method (an omitted cell
     takes its nearest fitted cell's map), gathered after the fit, the replication's peak."""
     if method == "eg":
-        return pooled_transform(table)(pop.score[target].astype(float))
+        return pooled_transform(table)(table.score[target].astype(float))
     if method == "anchor":
-        family, cells = anchor_family(table), pop.anchor_score[target]
+        family, cells = anchor_family(table), table.anchor[target]
     else:  # strat or ipw: run_study admits only known methods
         assignment, propensities = stage()
         if method == "strat":
@@ -281,7 +282,7 @@ def _equate_target_scores(method, table, pop, config, target, stage):
             weights = ipw_weights(table, assignment, propensities, config.trim_alpha)
             family = ipw_family(table, weights)
         cells = assignment.labels[target]
-    return _on_score_grid(family, cells, pop.score[target], config.items)
+    return _on_score_grid(family, cells, table.score[target], config.items)
 
 
 def _run_replication(config, design, methods, seed_seq):
@@ -289,12 +290,16 @@ def _run_replication(config, design, methods, seed_seq):
     None marks a failed method: a LocalEqError in its fit or the truth, or one form."""
     rng = np.random.default_rng(seed_seq)
     pop = gen_population(config, rng, design)
-    table = pop.to_records()
-    target = pop.form == 1
+    records = pop.to_records()  # called by name: the benchmark's tracer wraps it
+    # only what the truth and the methods read, the observed columns as views; the
+    # latent columns and the covariates are freed before the truth and the fits
+    table = ScoreTable(records.form, records.score, records.anchor)
+    proxies, target = pop.proxies, table.form == 1
+    theta, scores = pop.theta[target], table.score[target]
+    del pop, records
     out = dict.fromkeys(methods)  # None where the method failed
     if not target.any() or target.all():
         return out
-    theta, scores = pop.theta[target], pop.score[target]
     labels, _ = bin_by_theta(theta, config.nbins)
     try:
         truth = true_transform(theta, labels, design.form_x_items, design.form_y_items)
@@ -304,11 +309,11 @@ def _run_replication(config, design, methods, seed_seq):
     grid = ErrorAccumulator(config.nbins, config.items + 1)
     cells = grid.cells(labels, scores)
     # strat and ipw share one fit, made on first use; ipw retries one that raised
-    stage = cache(partial(_propensity_stage, pop, config.strata))
+    stage = cache(partial(_propensity_stage, proxies, table.form, config.strata))
     for method in methods:
         try:
             out[method] = grid.tally(
-                cells, _equate_target_scores(method, table, pop, config, target, stage) - true_eq
+                cells, _equate_target_scores(method, table, config, target, stage) - true_eq
             )
         except LocalEqError:
             pass
@@ -356,6 +361,7 @@ def _forked_map(fn, items, workers: int):
             if not ok:
                 raise outcome
             yield outcome
+            del outcome  # not held while the next one is received
     finally:
         for proc, reader in shares:
             proc.terminate()
@@ -377,6 +383,8 @@ def run_study(
     fixed share (`_forked_map`), they are folded in replication order, so
     reports are identical for any worker count.
     """
+    if not methods:  # else every population and truth is drawn for an empty report
+        raise ValueError("no methods to run")
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
@@ -401,6 +409,7 @@ def run_study(
                 failures[method] += 1
             else:
                 accumulators[method].insert(rep_out[method])
+        del rep_out  # not held while the next replication runs
 
     for method, n_failed in failures.items():
         if n_failed > 0.05 * config.replications:
@@ -410,15 +419,9 @@ def run_study(
                 stacklevel=2,
             )
 
-    results = {
-        m: MethodResult(
-            bias=accumulators[m].bias(),
-            rmse=accumulators[m].rmse(),
-            signed_mean=accumulators[m].signed_mean(),
-            signed_mcse=accumulators[m].signed_mcse(),
-            reps_used=accumulators[m].reps_used(),
-            failures=failures[m],
-        )
-        for m in methods
-    }
+    results = {}
+    for m in methods:  # each accumulator freed once its result is made
+        acc = accumulators.pop(m)
+        results[m] = MethodResult(acc.bias(), acc.rmse(), acc.signed_mean(), acc.signed_mcse(),
+                                  acc.reps_used(), failures[m])
     return EvaluationReport(scenario=scenario, config=config, methods=results, omitted=omitted)

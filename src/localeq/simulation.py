@@ -276,6 +276,7 @@ def gen_population(
     # Fortran-ordered, as raw[:, keep] is: fit_logistic's BLAS products round by
     # layout, so a C-ordered copy would move the fit, and the report, in the last bits
     proxies = (raw[:, keep] - raw[:, keep].mean(axis=0)) / sds[keep]
+    del raw  # not held through the score draw
     beta = np.asarray(config.beta, dtype=float)
     propensity = sigmoid(beta[0] + proxies @ beta[1:][keep])  # a constant column adds 0
     form = (rng.random(n) < propensity).astype(int)
@@ -357,8 +358,8 @@ def score_distribution(items: ItemParams, nodes, weights) -> np.ndarray:
     """Sum-score distribution marginalized over an ability grid.
 
     Runs the Lord-Wingersky recursion at every node of a kernel block at once,
-    one item per step over a nodes x scores array, then averages the rows with
-    the grid weights, which must sum to 1, in node order. A single node with
+    one item per step, in place in one scores x nodes array, then averages the
+    nodes with the grid weights, which must sum to 1, in node order. A single node with
     weight 1 gives the conditional distribution at that ability.
     """
     nodes = np.asarray(nodes, dtype=float).reshape(-1)
@@ -368,17 +369,18 @@ def score_distribution(items: ItemParams, nodes, weights) -> np.ndarray:
     if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError("grid weights must be non-negative and sum to 1")
     out = np.zeros(items.n_items + 1)
-    for rows, p, _ in _prob_2pl_blocks(nodes, items.a, items.b, items_by_rows=True):
-        dist = np.ones((p.shape[1], 1))
-        for p_l in p[:, :, None]:  # one item's nodes x 1 column per step
-            q_l = 1.0 - p_l
-            nxt = np.empty((dist.shape[0], dist.shape[1] + 1))
-            nxt[:, :1] = dist[:, :1] * q_l
-            nxt[:, -1:] = dist[:, -1:] * p_l
-            nxt[:, 1:-1] = dist[:, 1:] * q_l + dist[:, :-1] * p_l
-            dist = nxt
-        for w, row in zip(weights[rows], dist):  # not weights @ dist: keep the sum order
-            out += w * row
+    for rows, p, q in _prob_2pl_blocks(nodes, items.a, items.b, items_by_rows=True):
+        np.subtract(1.0, p, out=q)
+        dist = np.zeros((p.shape[0] + 1, p.shape[1]))  # scores x nodes, filled row by row
+        dist[0] = 1.0
+        carry = np.empty_like(p)
+        for l, (p_l, q_l) in enumerate(zip(p, q)):  # one item's row of nodes per step
+            # score s takes dist[s] * q_l + dist[s - 1] * p_l, the first term in place
+            np.multiply(dist[: l + 1], p_l, out=carry[: l + 1])
+            dist[: l + 1] *= q_l
+            dist[1 : l + 2] += carry[: l + 1]  # score l + 1 is 0.0 + its product
+        for w, col in zip(weights[rows], dist.T):  # not weights @ dist: keep the sum order
+            out += w * col
     return out
 
 

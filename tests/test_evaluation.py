@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import pickle
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -478,7 +479,7 @@ class TestOnScoreGrid:
         design = draw_design(config, np.random.default_rng(seed))
         pop = gen_population(config, np.random.default_rng(seed + 100), design)
         table, target = pop.to_records(), pop.form == 1
-        assignment, propensities = _propensity_stage(pop, config.strata)
+        assignment, propensities = _propensity_stage(pop.proxies, pop.form, config.strata)
         weights = ipw_weights(table, assignment, propensities, config.trim_alpha)
         labels, _ = bin_by_theta(pop.theta[target], config.nbins)
         truth = true_transform(pop.theta[target], labels, design.form_x_items, design.form_y_items)
@@ -608,7 +609,7 @@ class TestRunStudy:
 
         monkeypatch.setattr(evaluation, "fit_logistic", recording_fit)
         pop = gen_population(SimulationConfig(n=200), np.random.default_rng(5))
-        evaluation._propensity_stage(pop, 4)
+        evaluation._propensity_stage(pop.proxies, pop.form, 4)
         assert len(designs) == 1 and designs[0] is pop.proxies
 
     def test_replication_path_calls_no_quantile_wrapper(self, monkeypatch):
@@ -625,12 +626,14 @@ class TestRunStudy:
         assert all(out[method] is not None for method in METHODS)
 
     def test_large_replication_peak_memory_per_examinee(self):
-        # the peak is reached inside the propensity fit; measured 218.7 B per
-        # examinee at N = 10000, bound 240 B (10% margin): the fit runs on
-        # first use, while the anchor tally is held; 226.6 B while the fit
-        # kept a float copy of the labels, 264 B while the population kept an
-        # int copy of its covariates and the fit kept eta and a separate
-        # weight array
+        # the peak is reached inside the propensity fit; measured 168.4-168.8 B
+        # per examinee at N = 10000 over seeds 1-3, bound 185 B (10% margin): the
+        # fit runs on first use, while the anchor tally is held, and the drawn
+        # population is gone; 216.5-216.8 B while the replication held the
+        # population's latent columns and covariates through the fit, 226.6 B
+        # while the fit kept a float copy of the labels, 264 B while the
+        # population kept an int copy of its covariates and the fit kept eta
+        # and a separate weight array
         config = SimulationConfig(n=10_000, replications=1, seed=1)
         seeds = np.random.SeedSequence(config.seed).spawn(2)
         design = draw_design(config, np.random.default_rng(seeds[0]))
@@ -640,7 +643,33 @@ class TestRunStudy:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 240 * config.n
+        assert peak <= 185 * config.n
+
+    def test_the_population_is_freed_before_the_propensity_fit(self, monkeypatch):
+        # the fit reads the proxies and the form column only; the population's
+        # latent columns and its covariates must not be held through it
+        import localeq.evaluation as evaluation
+
+        populations, alive_at_fit = [], []
+        draw, fit = evaluation.gen_population, evaluation.fit_logistic
+
+        def drawing(*args):
+            pop = draw(*args)
+            populations.append(weakref.ref(pop))
+            return pop
+
+        def fitting(*args):
+            alive_at_fit.append(populations[-1]() is not None)
+            return fit(*args)
+
+        monkeypatch.setattr(evaluation, "gen_population", drawing)
+        monkeypatch.setattr(evaluation, "fit_logistic", fitting)
+        config = SimulationConfig(n=1000, replications=1, seed=1)
+        seeds = np.random.SeedSequence(config.seed).spawn(2)
+        design = draw_design(config, np.random.default_rng(seeds[0]))
+        out = _run_replication(config, design, METHODS, seeds[1])
+        assert all(out[method] is not None for method in METHODS)
+        assert alive_at_fit == [False]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_a_pickled_replication_outcome_holds_only_touched_cells(self, seed):
@@ -702,6 +731,18 @@ class TestRunStudy:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             run_study(tiny_config(), methods=("bogus",))
+
+    def test_no_method_is_refused_before_the_design_is_drawn(self, monkeypatch):
+        # an empty list once drew every population and truth for a report of no methods
+        import localeq.evaluation as evaluation
+
+        def no_design(*args):
+            raise AssertionError("design drawn")
+
+        monkeypatch.setattr(evaluation, "draw_design", no_design)
+        config = SimulationConfig(n=60, replications=2, strata=2, nbins=2)
+        with pytest.raises(ValueError, match="no methods"):
+            run_study(config, [])
 
     def test_repeated_method(self):
         # a repeat once folded each replication into one tally twice
@@ -844,10 +885,11 @@ class TestForkedMap:
 
     def test_parent_peak_memory_of_a_two_worker_study(self):
         # the parent holds the tallies and the outcome it folds, never a
-        # replication; unread outcomes wait in the pipes: measured 172-177 kB at N = 1000 and
-        # R = 20, bound 203 kB (15% margin), the omission rule's score distribution the
-        # largest part; 223-226 kB while each outcome held four dense tallies, 326-340 kB
-        # on a process pool
+        # replication; unread outcomes wait in the pipes: measured 126.6-128.6 kB at N = 1000
+        # and R = 20 over seeds 1-3, bound 146 kB (13% margin), the omission rule's score
+        # distribution the largest part; 173-177 kB while that distribution allocated a new
+        # array per item and a folded outcome was held through the next receive, 223-226 kB
+        # while each outcome held four dense tallies, 326-340 kB on a process pool
         config = SimulationConfig(n=1000, replications=20, seed=1)
         run_study(config, METHODS, workers=2)  # imports and caches outside the trace
         tracemalloc.start()
@@ -856,4 +898,4 @@ class TestForkedMap:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 203_000
+        assert peak <= 146_000

@@ -788,6 +788,25 @@ class TestScoreDistribution:
             want = broadcast_score_distribution(items, nodes, weights)
             assert same_bytes(score_distribution(items, nodes, weights), want)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_peak_memory_is_the_block_buffers_plus_two_recursion_arrays(self, seed):
+        # 61 nodes x 40 items, one kernel block: its two 19.5 kB buffers, the
+        # 20 kB scores x nodes array and the 19.5 kB carry, plus numpy's iterator
+        # buffer of up to one carry for a broadcast item row; measured 101.7-101.8 kB
+        # over seeds 1-3, bound 115 kB; 158.7-158.8 kB while each item allocated
+        # a new array
+        items = draw_items(40, np.random.default_rng(seed))
+        nodes, weights = normal_quadrature(0.0, 1.0)
+        assert nodes.size == 61
+        score_distribution(items, nodes, weights)
+        tracemalloc.start()
+        try:
+            score_distribution(items, nodes, weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 115_000
+
     def test_weight_validation(self):
         items = draw_items(2, np.random.default_rng(0))
         with pytest.raises(ValueError):
