@@ -585,9 +585,7 @@ def _resolve_study(path, seed_override=None):
     for name, overrides in sorted((scenarios or {"default": {}}).items()):
         overrides = {"seed": settings["seed"], **overrides, **flag}
         try:
-            config = configs[name] = SimulationConfig(**overrides)
-            if config.strata > config.n:  # a stratum needs an examinee
-                raise ValueError(f"strata ({config.strata}) exceeds n ({config.n})")
+            configs[name] = SimulationConfig(**overrides)
         except ValueError as exc:
             raise ConfigError(
                 [f"scenario.{name}"], f"scenario {name!r}: {exc}"

@@ -369,10 +369,10 @@ class KernelCDF:
 
     def tail_density(self, x, upper):
         """F_h(x), or S_h(x) where ``upper``, and the density f_h(x) from one pass
-        at positive scale, summed by BLAS: inverse_cdf's Newton steps read it."""
+        at positive scale: inverse_cdf's Newton steps read it."""
         z = (np.asarray(x, dtype=float)[..., None] - self.centers) / self.scale
-        mass = _ndtr(np.where(np.asarray(upper)[..., None], -z, z)) @ self.fractions
-        return mass, np.exp(-0.5 * z * z) @ self.fractions / (self.scale * math.sqrt(2 * math.pi))
+        mass = self._mix(_ndtr(np.where(np.asarray(upper)[..., None], -z, z)))
+        return mass, self._mix(np.exp(-0.5 * z * z)) / (self.scale * math.sqrt(2 * math.pi))
 
     def _mix(self, mass):
         # row by row in a fixed order, where a BLAS product's order follows the

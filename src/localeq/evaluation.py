@@ -6,11 +6,11 @@ replication, then over replications that populated the cell. Bias is the
 mean absolute error as displayed in the study; the signed mean (the Monte
 Carlo bias, mean of estimate - truth) rides along as a diagnostic column,
 and its Monte Carlo standard error is available as ``signed_mcse``.
-The accumulator keeps running sums of the per-replication cell means, so
-its size does not depend on the replication count; a replication's tally
-holds only the cells it touched, and the report is yielded row by row.
-Statistics are folded in replication order, also from forked workers, so
-the report bytes are the same for any worker count.
+The study's accumulator keeps running sums of the per-replication cell means,
+so its size does not depend on the replication count; a replication's tally
+is plain arrays over the cells it touched, and the report is yielded row by
+row. Tallies are folded one at a time in replication order, also from forked
+workers, so the report bytes are the same for any worker count.
 """
 
 from __future__ import annotations
@@ -78,22 +78,45 @@ def bin_by_theta(theta, nbins: int):
     return labels.astype(int), edges
 
 
-class ErrorAccumulator:
-    """Running per-(bin, score) sums of the per-replication cell means.
+def grid_cells(shape, bins, scores):
+    """Each record's flat cell index in the (nbins, n_scores) ``shape``, (bin - 1) * n_scores
+    + score, the touched cells, ascending, and their record counts."""
+    bins, scores = np.asarray(bins, dtype=int), np.asarray(scores, dtype=int)
+    for what, values, low, high in (
+        ("bin label", bins, 1, shape[0]), ("score", scores, 0, shape[1] - 1)
+    ):
+        bad = values[(values < low) | (values > high)]
+        if bad.size:
+            raise ValueError(f"{what} {bad[0]} is outside {low}..{high}")
+    index = np.ravel_multi_index((bins.ravel() - 1, scores.ravel()), shape)
+    n = np.bincount(index)
+    touched = np.flatnonzero(n)
+    return index, touched, n[touched]
 
-    The sums are flat over the cells, (bin - 1) * n_scores + score. ``held``
-    names the cells an accumulator holds: all (``slice(None)``) for a constructed one,
-    only the touched ones for a :meth:`tally`; :meth:`insert` folds in at them.
-    ``count`` tallies the replications that touched each cell, so a finalized
-    statistic is one division and every replication weighs the same. ``signed_m2``
-    is the sum of squared deviations of the per-replication signed means from
-    their mean, merged pairwise (Chan, Golub & LeVeque 1979). The last bits of
-    every sum depend on the merge order; ``run_study`` merges in replication order.
+
+def tally(cells, errors):
+    """One replication's ``(touched, abs_mean, sq_mean, signed_mean)``: ``cells`` is
+    :func:`grid_cells` of the errors' records, and the means, over only the touched
+    cells, are of the absolute, squared and signed ``errors``."""
+    index, touched, n = cells
+    errors = np.asarray(errors, dtype=float).ravel()
+    means = (np.bincount(index, v)[touched] / n for v in (np.abs(errors), errors**2, errors))
+    return touched, *means
+
+
+class ErrorAccumulator:
+    """A study's running per-(bin, score) sums of the per-replication cell means.
+
+    The sums are flat over the cells, numbered as by :func:`grid_cells`. ``count``
+    tallies the replications that touched each cell, so a finalized statistic is
+    one division and every replication weighs the same. ``signed_m2`` is the sum
+    of squared deviations of the per-replication signed means from their mean,
+    updated one replication at a time (Chan, Golub & LeVeque 1979). The last bits
+    of every sum depend on the fold order; ``run_study`` folds in replication order.
     """
 
     def __init__(self, nbins: int, n_scores: int):
         self.shape = (nbins, n_scores)
-        self.held = slice(None)
         self.abs_sum, self.sq_sum, self.signed_sum, self.signed_m2 = (
             np.zeros(nbins * n_scores) for _ in range(4)
         )
@@ -103,48 +126,19 @@ class ErrorAccumulator:
         """Tally one replication and insert it; bins run 1..nbins, scores 0..n_scores - 1."""
         if not np.shape(bins) == np.shape(scores) == np.shape(errors):
             raise ValueError("bin labels, scores and errors must align")
-        self.insert(self.tally(self.cells(bins, scores), errors))
+        self.insert(tally(grid_cells(self.shape, bins, scores), errors))
 
-    def cells(self, bins, scores):
-        """Each record's flat cell index, the touched cells, ascending, and their record counts."""
-        bins, scores = np.asarray(bins, dtype=int), np.asarray(scores, dtype=int)
-        for what, values, low, high in (
-            ("bin label", bins, 1, self.shape[0]), ("score", scores, 0, self.shape[1] - 1)
-        ):
-            bad = values[(values < low) | (values > high)]
-            if bad.size:
-                raise ValueError(f"{what} {bad[0]} is outside {low}..{high}")
-        index = np.ravel_multi_index((bins.ravel() - 1, scores.ravel()), self.shape)
-        n = np.bincount(index, minlength=self.count.size)
-        touched = np.flatnonzero(n)
-        return index, touched, n[touched]
-
-    def tally(self, cells, errors) -> "ErrorAccumulator":
-        """One replication's accumulator over only the cells it touched: ``cells`` is
-        :meth:`cells` of the errors' records, and the sums are the cell means of the
-        absolute, squared and signed ``errors``. Each cell counts one replication and no
-        spread, so ``count`` is 1 and ``signed_m2`` 0.0. Only :meth:`insert` reads it."""
-        index, touched, n = cells
-        errors = np.asarray(errors, dtype=float).ravel()
-        out = object.__new__(ErrorAccumulator)
-        out.held, out.signed_m2, out.count = touched, 0.0, 1
-        out.abs_sum, out.sq_sum, out.signed_sum = (
-            np.bincount(index, values, self.count.size)[touched] / n
-            for values in (np.abs(errors), errors**2, errors)
-        )
-        return out
-
-    def insert(self, other: "ErrorAccumulator"):
-        """Fold in another accumulator's replications, after this one's, at its cells. The
-        rest would only gain +0.0 (no sum is -0.0: each starts at +0.0) and delta**2 * 0."""
-        at, n_b = other.held, other.count
-        n_a = self.count[at]
-        delta = other.signed_sum / np.maximum(n_b, 1) - self.signed_sum[at] / np.maximum(n_a, 1)
-        self.signed_m2[at] += other.signed_m2 + delta**2 * (n_a * n_b / np.maximum(n_a + n_b, 1))
-        self.abs_sum[at] += other.abs_sum
-        self.sq_sum[at] += other.sq_sum
-        self.signed_sum[at] += other.signed_sum
-        self.count[at] += n_b
+    def insert(self, replication):
+        """Fold in one replication's :func:`tally`, after those already folded, at its cells.
+        The rest would only gain +0.0 (no sum is -0.0: each starts at +0.0)."""
+        at, abs_mean, sq_mean, signed_mean = replication
+        n = self.count[at]
+        delta = signed_mean - self.signed_sum[at] / np.maximum(n, 1)
+        self.signed_m2[at] += delta**2 * (n / (n + 1))
+        self.abs_sum[at] += abs_mean
+        self.sq_sum[at] += sq_mean
+        self.signed_sum[at] += signed_mean
+        self.count[at] += 1
 
     def _mean(self, sums):
         means = np.where(self.count > 0, sums / np.maximum(self.count, 1), np.nan)
@@ -306,13 +300,12 @@ def _run_replication(config, design, methods, seed_seq):
     except LocalEqError:
         return out
     true_eq = _on_score_grid(truth, labels, scores, config.items)
-    grid = ErrorAccumulator(config.nbins, config.items + 1)
-    cells = grid.cells(labels, scores)
+    cells = grid_cells((config.nbins, config.items + 1), labels, scores)
     # strat and ipw share one fit, made on first use; ipw retries one that raised
     stage = cache(partial(_propensity_stage, proxies, table.form, config.strata))
     for method in methods:
         try:
-            out[method] = grid.tally(
+            out[method] = tally(
                 cells, _equate_target_scores(method, table, config, target, stage) - true_eq
             )
         except LocalEqError:

@@ -168,6 +168,8 @@ class SimulationConfig:
                 raise ValueError(f"{name} must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.strata > self.n:  # a stratum needs an examinee
+            raise ValueError(f"strata ({self.strata}) exceeds n ({self.n})")
         if self.covariate_strength not in STRENGTH_RANGES:
             raise ValueError(
                 f"covariate_strength must be one of {sorted(STRENGTH_RANGES)}, "

@@ -27,7 +27,9 @@ from localeq.evaluation import (
     _run_replication,
     apply_omission_rule,
     bin_by_theta,
+    grid_cells,
     run_study,
+    tally,
     write_rows,
 )
 from localeq.simulation import SimulationConfig, draw_design, gen_population, true_transform
@@ -156,7 +158,7 @@ SUMS = ("abs_sum", "sq_sum", "signed_sum", "signed_m2", "count")
 
 @st.composite
 def replication_runs(draw):
-    """(nbins, n_scores, replications of (bins, scores, errors) records, cut points)."""
+    """(nbins, n_scores, replications of (bins, scores, errors) records)."""
     nbins, n_scores = draw(st.integers(1, 4)), draw(st.integers(1, 5))
     record = st.tuples(
         st.integers(1, nbins), st.integers(0, n_scores - 1),
@@ -166,8 +168,7 @@ def replication_runs(draw):
         tuple(np.array(column) for column in zip(*records)) if records else ([], [], [])
         for records in draw(st.lists(st.lists(record, max_size=8), min_size=1, max_size=10))
     ]
-    cuts = sorted(draw(st.lists(st.integers(0, len(reps)), max_size=3)))
-    return nbins, n_scores, reps, cuts
+    return nbins, n_scores, reps
 
 
 def random_replications(seed, reps, nbins, n_scores):
@@ -255,23 +256,6 @@ class TestErrorAccumulator:
             acc.add(bins, scores, [0.5])
         assert not acc.count.any()
 
-    def test_insert_matches_direct_adds(self):
-        direct = ErrorAccumulator(3, 1)
-        add_per_bin(direct, [1, 2], [0.5, -0.3])
-        add_per_bin(direct, [2, 3], [1.1, 0.0])
-
-        part0 = ErrorAccumulator(3, 1)
-        add_per_bin(part0, [1, 2], [0.5, -0.3])
-        part1 = ErrorAccumulator(3, 1)
-        add_per_bin(part1, [2, 3], [1.1, 0.0])
-        merged = ErrorAccumulator(3, 1)
-        merged.insert(part0)
-        merged.insert(part1)
-
-        np.testing.assert_array_equal(direct.bias(), merged.bias())
-        np.testing.assert_array_equal(direct.rmse(), merged.rmse())
-        np.testing.assert_array_equal(direct.count, merged.count)
-
     def test_signed_mcse_hand_value(self):
         # per-replication cell means 1 and 3: sd (ddof=1) sqrt(2), over sqrt(2)
         acc = ErrorAccumulator(1, 1)
@@ -291,96 +275,49 @@ class TestErrorAccumulator:
         # rep means -0.5 and 0.7, the empty rep in between is not a zero
         assert mcse[1, 0] == pytest.approx(0.6)
 
-    def test_signed_mcse_insert_matches_direct_adds(self):
-        direct = ErrorAccumulator(2, 3)
-        parts = []
-        for bins, errors, scores in [
-            ([1, 1, 2], [0.5, -0.1, 0.3], [0, 2, 1]),
-            ([1, 2], [1.2, -0.8], [0, 1]),
-            ([1, 2, 2], [-0.4, 0.9, 0.2], [0, 1, 2]),
-        ]:
-            direct.add(bins, scores, errors)
-            part = ErrorAccumulator(2, 3)
-            part.add(bins, scores, errors)
-            parts.append(part)
-        merged = ErrorAccumulator(2, 3)
-        for part in parts:
-            merged.insert(part)
-        np.testing.assert_array_equal(direct.signed_mcse(), merged.signed_mcse())
-        assert not np.isnan(direct.signed_mcse()[0, 0])
-
     @pytest.mark.parametrize("seed", range(4))
     def test_streaming_fold_matches_stored_slot_reference(self, seed):
         nbins, n_scores, reps = 4, 7, 30
         data = random_replications(seed, reps, nbins, n_scores)
         reference = ReferenceAccumulator(reps, nbins, n_scores)
-        direct = ErrorAccumulator(nbins, n_scores)
-        merged = ErrorAccumulator(nbins, n_scores)
+        acc = ErrorAccumulator(nbins, n_scores)
         for rep, (bins, scores, errors) in enumerate(data):
             reference.add(rep, bins, scores, errors)
-            direct.add(bins, scores, errors)
-            part = ErrorAccumulator(nbins, n_scores)
-            part.add(bins, scores, errors)
-            merged.insert(part)
-            for acc in (direct, merged):  # read mid-stream, after rep + 1 reps
-                for stat in ("bias", "rmse", "signed_mean", "reps_used"):
-                    np.testing.assert_array_equal(
-                        getattr(acc, stat)(), getattr(reference, stat)()
-                    )
-                np.testing.assert_allclose(
-                    acc.signed_mcse(), reference.signed_mcse(), rtol=1e-12, atol=0
-                )
+            acc.add(bins, scores, errors)
+            # read mid-stream, after rep + 1 reps
+            for stat in ("bias", "rmse", "signed_mean", "reps_used"):
+                np.testing.assert_array_equal(getattr(acc, stat)(), getattr(reference, stat)())
+            np.testing.assert_allclose(
+                acc.signed_mcse(), reference.signed_mcse(), rtol=1e-12, atol=0
+            )
         used = reference.reps_used()
         assert (used == 0).any() and (used == 1).any() and (used > 5).any()
         assert any(len(bins) == 0 for bins, _, _ in data)
 
-    def test_signed_mcse_merges_multi_replication_parts(self):
-        # merging runs of several replications exercises the pairwise update
-        nbins, n_scores = 3, 6
-        data = random_replications(11, 24, nbins, n_scores)
-        reference = ReferenceAccumulator(len(data), nbins, n_scores)
-        merged = ErrorAccumulator(nbins, n_scores)
-        for start in range(0, len(data), 5):
-            part = ErrorAccumulator(nbins, n_scores)
-            for rep in range(start, min(start + 5, len(data))):
-                reference.add(rep, *data[rep])
-                part.add(*data[rep])
-            merged.insert(part)
-        np.testing.assert_array_equal(merged.reps_used(), reference.reps_used())
-        np.testing.assert_allclose(
-            merged.signed_mcse(), reference.signed_mcse(), rtol=1e-12, atol=0
-        )
-
     @given(run=replication_runs())
     @example(run=(2, 3, [([1, 1, 2], [0, 0, 2], [-0.0, 0.5, -2.0]), ([], [], []),
-                         ([1], [0], [1.5]), ([2], [2], [-0.0])], [1, 3]))
-    @example(run=(1, 1, [([1], [0], [e]) for e in (0.1, 0.7, 1.3, -0.2, 2.9)], [2]))
+                         ([1], [0], [1.5]), ([2], [2], [-0.0])]))
+    @example(run=(1, 1, [([1], [0], [e]) for e in (0.1, 0.7, 1.3, -0.2, 2.9)]))
     @settings(max_examples=200, deadline=None)
     def test_compact_tallies_fold_to_the_dense_reference_bits(self, run):
-        # each replication folded on its own, then runs of them folded as parts
-        # and the parts merged: the same bits as the dense fold, cell for cell,
-        # in the cells touched once, many times and never
-        nbins, n_scores, reps, cuts = run
-        direct, dense = ErrorAccumulator(nbins, n_scores), DenseFold(nbins, n_scores)
-        merged, dense_merged = ErrorAccumulator(nbins, n_scores), DenseFold(nbins, n_scores)
-        for start, stop in zip([0, *cuts], [*cuts, len(reps)]):
-            part, dense_part = ErrorAccumulator(nbins, n_scores), DenseFold(nbins, n_scores)
-            for bins, scores, errors in reps[start:stop]:
-                for acc in (direct, dense, part, dense_part):
-                    acc.add(bins, scores, errors)
-            merged.insert(part)
-            dense_merged.insert(dense_part)
-        for got, want in ((direct, dense), (merged, dense_merged)):
-            for name in SUMS:
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        # each replication folded on its own: the same bits as the dense fold,
+        # cell for cell, in the cells touched once, many times and never
+        nbins, n_scores, reps = run
+        acc, dense = ErrorAccumulator(nbins, n_scores), DenseFold(nbins, n_scores)
+        for bins, scores, errors in reps:
+            acc.add(bins, scores, errors)
+            dense.add(bins, scores, errors)
+        for name in SUMS:
+            assert getattr(acc, name).tobytes() == getattr(dense, name).tobytes(), name
 
     def test_a_tally_holds_only_the_cells_it_touched(self):
+        out = tally(grid_cells((3, 4), [3, 1, 3], [2, 0, 2]), [1.0, -0.5, 2.0])
+        touched, abs_mean, sq_mean, signed_mean = out
+        assert touched.tolist() == [0, 10]
+        assert abs_mean.tolist() == [0.5, 1.5] and signed_mean.tolist() == [-0.5, 1.5]
+        assert sq_mean.tolist() == [0.25, 2.5]
         acc = ErrorAccumulator(3, 4)
-        tally = acc.tally(acc.cells([3, 1, 3], [2, 0, 2]), [1.0, -0.5, 2.0])
-        np.testing.assert_array_equal(tally.held, [0, 10])
-        assert tally.abs_sum.tolist() == [0.5, 1.5] and tally.signed_sum.tolist() == [-0.5, 1.5]
-        assert (tally.count, tally.signed_m2) == (1, 0.0)
-        acc.insert(tally)
+        acc.insert(out)
         assert acc.reps_used().tolist() == [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]]
 
     def test_rmse_dominates_bias(self):
@@ -518,6 +455,32 @@ def test_a_replication_builds_no_map_per_cell(monkeypatch):
     assert counts == [6, 6]
 
 
+@pytest.mark.parametrize("methods", [METHODS, ("eg", "anchor")])
+def test_a_replication_outcome_is_plain_arrays_over_one_touched_array(monkeypatch, methods):
+    # each method's tally is (touched, abs_mean, sq_mean, signed_mean), all the
+    # methods share one touched array, and only run_study builds accumulators
+    built = []
+    init = ErrorAccumulator.__init__
+    monkeypatch.setattr(
+        ErrorAccumulator, "__init__", lambda acc, *shape: built.append(shape) or init(acc, *shape)
+    )
+    config = SimulationConfig(replications=1, seed=3)
+    seeds = np.random.SeedSequence(config.seed).spawn(2)
+    design = draw_design(config, np.random.default_rng(seeds[0]))
+    out = _run_replication(config, design, methods, seeds[1])
+    assert built == []
+    assert list(out) == list(methods) and None not in out.values()  # every method fits here
+    touched = out[methods[0]][0]
+    for outcome in out.values():
+        assert type(outcome) is tuple and len(outcome) == 4
+        assert all(type(part) is np.ndarray for part in outcome)
+        assert outcome[0] is touched
+        assert all(part.shape == touched.shape for part in outcome[1:])
+    assert 0 < touched.size < config.nbins * (config.items + 1)
+    run_study(config, methods)
+    assert built == [(config.nbins, config.items + 1)] * len(methods)
+
+
 class TestOmissionRule:
     def test_uniform_distribution_keeps_everything(self):
         mask = apply_omission_rule(np.full(41, 1.0 / 41.0))
@@ -626,10 +589,11 @@ class TestRunStudy:
         assert all(out[method] is not None for method in METHODS)
 
     def test_large_replication_peak_memory_per_examinee(self):
-        # the peak is reached inside the propensity fit; measured 168.4-168.8 B
+        # the peak is reached inside the propensity fit; measured 166.4-166.8 B
         # per examinee at N = 10000 over seeds 1-3, bound 185 B (10% margin): the
         # fit runs on first use, while the anchor tally is held, and the drawn
-        # population is gone; 216.5-216.8 B while the replication held the
+        # population is gone; 168.1-168.8 B while the replication built a dense
+        # accumulator to number its cells, 216.5-216.8 B while it held the
         # population's latent columns and covariates through the fit, 226.6 B
         # while the fit kept a float copy of the labels, 264 B while the
         # population kept an int copy of its covariates and the fit kept eta
@@ -675,9 +639,9 @@ class TestRunStudy:
     def test_a_pickled_replication_outcome_holds_only_touched_cells(self, seed):
         # a forked worker pickles each outcome down its pipe: at the default
         # design, N = 1000, 91-110 of the 410 cells are touched, and the four
-        # tallies share one array of them; measured 10.3-12.3 kB over three
-        # designs of 20 replications, bound 16 kB; 41.9 kB while every tally
-        # was dense over the cells
+        # tallies share one array of them; measured 10.1-12.1 kB over three
+        # designs of 20 replications, bound 16 kB; 10.3-12.3 kB while each tally
+        # was an accumulator object, 41.9 kB while every tally was dense
         config = SimulationConfig(seed=seed)
         seeds = np.random.SeedSequence(config.seed).spawn(2)
         design = draw_design(config, np.random.default_rng(seeds[0]))
@@ -751,7 +715,8 @@ class TestRunStudy:
 
     @pytest.mark.filterwarnings("ignore::localeq.errors.SeparationWarning")
     def test_too_few_examinees_marks_failures(self):
-        config = tiny_config(n=6, strata=8, nbins=2, replications=4)
+        # one examinee per stratum: no stratum cell qualifies for a transform
+        config = tiny_config(n=6, strata=6, nbins=2, replications=4)
         with pytest.warns(StudyUnstableWarning):
             report = run_study(config, methods=("strat", "ipw"))
         assert report.methods["strat"].failures == 4

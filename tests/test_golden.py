@@ -9,7 +9,8 @@ kernel-equipercentile ``equate`` methods (bandwidth 0.6) and ``diagnose``
 write for the inputs beside it. ``equate`` and ``diagnose`` must write the
 same bytes when ``scores.csv`` is rewritten with a byte-order mark, CRLF
 line ends and every field quoted, and, in a fresh process, under another OpenBLAS
-kernel, except the commands whose bytes still follow the CPU (``CPU_DEPENDENT``).
+kernel or with numpy's AVX2 paths in place of its AVX-512 ones, except the commands
+whose bytes still follow the CPU (``CPU_DEPENDENT``).
 A change that is meant to alter these bytes must say so and regenerate the digests
 explicitly:
 
@@ -103,22 +104,35 @@ def test_quoted_crlf_file_with_a_byte_order_mark_matches(name, tmp_path, capsys)
     assert digests(name, tmp_path / "out", str(data)) == pinned(name)
 
 
+def fresh_process_digests(env, tmp_path):
+    """The digests of every command but the ``CPU_DEPENDENT`` ones, from a fresh process
+    under ``env``, against their pins: OpenBLAS and numpy read their CPU paths once, at load."""
+    names = [name for name in COMMANDS if name not in CPU_DEPENDENT]
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    run = subprocess.run(
+        [sys.executable, "-W", "error::ImportWarning", "-c", PRINT_DIGESTS, str(tmp_path)]
+        + names,
+        env={**os.environ, **env, "PYTHONPATH": os.pathsep.join(path)},
+        capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == {k: v for name in names for k, v in pinned(name).items()}
+
+
 @pytest.mark.skipif(
     platform.machine().lower() not in ("x86_64", "amd64"), reason="OpenBLAS x86 kernels"
 )
 @pytest.mark.parametrize("coretype", CORETYPES)
 def test_digests_do_not_depend_on_the_openblas_kernel(coretype, tmp_path):
-    # OpenBLAS reads its kernel choice once, at load: each run needs a fresh process
-    names = [name for name in COMMANDS if name not in CPU_DEPENDENT]
-    here = Path(__file__).resolve().parent
-    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
-    run = subprocess.run(
-        [sys.executable, "-c", PRINT_DIGESTS, str(tmp_path), *names],
-        env={**os.environ, "OPENBLAS_CORETYPE": coretype, "PYTHONPATH": os.pathsep.join(path)},
-        capture_output=True, text=True, timeout=600,
-    )
-    assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout) == {k: v for name in names for k, v in pinned(name).items()}
+    fresh_process_digests({"OPENBLAS_CORETYPE": coretype}, tmp_path)
+
+
+@pytest.mark.skipif(not __cpu_features__.get("X86_V4"), reason="numpy dispatches no AVX-512")
+def test_digests_do_not_depend_on_numpy_avx512_dispatch(tmp_path):
+    # numpy's AVX2 paths in place of its AVX-512 ones; a name numpy 2.4.6 does not
+    # dispatch raises an ImportWarning, an error in the fresh process
+    fresh_process_digests({"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}, tmp_path)
 
 
 if __name__ == "__main__":

@@ -292,6 +292,9 @@ class TestSimulationConfig:
             SimulationConfig(trim_alpha=0.5)
         with pytest.raises(ValueError):
             SimulationConfig(n=0)
+        with pytest.raises(ValueError, match=r"^strata \(60\) exceeds n \(50\)$"):
+            SimulationConfig(n=50, strata=60)
+        assert SimulationConfig(n=50, strata=50).strata == 50
 
     @pytest.mark.parametrize("categories", [(), (1,), (3, 1)])
     def test_covariates_need_two_categories_each(self, categories):
@@ -384,7 +387,8 @@ class TestGenPopulation:
     def test_columns_match_the_reference_draw_bit_for_bit(self, n, strength):
         # n = 1 leaves one form without examinees; block + 1 ends on a one-row block
         for seed in range(5):
-            config = SimulationConfig(n=n, covariate_strength=strength, seed=seed)
+            # the draw reads no strata; one stratum admits any n
+            config = SimulationConfig(n=n, strata=1, covariate_strength=strength, seed=seed)
             pop = gen_population(config, np.random.default_rng(seed))
             expected = reference_population(config, np.random.default_rng(seed))
             for name, column in expected.items():
@@ -472,7 +476,8 @@ class TestGenPopulation:
 
         dropped = 0
         for seed in range(20):
-            pop = gen_population(SimulationConfig(n=n, seed=seed), np.random.default_rng(seed))
+            config = SimulationConfig(n=n, strata=1, seed=seed)  # the draw reads no strata
+            pop = gen_population(config, np.random.default_rng(seed))
             columns = [pop.anchor_score, *pop.covariates.T]
             kept = [standardize(c.astype(float)) for c in columns if np.ptp(c) > 0]
             dropped += len(columns) - len(kept)
@@ -481,7 +486,7 @@ class TestGenPopulation:
         assert dropped > 0 or n > 4
 
     def test_one_examinee_is_assigned_by_the_intercept_alone(self):
-        config = SimulationConfig(n=1, beta=(0.7, -0.35, 0.1, -0.1, 0.1))
+        config = SimulationConfig(n=1, strata=1, beta=(0.7, -0.35, 0.1, -0.1, 0.1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pop = gen_population(config, np.random.default_rng(0))
