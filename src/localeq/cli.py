@@ -197,10 +197,8 @@ def _parse_columns(data, schema):
         return None
     header = data[:head_end].decode().split(",")
     positions = _column_positions(header, schema)
-    newline = np.frombuffer(data, np.uint8) == ord("\n")
-    if np.any(newline[1:] & newline[:-1]):  # blank lines hold no record
+    if b"\n\n" in data:  # blank lines hold no record
         data = b"\n".join(filter(None, data.split(b"\n")))
-    del newline  # before the byte pass, whose peak it would raise
     if not data.endswith(b"\n"):
         data += b"\n"
     width, fields = len(header), []

@@ -114,8 +114,7 @@ class LinearTransform:
     mu_x: float | np.ndarray
 
     def __post_init__(self):
-        positive = self.slope > 0  # a bool for one cell's map, an array for a family's
-        if not (positive if isinstance(positive, bool) else positive.all()):  # NaN included
+        if not np.all(self.slope > 0):  # one cell's map or a family's columns; NaN included
             raise ValueError(f"slope must be positive, got {np.min(self.slope)}")
 
     def __eq__(self, other):  # field by field, so maps of equal columns compare too
@@ -187,6 +186,8 @@ class WeightedSample:
         values = _read_only(np.asarray(self.values, dtype=float).reshape(-1))
         if values.size == 0:
             raise EmptyInputError("weighted sample must be non-empty")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("sample values must be finite")
         weights = np.ones_like(values) if self.weights is None else self.weights
         weights = _read_only(np.asarray(weights, dtype=float).reshape(-1))
         if weights.shape != values.shape:

@@ -70,24 +70,28 @@ def bin_by_theta(theta, nbins: int):
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.size == 0:
         raise ValueError("no ability values to bin")
-    lo, hi = theta.min(), theta.max()
+    lo, hi = theta.min(), theta.max()  # NaN if any ability is
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("ability values must be finite")
     if lo == hi:
         return np.ones(theta.size, dtype=int), np.array([lo, hi])
     edges = np.linspace(lo, hi, nbins + 1)
-    labels = np.searchsorted(edges[1:-1], theta, side="right") + 1
-    return labels.astype(int), edges
+    return np.searchsorted(edges[1:-1], theta, side="right") + 1, edges
 
 
 def grid_cells(shape, bins, scores):
     """Each record's flat cell index in the (nbins, n_scores) ``shape``, (bin - 1) * n_scores
     + score, the touched cells, ascending, and their record counts."""
-    bins, scores = np.asarray(bins, dtype=int), np.asarray(scores, dtype=int)
+    bins, scores = np.asarray(bins), np.asarray(scores)
     for what, values, low, high in (
         ("bin label", bins, 1, shape[0]), ("score", scores, 0, shape[1] - 1)
     ):
-        bad = values[(values < low) | (values > high)]
+        if values.dtype.kind not in "iub" and not np.all(values == np.round(values)):  # NaN too
+            raise ValueError(f"{what}s must be whole numbers")
+        bad = values[(values < low) | (values > high)]  # an infinite one too
         if bad.size:
             raise ValueError(f"{what} {bad[0]} is outside {low}..{high}")
+    bins, scores = bins.astype(int, copy=False), scores.astype(int, copy=False)
     index = np.ravel_multi_index((bins.ravel() - 1, scores.ravel()), shape)
     n = np.bincount(index)
     touched = np.flatnonzero(n)

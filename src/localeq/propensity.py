@@ -80,10 +80,6 @@ class PropensityModel:
     iterations: int
     final_log_likelihood: float
 
-    @property
-    def n_columns(self) -> int:
-        return self.coefficients.size - 1
-
 
 @dataclass(frozen=True)
 class StratumAssignment:
@@ -245,11 +241,12 @@ def estimate_propensity(model: PropensityModel, encoded) -> np.ndarray | float:
     encoded = np.asarray(encoded, dtype=float)
     single = encoded.ndim == 1
     rows = np.atleast_2d(encoded)
-    if rows.shape[1] != model.n_columns:
+    intercept, slopes = model.coefficients[0], model.coefficients[1:]
+    if rows.shape[1] != slopes.size:
         raise DimensionError(
-            f"row arity {rows.shape[1]} does not match model ({model.n_columns})"
+            f"row arity {rows.shape[1]} does not match model ({slopes.size})"
         )
-    eta = model.coefficients[0] + rows @ model.coefficients[1:]
+    eta = intercept + rows @ slopes
     p = np.clip(sigmoid(eta), PROPENSITY_CLIP, 1.0 - PROPENSITY_CLIP)
     return float(p[0]) if single else p
 

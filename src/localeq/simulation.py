@@ -94,8 +94,8 @@ class ItemParams:
     b: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        a = np.array(self.a, dtype=float)  # a copy: freezing it leaves the caller's arrays be
+        b = np.array(self.b, dtype=float)
         if a.ndim != 1 or a.shape != b.shape:
             raise ValueError("a and b must be 1-d arrays of equal length")
         if np.any(a <= 0.0) or not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):

@@ -293,6 +293,12 @@ class TestWeightedSample:
         with pytest.raises(InvalidWeightError):
             WeightedSample(np.array([1.0, 2.0]), np.array([1.0, bad]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values(self, bad):
+        # a NaN would read as a value above every other in the ECDF
+        with pytest.raises(ValueError, match="sample values must be finite"):
+            WeightedSample(np.array([1.0, bad, 2.0]))
+
     def test_arrays_read_only(self):
         s = WeightedSample(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):

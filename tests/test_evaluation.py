@@ -64,6 +64,9 @@ class TestBinByTheta:
             bin_by_theta([1.0], 0)
         with pytest.raises(ValueError):
             bin_by_theta([], 3)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="ability values must be finite"):
+                bin_by_theta([0.0, bad, 1.0], 2)
 
 
 def add_per_bin(acc, bins, errors):
@@ -247,14 +250,25 @@ class TestErrorAccumulator:
     @pytest.mark.parametrize(
         "bins, scores, bad",
         [([0], [1], "bin label 0"), ([4], [1], "bin label 4"),
-         ([1], [-1], "score -1"), ([2], [4], "score 4"), ([0], [-1], "bin label 0")],
+         ([1], [-1], "score -1"), ([2], [4], "score 4"), ([0], [-1], "bin label 0"),
+         ([1.7], [1], "bin labels must be whole"), ([2], [2.5], "scores must be whole"),
+         ([np.nan], [1], "bin labels must be whole"), ([1], [np.inf], "score inf"),
+         ([-np.inf], [1], "bin label -inf")],
     )
     def test_out_of_range_cell_raises(self, bins, scores, bad):
-        # negative indices would wrap into another cell instead
+        # negative indices would wrap into another cell instead, and a cast
+        # would truncate 1.7 into bin 1
         acc = ErrorAccumulator(3, 4)
         with pytest.raises(ValueError, match=bad):
             acc.add(bins, scores, [0.5])
         assert not acc.count.any()
+
+    def test_whole_float_cells_count_as_integers(self):
+        floats, ints = ErrorAccumulator(3, 4), ErrorAccumulator(3, 4)
+        floats.add([3.0, 1.0], [2.0, 0.0], [0.5, -1.0])
+        ints.add([3, 1], [2, 0], [0.5, -1.0])
+        np.testing.assert_array_equal(floats.count, ints.count)
+        np.testing.assert_array_equal(floats.signed_sum, ints.signed_sum)
 
     def test_signed_mcse_hand_value(self):
         # per-replication cell means 1 and 3: sd (ddof=1) sqrt(2), over sqrt(2)

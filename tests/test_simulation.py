@@ -183,9 +183,14 @@ class TestItemParams:
             ItemParams(a=np.ones(3), b=np.zeros(2))
 
     def test_arrays_read_only(self):
-        items = ItemParams(a=np.ones(2), b=np.zeros(2))
+        a = np.ones(2)
+        items = ItemParams(a=a, b=np.zeros(2))
         with pytest.raises(ValueError):
             items.a[0] = 2.0
+        # the frozen arrays are copies: the caller's stays writable, and unshared
+        assert a.flags.writeable
+        a[0] = 2.0
+        np.testing.assert_array_equal(items.a, [1.0, 1.0])
 
     def test_draw_ranges(self):
         items = draw_items(200, np.random.default_rng(0))
