@@ -61,7 +61,9 @@ class ScoreTable:
     being equated). ``score`` and ``anchor`` are non-negative integers;
     ``anchor`` is None without an anchor test. ``covariates`` holds one finite
     row per examinee, categorical covariates as integer levels. The columns
-    are validated once, at construction, and kept read-only.
+    are validated once, at construction, and kept as read-only views (not
+    copies where the dtype matches): a later write by the caller to an array
+    passed in bypasses the checks.
     """
 
     form: np.ndarray
@@ -177,19 +179,19 @@ class TransformFamily:
 
 @dataclass(frozen=True)
 class WeightedSample:
-    """A vector of values with strictly positive weights of equal length."""
+    """A vector of values with strictly positive weights of equal length, both copied."""
 
     values: np.ndarray
     weights: np.ndarray = None
 
     def __post_init__(self):
-        values = _read_only(np.asarray(self.values, dtype=float).reshape(-1))
+        values = _read_only(np.array(self.values, dtype=float).reshape(-1))
         if values.size == 0:
             raise EmptyInputError("weighted sample must be non-empty")
         if not np.all(np.isfinite(values)):
             raise ValueError("sample values must be finite")
         weights = np.ones_like(values) if self.weights is None else self.weights
-        weights = _read_only(np.asarray(weights, dtype=float).reshape(-1))
+        weights = _read_only(np.array(weights, dtype=float).reshape(-1))
         if weights.shape != values.shape:
             raise DimensionError(
                 f"values ({values.size}) and weights ({weights.size}) differ in length"

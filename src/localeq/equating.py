@@ -253,7 +253,8 @@ class EquipercentileMap:
 
     When both CDFs have a survival function (kernel CDFs), S_Y(y) is computed
     directly and the upper half is inverted in survival form, so the top of
-    the map keeps the precision that F_Y(y) loses near 1.
+    the map keeps the precision that F_Y(y) loses near 1. A NaN score raises
+    ValueError; -inf and inf map to the ends of F_X's support.
     """
 
     def __init__(self, cdf_y, cdf_x):
@@ -263,6 +264,8 @@ class EquipercentileMap:
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
         flat = y.reshape(-1)
+        if np.isnan(flat).any():
+            raise ValueError("equipercentile map got a NaN score")
         p = self.cdf_y(flat)
         q = None
         if hasattr(self.cdf_y, "sf") and hasattr(self.cdf_x, "sf"):
@@ -338,7 +341,5 @@ def pooled_transform(table: ScoreTable) -> LinearTransform:
 
     The one-cell case of the family engine: every record in one stratum.
     """
-    everyone = StratumAssignment(
-        K=1, labels=np.ones(len(table), dtype=int), boundaries=np.empty(0)
-    )
+    everyone = StratumAssignment(K=1, labels=np.ones(len(table), dtype=int))
     return _fit_cells(table, everyone, _linear_maps).maps[0]

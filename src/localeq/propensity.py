@@ -16,9 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    ScoreTable, _mean_var, _probabilities, _read_only, sorted_quantiles
-)
+from .core import ScoreTable, _mean_var, _probabilities, _read_only
 from .errors import (
     DegenerateColumnWarning,
     DimensionError,
@@ -83,11 +81,11 @@ class PropensityModel:
 
 @dataclass(frozen=True)
 class StratumAssignment:
-    """Quantile stratification: per-record labels in 1..K plus cut points, read-only."""
+    """Quantile stratification: per-record labels in 1..K, a read-only view of
+    the array given, so a later write to that array bypasses the 1..K check."""
 
     K: int
     labels: np.ndarray
-    boundaries: np.ndarray
 
     def __post_init__(self):
         labels = _read_only(np.asarray(self.labels))
@@ -252,18 +250,16 @@ def estimate_propensity(model: PropensityModel, encoded) -> np.ndarray | float:
 
 
 def stratify_quantile(propensities, K: int) -> StratumAssignment:
-    """Partition records into K strata at the j/K propensity quantiles.
+    """Partition records into K strata of equal propensity rank.
 
-    Records are assigned by rank, with ties broken by stable input order, so
-    stratum sizes are as equal as the ties permit: one sort of the key tie
-    rank * n + index after numpy's default argsort gives
-    ``np.argsort(p, kind="stable")`` bit for bit. The cut points, read off the
-    sorted propensities, are bit for bit the linear ``np.quantile`` of the
-    propensities with -0.0 read as 0.0: no stable sort orders tied signed
-    zeros as that function's partition does. A propensity outside [0, 1], NaN
-    included, raises InvalidProbabilityError.
+    The record of stable rank r (ties kept in input order) gets label
+    r * K // n + 1, so stratum sizes are as equal as the ties permit; one sort
+    of the key tie rank * n + index after numpy's default argsort gives
+    ``np.argsort(p, kind="stable")`` bit for bit. The labels are the partition:
+    no set of cut points reproduces a rank split. A propensity outside [0, 1],
+    NaN included, raises InvalidProbabilityError.
     """
-    p = _probabilities(propensities, "propensities").reshape(-1) + 0.0  # -0.0 -> 0.0
+    p = _probabilities(propensities, "propensities").reshape(-1)
     n = p.size
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
@@ -281,8 +277,7 @@ def stratify_quantile(propensities, K: int) -> StratumAssignment:
     labels *= K
     labels //= n
     labels += 1
-    boundaries = sorted_quantiles(p, [0], [n], np.arange(1, K) / K)[0]
-    return StratumAssignment(K=K, labels=labels, boundaries=boundaries)
+    return StratumAssignment(K=K, labels=labels)
 
 
 def asmd(group_x, group_y) -> float:

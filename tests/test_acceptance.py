@@ -111,9 +111,7 @@ def test_stabilized_weights_are_unit_when_propensities_match_strata():
     labels = np.array([1] * 4 + [2] * 5 + [3] * 5)
     shares = {1: 0.25, 2: 0.4, 3: 0.6}
     records = ScoreTable(form=forms, score=10 + np.arange(len(forms)))
-    assignment = StratumAssignment(
-        K=3, labels=labels, boundaries=np.array([0.0, 0.3, 0.5, 1.0])
-    )
+    assignment = StratumAssignment(K=3, labels=labels)
     propensities = np.array([shares[k] for k in labels])
     w = ipw_weights(records, assignment, propensities)
     assert np.abs(w.raw - 1.0).max() <= 1e-12

@@ -304,6 +304,15 @@ class TestWeightedSample:
         with pytest.raises(ValueError):
             s.values[0] = 9.0
 
+    def test_later_writes_to_the_inputs_do_not_reach_the_sample(self):
+        # the sample holds copies: a NaN or a negative weight written after
+        # construction must not get past its checks
+        values, weights = np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0, 2.0])
+        s = WeightedSample(values, weights)
+        values[0], weights[0] = np.nan, -1.0
+        assert s.values.tolist() == [1.0, 2.0, 3.0]
+        assert s.weights.tolist() == [1.0, 1.0, 2.0]
+
 
 class TestECDF:
     def test_weighted_step_values(self):

@@ -272,9 +272,7 @@ class TestIPWFamily:
         # rounded weighted mean is 7 - 1 ulp, which once gave a slope near 1e15
         records = [rec(0, 2), rec(0, 4), rec(0, 6), rec(1, 7), rec(1, 7), rec(1, 7)]
         records += [rec(0, 2), rec(0, 4), rec(1, 1), rec(1, 3)]
-        strata = StratumAssignment(
-            K=2, labels=np.array([1] * 6 + [2] * 4), boundaries=np.empty(0)
-        )
+        strata = StratumAssignment(K=2, labels=np.array([1] * 6 + [2] * 4))
         w = np.array([1.0, 1.0, 1.0, 0.4, 1.3, 2.2, 1.0, 1.0, 1.0, 1.0])
         weights = IPWWeights(raw=w, trimmed=w, assignment=strata, trim_alpha=0.0)
         fam = ipw_family(table(records), weights)
@@ -288,13 +286,13 @@ class TestIPWFamily:
         # it is rejected where the stratification the weights take is built
         strata = np.array([bad] * 4 + [127] * 4)
         with pytest.raises(DimensionError, match="whole numbers"):
-            StratumAssignment(K=127, labels=strata, boundaries=np.empty(0))
+            StratumAssignment(K=127, labels=strata)
 
     def test_hand_built_list_labels_are_stored_as_an_array(self):
         # a list once passed construction and failed later in both consumers
         # with "'list' object has no attribute 'size'"
         records = [rec(0, 2), rec(0, 4), rec(1, 1), rec(1, 3)]
-        strata = StratumAssignment(K=1, labels=[1, 1, 1, 1], boundaries=np.empty(0))
+        strata = StratumAssignment(K=1, labels=[1, 1, 1, 1])
         assert isinstance(strata.labels, np.ndarray)
         assert strat_family(table(records), strata).entries[1].slope == pytest.approx(1.0)
         weights = ipw_weights(table(records), strata, np.full(4, 0.5), trim_alpha=0.0)
@@ -303,7 +301,7 @@ class TestIPWFamily:
     @pytest.mark.parametrize("labels", [np.ones((2, 2)), np.ones((4, 1)), np.array(1)])
     def test_hand_built_labels_must_be_one_dimensional(self, labels):
         with pytest.raises(DimensionError, match="1-d"):
-            StratumAssignment(K=1, labels=labels, boundaries=np.empty(0))
+            StratumAssignment(K=1, labels=labels)
 
     @pytest.mark.parametrize("column", ["raw", "trimmed", "strata"])
     @pytest.mark.parametrize("size", [7, 9])
@@ -311,7 +309,7 @@ class TestIPWFamily:
         # a short or long column once reached ipw_family as a bare IndexError
         columns = {"raw": np.ones(8), "trimmed": np.ones(8), "strata": np.repeat([1, 2], 4)}
         columns[column] = columns[column][:size] if size < 8 else np.resize(columns[column], size)
-        strata = StratumAssignment(K=2, labels=columns.pop("strata"), boundaries=np.empty(0))
+        strata = StratumAssignment(K=2, labels=columns.pop("strata"))
         with pytest.raises(DimensionError, match="one entry per record"):
             IPWWeights(**columns, assignment=strata, trim_alpha=0.0)
 
@@ -421,9 +419,7 @@ class TestEquipercentileFamily:
         records = [rec(0, s, anchor=1) for s in (2, 4, 6)]
         records += [rec(1, s, anchor=1) for s in (1, 3)]
         records += [rec(0, 5, anchor=2), rec(1, 6, anchor=2), rec(1, 9, anchor=2)]
-        strata = StratumAssignment(
-            K=2, labels=table(records).anchor, boundaries=np.array([0.5])
-        )
+        strata = StratumAssignment(K=2, labels=table(records).anchor)
         if conditioning == "anchor":
             by, linear = "anchor", anchor_family(table(records))
         elif conditioning == "strata":
@@ -569,6 +565,21 @@ class TestKernelMapTails:
         # both tails are judged: the outermost points inside the support
         assert checked[np.flatnonzero(inside)[[0, -1]]].all()
         assert checked.sum() >= 0.9 * inside.sum()
+
+
+class TestEquipercentileMapInput:
+    @pytest.mark.parametrize(
+        "cdf", [ECDF, partial(KernelCDF, bandwidth=0.6)], ids=["step", "kernel"]
+    )
+    def test_a_nan_score_is_rejected_and_infinities_map_to_the_support_ends(self, cdf):
+        # one rule for every map kind, checked before F_Y, so no message names
+        # a probability the caller never passed
+        cdf_x = cdf(WeightedSample(np.arange(1.0, 5.0)))
+        equate = EquipercentileMap(cdf(WeightedSample(np.arange(2.0, 6.0))), cdf_x)
+        for y in (math.nan, np.array([3.0, math.nan])):
+            with pytest.raises(ValueError, match="NaN score"):
+                equate(y)
+        assert equate(np.array([-math.inf, math.inf])).tolist() == list(cdf_x.support)
 
 
 class TestFamilyAtPercentiles:
@@ -757,7 +768,7 @@ def assert_engine_matches_reference(t, assignment, propensities, bad_weight=None
     fitted = np.flatnonzero(np.isfinite(weights.trimmed))
     if bad_weight is not None and fitted.size:
         weights.trimmed[fitted[fitted.size // 2]] = bad_weight
-    everyone = StratumAssignment(K=1, labels=np.ones(len(t), dtype=int), boundaries=np.empty(0))
+    everyone = StratumAssignment(K=1, labels=np.ones(len(t), dtype=int))
     conditionings = {
         "anchor": ("anchor", lambda: anchor_family(t)),
         "strata": (assignment, lambda: strat_family(t, assignment)),
@@ -791,9 +802,7 @@ class TestCellEngineOracle:
             score=rng.integers(0, score_max + 1, n),
             anchor=rng.integers(0, anchor_max + 1, n),
         )
-        assignment = StratumAssignment(
-            K=strata, labels=rng.integers(1, strata + 1, n), boundaries=np.empty(0)
-        )
+        assignment = StratumAssignment(K=strata, labels=rng.integers(1, strata + 1, n))
         assert_engine_matches_reference(t, assignment, rng.uniform(0.02, 0.98, n), bad_weight)
 
     def test_pinned_cell_sizes(self):
@@ -808,9 +817,7 @@ class TestCellEngineOracle:
                     score = 7 if cell == 5 else (3 * i + cell) % 5 + form
                     records.append(rec(form, score, anchor=cell))
         t = table(records)
-        assignment = StratumAssignment(
-            K=7, labels=t.anchor + 1, boundaries=np.empty(0)
-        )
+        assignment = StratumAssignment(K=7, labels=t.anchor + 1)
         propensities = np.linspace(0.1, 0.9, len(t))
         assert 5 in ipw_weights(t, assignment, propensities).overlap_violations
         for bad_weight in (None, 0.0, math.nan):
@@ -840,7 +847,7 @@ class TestHistogramEngine:
             cells = rng.integers(0, k, n)
             t = ScoreTable(form=form, score=score, anchor=cells)
             w = rng.uniform(0.2, 5.0, n)
-            strata = StratumAssignment(K=k, labels=cells + 1, boundaries=np.empty(0))
+            strata = StratumAssignment(K=k, labels=cells + 1)
             weights = IPWWeights(raw=w, trimmed=w, assignment=strata, trim_alpha=0.0)
             for kind, family, offset in (("unit", anchor_family(t), 0),
                                          ("ipw", ipw_family(t, weights), 1)):
@@ -875,7 +882,7 @@ class TestHistogramEngine:
         score = 10**12 + rng.integers(0, 9, n) * 10**9
         score[anchor == 2**62] = 2**62 + rng.integers(0, 2, int(np.sum(anchor == 2**62)))
         t = ScoreTable(form=rng.integers(0, 2, n), score=score, anchor=anchor)
-        assignment = StratumAssignment(K=3, labels=rng.integers(1, 4, n), boundaries=np.empty(0))
+        assignment = StratumAssignment(K=3, labels=rng.integers(1, 4, n))
         assert_engine_matches_reference(t, assignment, rng.uniform(0.05, 0.95, n))
         assert 2**62 in anchor_family(t).omitted
 
@@ -892,10 +899,10 @@ class TestHistogramEngine:
         for fit in (anchor_family, partial(equipercentile_family, by="anchor", bandwidth=0.7)):
             dense, ranked = family_outcome(lambda: fit(small)), family_outcome(lambda: fit(big))
             assert ranked[:2] == dense[:2] and ranked[2] == dense[2] + [2**62]
-        strata = StratumAssignment(K=2**62 + 1, labels=big.anchor + 1, boundaries=np.empty(0))
+        strata = StratumAssignment(K=2**62 + 1, labels=big.anchor + 1)
         weights = IPWWeights(raw=np.append(w, 1.0), trimmed=np.append(w, 1.0),
                              assignment=strata, trim_alpha=0.0)
-        dense_strata = StratumAssignment(K=9, labels=anchor + 1, boundaries=np.empty(0))
+        dense_strata = StratumAssignment(K=9, labels=anchor + 1)
         dense_weights = IPWWeights(raw=w, trimmed=w, assignment=dense_strata, trim_alpha=0.0)
         assert family_outcome(lambda: ipw_family(big, weights))[:2] == family_outcome(
             lambda: ipw_family(small, dense_weights))[:2]
@@ -922,13 +929,13 @@ class TestHistogramEngine:
         labels = rng.integers(1, 4, 300)
         form = np.where(labels == 2, 1, rng.integers(0, 2, 300))
         t = ScoreTable(form=form, score=rng.integers(0, 41, 300))
-        assignment = StratumAssignment(K=3, labels=labels, boundaries=np.empty(0))
+        assignment = StratumAssignment(K=3, labels=labels)
         weights = ipw_weights(t, assignment, rng.uniform(0.05, 0.95, 300))
         assert weights.overlap_violations == [2] and np.isnan(weights.trimmed[labels == 2]).all()
         keep = labels != 2
         rest = IPWWeights(
             raw=weights.raw[keep], trimmed=weights.trimmed[keep], trim_alpha=0.01,
-            assignment=StratumAssignment(K=3, labels=labels[keep], boundaries=np.empty(0)),
+            assignment=StratumAssignment(K=3, labels=labels[keep]),
         )
         t_rest = ScoreTable(form=form[keep], score=t.score[keep])
         for fit in (ipw_family, partial(equipercentile_family, bandwidth=0.7)):
@@ -1019,7 +1026,7 @@ class TestIPWWeightsOracle:
         t = ScoreTable(form=(rng.random(n) < share).astype(int), score=rng.integers(0, 40, n))
         pool = rng.uniform(0.01, 0.99, n if distinct is None else distinct)
         propensities = pool[rng.integers(0, pool.size, n)] if n else np.empty(0)
-        assignment = StratumAssignment(K=strata, labels=labels, boundaries=np.empty(0))
+        assignment = StratumAssignment(K=strata, labels=labels)
         assert_ipw_weights_match_reference(t, assignment, propensities, trim_alpha)
 
     @pytest.mark.parametrize("trim_alpha", [0.0, 0.01, 0.49])
@@ -1031,11 +1038,11 @@ class TestIPWWeightsOracle:
         forms = np.concatenate([forms for _, forms in groups])
         propensities = np.where(labels == 4, 0.5, np.linspace(0.05, 0.95, labels.size))
         t = ScoreTable(form=forms, score=np.arange(labels.size))
-        assignment = StratumAssignment(K=6, labels=labels, boundaries=np.empty(0))
+        assignment = StratumAssignment(K=6, labels=labels)
         assert_ipw_weights_match_reference(t, assignment, propensities, trim_alpha)
         assert ipw_weights(t, assignment, propensities, trim_alpha).overlap_violations == [2, 5]
 
     def test_empty_table(self):
         t = ScoreTable(form=np.empty(0, dtype=int), score=np.empty(0, dtype=int))
-        assignment = StratumAssignment(K=3, labels=np.empty(0, dtype=int), boundaries=np.empty(0))
+        assignment = StratumAssignment(K=3, labels=np.empty(0, dtype=int))
         assert_ipw_weights_match_reference(t, assignment, np.empty(0), 0.01)

@@ -590,8 +590,8 @@ class TestRunStudy:
         assert len(designs) == 1 and designs[0] is pop.proxies
 
     def test_replication_path_calls_no_quantile_wrapper(self, monkeypatch):
-        # the strata cut points and the IPW trimming bounds are read off
-        # sorted runs; np.quantile stays off the study's replication path
+        # the IPW trimming bounds are read off sorted runs; np.quantile
+        # stays off the study's replication path
         def no_quantile(*args, **kwargs):
             raise AssertionError("np.quantile called on the replication path")
 
