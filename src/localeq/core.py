@@ -109,6 +109,7 @@ class LinearTransform:
     ``mu_y`` and ``mu_x`` the conditional means being matched. Maps ``mu_y``
     exactly onto ``mu_x``. A family's map holds (cells, 1) columns: called on a
     row of scores it maps them for every cell at once, and ``[i]`` is cell i's.
+    A NaN score raises ValueError.
     """
 
     slope: float | np.ndarray
@@ -126,7 +127,10 @@ class LinearTransform:
                    for f in fields(self))
 
     def __call__(self, y):
-        return self.slope * (np.asarray(y, dtype=float) - self.mu_y) + self.mu_x
+        y = np.asarray(y, dtype=float)
+        if np.isnan(y).any():
+            raise ValueError("linear map got a NaN score")
+        return self.slope * (y - self.mu_y) + self.mu_x
 
     def __getitem__(self, i):
         return LinearTransform(self.slope.item(i), self.mu_y.item(i), self.mu_x.item(i))
@@ -268,8 +272,8 @@ def _probabilities(values, what: str = "p") -> np.ndarray:
 class ECDF:
     """Right-continuous weighted empirical CDF of a sample.
 
-    ``F(x) = sum(w_i * 1[v_i <= x]) / sum(w_i)``. Exposes an exact
-    generalized inverse through :meth:`quantile`.
+    ``F(x) = sum(w_i * 1[v_i <= x]) / sum(w_i)``, NaN at a NaN x. Exposes an
+    exact generalized inverse through :meth:`quantile`.
     """
 
     def __init__(self, sample: WeightedSample):
@@ -288,8 +292,10 @@ class ECDF:
         return float(self.points[0]), float(self.points[-1])
 
     def __call__(self, x):
-        idx = np.searchsorted(self.points, np.asarray(x, dtype=float), side="right")
+        x = np.asarray(x, dtype=float)
+        idx = np.searchsorted(self.points, x, side="right")  # a NaN sorts past every point
         out = np.where(idx > 0, self.cum_fractions[np.maximum(idx - 1, 0)], 0.0)
+        out[np.isnan(x)] = np.nan
         return out if out.ndim else float(out)
 
     def quantile(self, p):
@@ -327,9 +333,9 @@ class KernelCDF:
     values are pooled at construction (``centers`` holds one entry per
     distinct value v_j, ``fractions`` its weight share r_j), so an evaluation
     costs one ``ndtr`` per distinct value, not per record. With s = 0 (a
-    sample without spread) F_h is the step function at the centers. F_h and
-    S_h sum each point's terms on their own, so neither its batch nor the BLAS
-    kernel moves a value's bits.
+    sample without spread) F_h is the step function at the centers. Both F_h
+    and S_h are NaN at a NaN x. They sum each point's terms on their own, so
+    neither its batch nor the BLAS kernel moves a value's bits.
     """
 
     def __init__(self, sample: WeightedSample, bandwidth: float):
@@ -356,7 +362,7 @@ class KernelCDF:
         """F_h(x), elementwise over ``x``."""
         x = np.asarray(x, dtype=float)
         if self.scale == 0.0:
-            return self._mix(x[..., None] >= self.centers)
+            return self._mix(np.heaviside(x[..., None] - self.centers, 1.0))  # x >= c, NaN at NaN
         return self._mix(_ndtr((x[..., None] - self.centers) / self.scale))
 
     def sf(self, x):
@@ -367,7 +373,7 @@ class KernelCDF:
         """
         x = np.asarray(x, dtype=float)
         if self.scale == 0.0:
-            return self._mix(x[..., None] < self.centers)
+            return self._mix(np.heaviside(self.centers - x[..., None], 0.0))  # x < c, NaN at NaN
         return self._mix(_ndtr((self.centers - x[..., None]) / self.scale))
 
     def tail_density(self, x, upper):

@@ -74,7 +74,7 @@ class WorkerLostError(LocalEqError):
 
 
 class DegenerateColumnWarning(UserWarning):
-    """A covariate column had a single observed level and was dropped."""
+    """A covariate column had a single observed level or no spread and was dropped."""
 
 
 class SeparationWarning(UserWarning):

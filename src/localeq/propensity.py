@@ -119,46 +119,34 @@ class BalanceReport:
 def encode_covariates(table: ScoreTable, kinds: Sequence[str]) -> np.ndarray:
     """Build the logistic design matrix (without intercept column).
 
-    Numeric covariates are standardized to mean 0, sd 1 (n-1 sd) over the
-    pooled sample. Categorical covariates expand to level-count minus one
-    indicator columns against the lowest observed level. Columns with a
-    single observed level are dropped with a :class:`DegenerateColumnWarning`.
+    Every kind is checked to be "numeric" or "categorical" before any column
+    is read. A categorical covariate yields one indicator column per observed
+    level past the lowest. A numeric one yields ``(col - mean) / sd`` (n-1 sd,
+    pooled sample) when its values are not all equal and that sd is positive.
+    A column that yields nothing is dropped with a :class:`DegenerateColumnWarning`.
     """
     raw = table.covariates
     if raw.shape[1] != len(kinds):
         raise DimensionError(
             f"{raw.shape[1]} covariates but {len(kinds)} kind tags"
         )
+    for kind in kinds:
+        if kind not in ("numeric", "categorical"):
+            raise ValueError(f"unknown covariate kind {kind!r}")
     columns = []
     for j, kind in enumerate(kinds):
-        col = raw[:, j]
+        col, encoded = raw[:, j], []
         if kind == "categorical":
-            levels = np.unique(col)
-            single = levels.size < 2
-        else:  # finite values (ScoreTable): one level iff min == max, with no sort
-            single = not col.size or col.min() == col.max()
-        if single:
+            encoded = [(col == level).astype(float) for level in np.unique(col)[1:]]
+        elif col.size and col.min() < col.max() and (sd := col.std(ddof=1)) > 0.0:
+            encoded = [(col - col.mean()) / sd]  # values are finite (ScoreTable)
+        if not encoded:
             warnings.warn(
-                f"covariate {j} has a single observed level; dropped",
+                f"covariate {j} has a single observed level or no spread; dropped",
                 DegenerateColumnWarning,
                 stacklevel=2,
             )
-            continue
-        if kind == "numeric":
-            sd = col.std(ddof=1)
-            if sd == 0.0:
-                warnings.warn(
-                    f"covariate {j} is constant; dropped",
-                    DegenerateColumnWarning,
-                    stacklevel=2,
-                )
-                continue
-            columns.append((col - col.mean()) / sd)
-        elif kind == "categorical":
-            for level in levels[1:]:
-                columns.append((col == level).astype(float))
-        else:
-            raise ValueError(f"unknown covariate kind {kind!r}")
+        columns += encoded
     if not columns:
         return np.empty((raw.shape[0], 0))
     return np.column_stack(columns)

@@ -134,6 +134,14 @@ class TestLinearTransform:
         assert hash(t) == hash(LinearTransform(1.5, 10.0, 12.0))
         assert len({t, LinearTransform(1.5, 10.0, 12.0), LinearTransform(2.0, 10.0, 12.0)}) == 2
 
+    def test_a_nan_score_raises(self):
+        one = LinearTransform(1.5, 10.0, 12.0)
+        columns = LinearTransform(np.ones((2, 1)), np.zeros((2, 1)), np.zeros((2, 1)))
+        for t in (one, columns):
+            for y in (math.nan, np.array([3.0, math.nan])):
+                with pytest.raises(ValueError, match="NaN score"):
+                    t(y)
+
     def test_a_columnar_map_is_unhashable(self):
         with pytest.raises(TypeError):
             hash(LinearTransform(np.ones((2, 1)), np.zeros((2, 1)), np.zeros((2, 1))))
@@ -343,6 +351,13 @@ class TestECDF:
         with pytest.raises(InvalidProbabilityError):
             f.quantile(1.5)
 
+    def test_nan_at_a_nan_score(self):
+        # searchsorted sorts a NaN past every point, where F would read 1
+        f = ECDF(WeightedSample(np.arange(1.0, 5.0)))
+        assert math.isnan(f(math.nan))
+        out = f(np.array([0.5, 2.0, math.nan, math.inf]))
+        assert out[[0, 1, 3]].tolist() == [0.0, 0.5, 1.0] and math.isnan(out[2])
+
     def test_ties_collapse(self):
         f = ECDF(WeightedSample(np.array([2.0, 2.0, 5.0])))
         assert f(2.0) == pytest.approx(2.0 / 3.0)
@@ -441,6 +456,14 @@ class TestKernelCDF:
         assert f.sf(2.999) == 1.0
         assert f.sf(3.0) == 0.0
         assert f.sf(np.array([2.0, 4.0])).tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("values", [[3.0, 3.0], [0.0, 3.0]], ids=["step", "smooth"])
+    def test_nan_at_a_nan_score(self, values):
+        f = KernelCDF(WeightedSample(np.array(values)), 1.0)
+        for evaluate in (f, f.sf):
+            assert math.isnan(evaluate(math.nan))
+            out = evaluate(np.array([-math.inf, math.nan, math.inf]))
+            assert math.isnan(out[1]) and not np.isnan(out[[0, 2]]).any()
 
     def test_ties_pooled_like_premerged_sample(self):
         rng = np.random.default_rng(4)

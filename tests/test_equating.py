@@ -581,6 +581,15 @@ class TestEquipercentileMapInput:
                 equate(y)
         assert equate(np.array([-math.inf, math.inf])).tolist() == list(cdf_x.support)
 
+    @pytest.mark.parametrize("build", ANCHOR_FAMILIES.values(), ids=ANCHOR_FAMILIES.keys())
+    def test_every_family_map_rejects_a_nan_score(self, build, shifted_records):
+        # the linear family of bandwidth=inf raises as a finite bandwidth's maps do
+        maps = build(table(shifted_records)).maps
+        for equate in maps if isinstance(maps, list) else (maps, maps[0]):
+            for y in (math.nan, np.array([3.0, math.nan])):
+                with pytest.raises(ValueError, match="NaN score"):
+                    equate(y)
+
 
 class TestFamilyAtPercentiles:
     def make_family(self, indices):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
@@ -313,10 +314,28 @@ class TestEncodeCovariates:
             enc = encode_covariates(recs, [kind, "numeric"])
         assert enc.shape == (2, 1)
 
-    def test_unknown_kind(self):
-        recs = table_from_matrix([[1.0], [2.0]], [0, 1])
-        with pytest.raises(ValueError):
-            encode_covariates(recs, ["ordinal"])
+    def test_a_spread_whose_square_is_zero_is_dropped_with_one_warning(self):
+        # min < max, yet each squared deviation underflows: the n-1 sd is 0
+        recs = table_from_matrix([[0.0, 1.0], [5e-324, 2.0]], [0, 1])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            enc = encode_covariates(recs, ["numeric", "numeric"])
+        assert [w.category for w in caught] == [DegenerateColumnWarning]
+        assert str(caught[0].message).startswith("covariate 0 has a single")
+        assert enc.shape == (2, 1)
+
+    @pytest.mark.parametrize("column", [[1.0, 2.0], [5.0, 5.0]], ids=["varying", "constant"])
+    @pytest.mark.parametrize("kinds", [["ordinal"], ["numeric", "categorical", "ordinal"]])
+    def test_unknown_kind(self, column, kinds):
+        # refused before any column is read: the constant columns of the valid
+        # kinds would each warn, and a constant unknown one would be dropped
+        constant = [np.full(2, 5.0)] * (len(kinds) - 1)
+        recs = table_from_matrix(np.column_stack(constant + [column]), [0, 1])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="unknown covariate kind 'ordinal'"):
+                encode_covariates(recs, kinds)
+        assert caught == []
 
     def test_arity_mismatch(self):
         recs = table_from_matrix([[1.0], [2.0]], [0, 1])
