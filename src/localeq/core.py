@@ -43,14 +43,24 @@ def _read_only(column: np.ndarray) -> np.ndarray:
     return view
 
 
-def _int_column(values, what: str, size: int) -> np.ndarray:
-    """A read-only int64 view of a 1-D column of ``size`` whole numbers."""
+def _whole_numbers(values, what: str, low: int, high: int = 2**63 - 1, error=ValueError):
+    """``values`` as an array once each is a whole number in low..high, else ``error``
+    naming the first that is not, NaN and ±inf included. The bounds are compared as
+    Python numbers: an array compared with 2**63 - 1 rounds it to the float 2**63."""
+    values = np.asarray(values)
+    lo, hi = np.array([values.min(), values.max()]).tolist() if values.size else (low, high)
+    if not (low <= lo and hi <= high and (values.dtype.kind in "iub" or (values % 1 == 0).all())):
+        bad = next(v for v in values.ravel().tolist() if not (low <= v <= high and v % 1 == 0))
+        raise error(f"{what}s must be whole numbers in {low}..{high}, got {bad}")
+    return values
+
+
+def _int_column(values, what: str, size: int, high: int = 2**63 - 1) -> np.ndarray:
+    """A read-only int64 view of a 1-D column of ``size`` whole numbers in 0..high."""
     col = np.asarray(values)
     if col.ndim != 1 or col.size != size:
         raise DimensionError(f"{what} column must be 1-D with one entry per examinee")
-    if col.dtype.kind not in "iub" and not np.all(np.isfinite(col) & (col == np.round(col))):
-        raise ValueError(f"{what} must hold integers")
-    return _read_only(col.astype(np.int64, copy=False))
+    return _read_only(_whole_numbers(col, what, 0, high).astype(np.int64, copy=False))
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,12 +68,13 @@ class ScoreTable:
     """Examinees as columns: form indicator, total score, anchor, covariates.
 
     ``form`` is 0 for form X (the reference scale), 1 for form Y (the scale
-    being equated). ``score`` and ``anchor`` are non-negative integers;
-    ``anchor`` is None without an anchor test. ``covariates`` holds one finite
-    row per examinee, categorical covariates as integer levels. The columns
-    are validated once, at construction, and kept as read-only views (not
-    copies where the dtype matches): a later write by the caller to an array
-    passed in bypasses the checks.
+    being equated); ``score`` and ``anchor`` (None without an anchor test) are
+    in 0..2**63 - 1. Each is checked as given, before the int64 cast, else
+    ValueError names its first value that is not a whole number in range.
+    ``covariates`` holds one finite row per examinee, categorical covariates
+    as integer levels. The columns are validated once, at construction, and
+    kept as read-only views (not copies where the dtype matches): a later
+    write by the caller to an array passed in bypasses the checks.
     """
 
     form: np.ndarray
@@ -73,16 +84,9 @@ class ScoreTable:
 
     def __post_init__(self):
         n = np.size(self.form)
-        form = _int_column(self.form, "form indicator", n)
+        form = _int_column(self.form, "form indicator", n, 1)
         score = _int_column(self.score, "total score", n)
-        anchor = None if self.anchor is None else _int_column(self.anchor, "anchor", n)
-        for col, what, valid in (
-            (form, "form indicator must be 0 or 1", (form == 0) | (form == 1)),
-            (score, "total score must be non-negative", score >= 0),
-            (anchor, "anchor score must be non-negative", anchor is None or anchor >= 0),
-        ):
-            if not np.all(valid):
-                raise ValueError(f"{what}, got {col[np.argmin(valid)]}")
+        anchor = None if self.anchor is None else _int_column(self.anchor, "anchor score", n)
         cov = np.empty((n, 0)) if self.covariates is None else self.covariates
         cov = _read_only(np.asarray(cov, dtype=float))
         if cov.ndim != 2 or cov.shape[0] != n:

@@ -15,6 +15,7 @@ workers, so the report bytes are the same for any worker count.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cache, partial
@@ -22,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ScoreTable
+from .core import ScoreTable, _whole_numbers
 from .equating import (
     anchor_family,
     ipw_family,
@@ -63,10 +64,11 @@ def bin_by_theta(theta, nbins: int):
     """Equal-width ability bins from min to max; returns (labels, edges).
 
     Labels run 1..nbins; the top edge is inclusive so the maximum lands in
-    the last bin. All-equal input collapses to a single bin.
+    the last bin. All-equal input collapses to a single bin. ``nbins`` must be
+    a Python or numpy integer >= 1, else ValueError names it.
     """
-    if nbins < 1:
-        raise ValueError("nbins must be at least 1")
+    if not isinstance(nbins, numbers.Integral) or nbins < 1:
+        raise ValueError(f"nbins must be an integer >= 1, got {nbins!r}")
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.size == 0:
         raise ValueError("no ability values to bin")
@@ -81,17 +83,10 @@ def bin_by_theta(theta, nbins: int):
 
 def grid_cells(shape, bins, scores):
     """Each record's flat cell index in the (nbins, n_scores) ``shape``, (bin - 1) * n_scores
-    + score, the touched cells, ascending, and their record counts."""
-    bins, scores = np.asarray(bins), np.asarray(scores)
-    for what, values, low, high in (
-        ("bin label", bins, 1, shape[0]), ("score", scores, 0, shape[1] - 1)
-    ):
-        if values.dtype.kind not in "iub" and not np.all(values == np.round(values)):  # NaN too
-            raise ValueError(f"{what}s must be whole numbers")
-        bad = values[(values < low) | (values > high)]  # an infinite one too
-        if bad.size:
-            raise ValueError(f"{what} {bad[0]} is outside {low}..{high}")
-    bins, scores = bins.astype(int, copy=False), scores.astype(int, copy=False)
+    + score, the touched cells, ascending, and their record counts. ValueError names the
+    first bin label not a whole number in 1..nbins, then the first score in 0..n_scores - 1."""
+    bins = _whole_numbers(bins, "bin label", 1, shape[0]).astype(int, copy=False)
+    scores = _whole_numbers(scores, "score", 0, shape[1] - 1).astype(int, copy=False)
     index = np.ravel_multi_index((bins.ravel() - 1, scores.ravel()), shape)
     n = np.bincount(index)
     touched = np.flatnonzero(n)

@@ -10,13 +10,14 @@ within-stratum covariate balance, with values below 0.1 read as satisfactory.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .core import ScoreTable, _mean_var, _probabilities, _read_only
+from .core import ScoreTable, _mean_var, _probabilities, _read_only, _whole_numbers
 from .errors import (
     DegenerateColumnWarning,
     DimensionError,
@@ -82,21 +83,20 @@ class PropensityModel:
 @dataclass(frozen=True)
 class StratumAssignment:
     """Quantile stratification: per-record labels in 1..K, a read-only view of
-    the array given, so a later write to that array bypasses the 1..K check."""
+    the array given, so a later write to that array bypasses the 1..K check.
+    K is a Python or numpy integer and each label a whole number in 1..K, as
+    given, else DimensionError names the first bad value."""
 
     K: int
     labels: np.ndarray
 
     def __post_init__(self):
-        labels = _read_only(np.asarray(self.labels))
-        object.__setattr__(self, "labels", labels)
+        if not isinstance(self.K, numbers.Integral):
+            raise DimensionError(f"K must be an integer, got {self.K!r}")
+        labels = _whole_numbers(self.labels, "stratum label", 1, self.K, DimensionError)
         if labels.ndim != 1:
             raise DimensionError(f"stratum labels must be 1-d, got shape {labels.shape}")
-        bad = ~((labels >= 1) & (labels <= self.K) & (labels == np.floor(labels)))
-        if bad.any():
-            raise DimensionError(
-                f"stratum labels must be whole numbers in 1..{self.K}, got {labels[bad][0]}"
-            )
+        object.__setattr__(self, "labels", _read_only(labels))
 
 
 @dataclass
@@ -245,12 +245,13 @@ def stratify_quantile(propensities, K: int) -> StratumAssignment:
     of the key tie rank * n + index after numpy's default argsort gives
     ``np.argsort(p, kind="stable")`` bit for bit. The labels are the partition:
     no set of cut points reproduces a rank split. A propensity outside [0, 1],
-    NaN included, raises InvalidProbabilityError.
+    NaN included, raises InvalidProbabilityError. K must be a Python or numpy
+    integer >= 1, else ValueError names it, before any sort.
     """
     p = _probabilities(propensities, "propensities").reshape(-1)
     n = p.size
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+    if not isinstance(K, numbers.Integral) or K < 1:
+        raise ValueError(f"K must be an integer >= 1, got {K!r}")
     if K > n:
         raise TooManyStrataError(f"K={K} exceeds the {n} available records")
     order = np.argsort(p)  # ties in no set order

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LinearTransform, ScoreTable, TransformFamily
+from .core import LinearTransform, ScoreTable, TransformFamily, _whole_numbers
 from .errors import OmittedBinError
 from .propensity import sigmoid, sigmoid_inplace
 
@@ -319,19 +319,18 @@ def true_transform(
 ) -> TransformFamily:
     """True linear transform of every ability bin: a ``theta_bin`` family of the labels.
 
-    ``labels`` names each theta's bin, or is one label for all; a label is a whole
-    number >= 0 (``bin_by_theta`` gives 1..nbins), else ValueError. Bin-level moments
-    compose the per-theta analytic moments: the mean of conditional means, and
-    the mean of conditional variances plus the variance of conditional means.
-    One moment pass per form serves every bin: sorted stably by label, a bin's
-    moments are one slice in input order, so its sums keep a selection's bits.
+    ``labels`` names each theta's bin, or is one label for all; labels must be whole
+    numbers in 0..2**63 - 1 (``bin_by_theta`` gives 1..nbins), read as given, else
+    ValueError names the first that is not. Bin-level moments compose the per-theta
+    analytic moments: the mean of conditional means, and the mean of conditional
+    variances plus the variance of conditional means. One moment pass per form
+    serves every bin: sorted stably by label, a bin's moments are one slice in
+    input order, so its sums keep a selection's bits.
     """
     thetas = np.asarray(thetas, dtype=float).reshape(-1)
     if thetas.size == 0:
         raise OmittedBinError("empty ability bin")
-    labels = np.broadcast_to(labels, thetas.shape)
-    if not (labels.min() >= 0 and labels.max() < 2**63 and (labels % 1 == 0).all()):  # NaN fails
-        raise ValueError("labels must be whole numbers in 0..2**63 - 1")
+    labels = _whole_numbers(np.broadcast_to(labels, thetas.shape), "label", 0)
     key = labels.astype(np.min_scalar_type(int(labels.max())))  # 8 or 16 bits: a radix sort
     order = np.argsort(key, kind="stable")
     key = key[order]

@@ -61,8 +61,33 @@ class TestScoreTable:
             ScoreTable(**kwargs)
 
     def test_first_invalid_value_named(self):
-        with pytest.raises(ValueError, match="non-negative, got -4"):
+        with pytest.raises(ValueError) as exc:
             ScoreTable(form=[0, 1, 0], score=[3, -4, -7])
+        assert str(exc.value) == f"total scores must be whole numbers in 0..{2**63 - 1}, got -4"
+
+    @pytest.mark.parametrize("column, what, high", [
+        ("form", "form indicator", 1), ("score", "total score", 2**63 - 1),
+        ("anchor", "anchor score", 2**63 - 1),
+    ])
+    @pytest.mark.parametrize(
+        "bad", [1e19, 2.0**63, np.uint64(2**64 - 1), 2**70, math.nan, math.inf, -math.inf, 0.5]
+    )
+    def test_value_named_as_given_before_the_int64_cast(self, column, what, high, bad):
+        # cast first, 1e19 and 2.0**63 raised numpy's invalid-cast RuntimeWarning,
+        # a uint64 2**64 - 1 was named as the -1 it wraps to, and 2**70 (an
+        # object array) failed in np.isfinite with a TypeError
+        columns = {"form": [0, 1], "score": [1, 2], "anchor": [3, 4]}
+        columns[column] = np.array([1, bad], dtype=np.asarray(bad).dtype)
+        with pytest.raises(ValueError) as exc:
+            ScoreTable(**columns)
+        value = np.asarray(bad).item()
+        assert str(exc.value) == f"{what}s must be whole numbers in 0..{high}, got {value}"
+
+    def test_the_bounds_are_read_exactly(self):
+        t = ScoreTable(form=np.array([0.0, 1.0]), score=np.array([0, 2**63 - 1], np.uint64),
+                       anchor=np.array([2.0**62, 0.0]))
+        assert t.score.tolist() == [0, 2**63 - 1]
+        assert t.anchor.tolist() == [2**62, 0]
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_covariate_rejected(self, value):
@@ -70,8 +95,9 @@ class TestScoreTable:
             ScoreTable(form=[0, 1], score=[1, 2], covariates=[[0.5], [value]])
 
     def test_fractional_score_rejected(self):
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError) as exc:
             ScoreTable(form=[0, 1], score=[1, 2.5])
+        assert str(exc.value) == f"total scores must be whole numbers in 0..{2**63 - 1}, got 2.5"
 
     @pytest.mark.parametrize(
         "kwargs",

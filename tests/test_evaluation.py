@@ -62,6 +62,9 @@ class TestBinByTheta:
     def test_validation(self):
         with pytest.raises(ValueError):
             bin_by_theta([1.0], 0)
+        for count in (2.5, 2.0):  # a bare TypeError from linspace, or none for equal abilities
+            with pytest.raises(ValueError, match=f"^nbins must be an integer >= 1, got {count}$"):
+                bin_by_theta([0.0, 1.0], count)
         with pytest.raises(ValueError):
             bin_by_theta([], 3)
         for bad in (np.nan, np.inf, -np.inf):
@@ -251,16 +254,24 @@ class TestErrorAccumulator:
         "bins, scores, bad",
         [([0], [1], "bin label 0"), ([4], [1], "bin label 4"),
          ([1], [-1], "score -1"), ([2], [4], "score 4"), ([0], [-1], "bin label 0"),
-         ([1.7], [1], "bin labels must be whole"), ([2], [2.5], "scores must be whole"),
-         ([np.nan], [1], "bin labels must be whole"), ([1], [np.inf], "score inf"),
-         ([-np.inf], [1], "bin label -inf")],
+         ([1.7], [1], "bin label 1.7"), ([2], [2.5], "score 2.5"),
+         ([np.nan], [1], "bin label nan"), ([1], [np.inf], "score inf"),
+         ([-np.inf], [1], "bin label -inf"), ([1e19], [1], "bin label 1e+19"),
+         ([1], [1e19], "score 1e+19"), ([2.0**63], [1], f"bin label {2.0**63}"),
+         ([1], [2.0**63], f"score {2.0**63}"),
+         (np.array([2**64 - 1], np.uint64), [1], f"bin label {2**64 - 1}"),
+         ([1], np.array([2**64 - 1], np.uint64), f"score {2**64 - 1}")],
     )
     def test_out_of_range_cell_raises(self, bins, scores, bad):
-        # negative indices would wrap into another cell instead, and a cast
-        # would truncate 1.7 into bin 1
+        # negative indices would wrap into another cell instead, a cast would
+        # truncate 1.7 into bin 1, and an array compared with 2**63 - 1 reads
+        # it as the float 2**63
         acc = ErrorAccumulator(3, 4)
-        with pytest.raises(ValueError, match=bad):
+        what, value = bad.rsplit(" ", 1)
+        low, high = (1, 3) if what == "bin label" else (0, 3)
+        with pytest.raises(ValueError) as exc:
             acc.add(bins, scores, [0.5])
+        assert str(exc.value) == f"{what}s must be whole numbers in {low}..{high}, got {value}"
         assert not acc.count.any()
 
     def test_whole_float_cells_count_as_integers(self):

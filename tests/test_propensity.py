@@ -233,12 +233,27 @@ class TestStratifyQuantile:
         with pytest.raises(InvalidProbabilityError, match=f"got {bad}"):
             stratify_quantile(p, 2)
 
-    @pytest.mark.parametrize("bad", [0, 4, -1, 2.5])
+    @pytest.mark.parametrize("bad", [
+        0, 4, -1, 2.5, 1e19, 2.0**63, np.uint64(2**64 - 1), math.nan, math.inf, -math.inf,
+    ])
     def test_assignment_rejects_labels_outside_one_to_k(self, bad):
-        labels = np.array([1, 2, 3, bad, 0, 1])
-        with pytest.raises(DimensionError, match=f"got {bad}"):
+        labels = np.array([1, 2, 3, bad, 0, 1], dtype=np.asarray(bad).dtype)
+        with pytest.raises(DimensionError) as exc:
             StratumAssignment(K=3, labels=labels)
+        value = np.asarray(bad).item()
+        assert str(exc.value) == f"stratum labels must be whole numbers in 1..3, got {value}"
         StratumAssignment(K=3, labels=np.array([1, 2, 3, 3]))
+
+    @pytest.mark.parametrize("count", [2.5, 2.0])
+    def test_a_count_must_be_an_integer(self, count):
+        # a float K failed after the sort, in a ufunc cast, or was kept until
+        # ipw_weights raised a bare TypeError
+        p = np.array([0.1, 0.2, 0.3, 0.4])
+        with pytest.raises(ValueError, match=f"^K must be an integer >= 1, got {count}$"):
+            stratify_quantile(p, count)
+        with pytest.raises(DimensionError, match=f"^K must be an integer, got {count}$"):
+            StratumAssignment(K=count, labels=np.array([1, 1, 2, 2]))
+        assert stratify_quantile(p, np.int64(2)).labels.tolist() == [1, 1, 2, 2]
 
     @pytest.mark.parametrize("labels", [[1, 1, 1, 1], np.array([0, 9, 1, 1])])
     def test_assignment_fields_cannot_be_reassigned(self, labels):

@@ -712,12 +712,23 @@ class TestBatchedTruthOracle:
 
     @pytest.mark.parametrize("labels", [
         [1, -1], [2.0, 1.5], -3, [1.0, np.inf], [-np.inf, 1.0], [np.nan, 1.0], [1e30, 1.0],
-        [-(2**63), 5], np.array([2**63, 1], dtype=np.uint64),
+        [-(2**63), 5], np.array([2**63, 1], dtype=np.uint64), [2.0**63, 1.0],
     ])
     def test_a_label_must_be_a_whole_number_from_zero(self, labels):
         items = draw_items(5, np.random.default_rng(15))
         with pytest.raises(ValueError, match="whole numbers"):
             true_transform([0.1, 0.2], labels, items, items)
+
+    @pytest.mark.parametrize(
+        "bad", [1e19, 2.0**63, np.uint64(2**64 - 1), math.nan, math.inf, -math.inf, 0.5]
+    )
+    def test_the_first_bad_label_is_named_as_given(self, bad):
+        items = draw_items(5, np.random.default_rng(15))
+        labels = np.array([1, bad], dtype=np.asarray(bad).dtype)
+        with pytest.raises(ValueError) as exc:
+            true_transform([0.1, 0.2], labels, items, items)
+        value = np.asarray(bad).item()
+        assert str(exc.value) == f"labels must be whole numbers in 0..{2**63 - 1}, got {value}"
 
     def test_peak_memory_is_the_two_block_buffers_plus_per_theta_arrays(self):
         # 500 target thetas fill the kernel's 256-row blocks; a ufunc that

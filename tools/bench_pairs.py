@@ -66,7 +66,9 @@ def export_change(into: Path) -> Path:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON result line of one ``bench/run.py`` run in ``tree``."""
+    """The JSON result line of one ``bench/run.py`` run in ``tree``. A run that
+    exits non-zero, or whose result reads ``"correct": false`` (bench/run.py
+    exits 0 then), stops the tool, naming the command."""
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
@@ -74,7 +76,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if done.returncode != 0 or not lines:
         sys.exit(f"error: {' '.join(command)} in {tree} exited {done.returncode}\n"
                  f"{done.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    if result["correct"] is not True:
+        checks = [line for line in lines if line.startswith("check failed:")]
+        sys.exit("\n".join([f"error: {' '.join(command)} in {tree} failed its checks", *checks]))
+    return result
 
 
 def summarize(runs: list, metrics: list) -> dict:
